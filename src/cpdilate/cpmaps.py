@@ -250,36 +250,26 @@ def haar_unitary(rng: np.random.Generator, size: int) -> np.ndarray:
     return q * ph.conj()
 
 
-def _rep_actions(
-    desc: AlgebraDescriptor, mdesc: ModuleDescriptor, mult: int
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Blockwise representation with uniform multiplicity.
+def amplified_units(labels, row_dims, col_dims, copies) -> np.ndarray:
+    """Matrix units amplified by a per-block number of copies.
 
-    Returns (pi_t, psi_t, dim1, dim2): pi_t[alpha] acts on the carrier
-    space of dimension dim1 = mult * sum(d_b) as the block unit amplified
-    by the multiplicity, and psi_t[gamma] maps that space into the module
-    carrier of dimension dim2 = mult * sum(k_b) the same way.  The pair
-    satisfies psi_t(f)* psi_t(g) = pi_t(<f, g>) exactly.
+    For each label (b, r, q) the stack holds ``E_rq (x) 1_{copies[b]}``,
+    mapping ``sum_b C^{col_dims[b]} (x) C^{copies[b]}`` into
+    ``sum_b C^{row_dims[b]} (x) C^{copies[b]}``; coordinates run over
+    (block, row, copy) with the block slowest.  With the algebra's labels
+    and ``row_dims = col_dims = block_dims`` this is the blockwise
+    representation ``pi`` with multiplicity; with the module's labels and
+    ``row_dims = mults of the module`` it is the matching module map
+    ``psi``, and the pair satisfies ``psi(f)* psi(g) = pi(<f, g>)``
+    exactly.
     """
-    dims = desc.block_dims
-    mults = mdesc.mults
-    off1 = np.concatenate([[0], np.cumsum([d * mult for d in dims])])
-    off2 = np.concatenate([[0], np.cumsum([k * mult for k in mults])])
-    dim1, dim2 = int(off1[-1]), int(off2[-1])
-
-    pi_t = np.zeros((desc.dim, dim1, dim1), dtype=complex)
-    for alpha, (b, p, q) in enumerate(desc.basis_labels):
-        rows = off1[b] + p * mult + np.arange(mult)
-        cols = off1[b] + q * mult + np.arange(mult)
-        pi_t[alpha, rows, cols] = 1.0
-
-    psi_t = np.zeros((mdesc.dim, dim2, dim1), dtype=complex)
-    for gamma, (b, r, q) in enumerate(mdesc.basis_labels):
-        rows = off2[b] + r * mult + np.arange(mult)
-        cols = off1[b] + q * mult + np.arange(mult)
-        psi_t[gamma, rows, cols] = 1.0
-
-    return pi_t, psi_t, dim1, dim2
+    row_off = np.concatenate([[0], np.cumsum([d * c for d, c in zip(row_dims, copies)])])
+    col_off = np.concatenate([[0], np.cumsum([d * c for d, c in zip(col_dims, copies)])])
+    out = np.zeros((len(labels), int(row_off[-1]), int(col_off[-1])), dtype=complex)
+    for index, (b, r, q) in enumerate(labels):
+        copy = np.arange(copies[b])
+        out[index, row_off[b] + r * copies[b] + copy, col_off[b] + q * copies[b] + copy] = 1.0
+    return out
 
 
 def random_instance(
@@ -320,7 +310,10 @@ def random_instance(
     rng = np.random.default_rng(seed)
     sum_d = sum(desc.block_dims)
     mult = max(1 + k1_extra, math.ceil(h1 / sum_d))
-    pi_t, psi_t, dim1, dim2 = _rep_actions(desc, mdesc, mult)
+    copies = [mult] * desc.nblocks
+    pi_t = amplified_units(desc.basis_labels, desc.block_dims, desc.block_dims, copies)
+    psi_t = amplified_units(mdesc.basis_labels, mdesc.mults, desc.block_dims, copies)
+    dim1, dim2 = pi_t.shape[1], psi_t.shape[1]
 
     s_ops = np.stack([haar_unitary(rng, dim1)[:, :h1] for _ in range(n)])
 

@@ -1,24 +1,35 @@
 """Joint Stinespring dilation of a compatible (cp family, module tuple) pair.
 
-The construction is the finite-dimensional GNS-style quotient:
+The construction is the finite-dimensional GNS-style quotient of the raw
+space, the n-fold direct sum of ``A (x) H1``, by the null space of the
+form ``<(a_i (x) xi_i), (b_j (x) eta_j)> = sum_ij <xi_i, phi_ij(a_i* b_j) eta_j>``.
+For ``A = M_{d_1} + ... + M_{d_m}`` the matrix-unit relations split that
+form into a direct sum, so nothing is ever factored on the raw space:
 
-1.  The raw space is the n-fold direct sum of ``A (x) H1`` with basis
-    indexed by (slot i, algebra unit alpha, H1 basis beta), flattened
-    lexicographically with the slot slowest.  The sesquilinear form
-    ``<(a_i (x) xi_i), (b_j (x) eta_j)> = sum_ij <xi_i, phi_ij(a_i* b_j) eta_j>``
-    becomes an explicit Gram matrix on that basis.
-2.  Complete n-positivity makes the Gram PSD; its numerical null space
-    is the quotient kernel.  Eigenvalue truncation at a relative cutoff
-    yields the factor ``F`` with ``F* F = G``, whose rows are canonical
-    coordinates on the quotient space K1 (dimension r1).
-3.  Left multiplication by algebra units preserves the kernel, so
-    ``pi(e) = F L_e F^+`` is the induced unital *-representation on K1;
-    the slot isometries S_i are the F-columns over the unit element.
-4.  K2 is the span inside H2 of all Phi_i applied to module units;
-    ``Psi`` is solved by least squares from its defining relation on the
-    raw spanning family, and the W_i are coisometries onto the per-slot
-    ranges.  Large solve residuals mean the input was not a valid
-    instance, and are reported as well-definedness failures.
+1.  ``(e^b_pq)* e^b'_p'q' = delta_bb' delta_pp' e^b_qq'``, so in slot i the
+    raw vectors ``e^b_pq (x) e_beta`` with a fixed (b, p) pair only with
+    each other, and their Gram block is the compressed Choi matrix
+    ``C_b[(i, q, beta), (j, q', beta')] = phi_ij(e^b_qq')[beta, beta']``
+    for every row p.  The raw Gram matrix is therefore a permuted direct
+    sum of d_b copies of each C_b; it is PSD exactly when the family is
+    completely n-positive.
+2.  Each C_b is factored once, ``C_b = F_b* F_b``, by eigenvalue
+    truncation at a cutoff relative to the largest eigenvalue over all
+    blocks (the largest eigenvalue of the whole Gram).  The quotient is
+    ``K1 = sum_b C^{d_b} (x) C^{rank_b}`` (dimension r1 = sum_b d_b rank_b),
+    and the raw vector ``e^b_pq (x) e_beta`` in slot i maps to
+    ``e_p (x) F_b[:, (i, q, beta)]``.
+3.  Left multiplication sends ``e^b_pq`` to ``delta_sp e^b_rq`` under
+    ``e^b_rs``, so ``pi(e^b_rs) = E_rs (x) 1`` on the block-b summand, in
+    closed form; the slot maps S_i are the F_b columns over the unit.
+4.  Likewise ``f^b_rq . e^b_pq' = delta_qp f^b_rq'``, so on
+    ``K2 = sum_b C^{k_b} (x) C^{rank_b}`` the module map is
+    ``Psi(f^b_rq) = E_rq (x) 1``.  The embedding of K2 into H2 must send
+    ``e_r (x) F_b[:, (i, q, beta)]`` to ``Phi_i(f^b_rq) e_beta``; it is one
+    small least-squares solve per (b, r) against F_b, which compatibility
+    makes consistent and isometric.  A large solve residual means the
+    input was not a valid instance and is reported as a well-definedness
+    failure.  The W_i are coisometries onto the per-slot ranges.
 
 Everything is verified basis-by-basis: all asserted identities are
 sesquilinear or multiplicative in their arguments, so checking canonical
@@ -28,15 +39,15 @@ basis (pairs) is equivalent to checking all elements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .cpmaps import CPBlockMap, Instance, ModuleCPTuple
+from .cpmaps import CPBlockMap, Instance, ModuleCPTuple, amplified_units
 from .errors import ShapeMismatchError, WellDefinednessError
 from .linalg import (
     DEFAULT_CUTOFF,
     DEFAULT_TOL,
-    frob,
     hermitian_eig,
     matrix_norms,
     numerical_rank,
@@ -61,26 +72,61 @@ __all__ = [
 
 @dataclass(eq=False)
 class GramFactorization:
-    """Gram matrix of the raw-space form and its rank-revealing factor.
+    """Blockwise factorization of the raw-space Gram matrix.
 
-    ``factor`` has shape (r1, raw_dim) and satisfies ``F* F = gram`` up
-    to cutoff accuracy; applying it to raw coordinates is the quotient
-    map onto K1.
+    ``block_factors[b]`` is ``F_b`` of shape (rank_b, n * d_b * h1) with
+    ``F_b* F_b = cp.choi_block(b)`` to cutoff accuracy and orthogonal
+    rows.  ``gram`` and ``factor`` (shape (r1, raw_dim), with
+    ``F* F = gram``; applied to raw coordinates it is the quotient map
+    onto K1) assemble the dense raw-space matrices on first access; the
+    construction itself never reads them.
     """
 
-    raw_dim: int
-    gram: np.ndarray = field(repr=False)
-    r1: int
-    factor: np.ndarray = field(repr=False)
-    kept_eigenvalues: np.ndarray = field(repr=False)
-    kept_eigenvectors: np.ndarray = field(repr=False)
+    cp: CPBlockMap = field(repr=False)
+    block_factors: tuple[np.ndarray, ...] = field(repr=False)
 
     @property
-    def factor_pinv(self) -> np.ndarray:
-        """Pseudo-inverse of the factor, from the kept eigenpairs."""
-        if self.r1 == 0:
-            return np.zeros((self.raw_dim, 0), dtype=complex)
-        return self.kept_eigenvectors / np.sqrt(self.kept_eigenvalues)
+    def ranks(self) -> tuple[int, ...]:
+        return tuple(len(f) for f in self.block_factors)
+
+    @property
+    def raw_dim(self) -> int:
+        return self.cp.n * self.cp.algebra.dim * self.cp.h1
+
+    @property
+    def r1(self) -> int:
+        return sum(d * r for d, r in zip(self.cp.algebra.block_dims, self.ranks))
+
+    def _raw_indices(self, b: int) -> np.ndarray:
+        """Raw-space indices of block b, one row per p, each row listing
+        ``(i, e^b_pq, beta)`` in the Choi order (i, q, beta)."""
+        alg, h1 = self.cp.algebra, self.cp.h1
+        d = alg.block_dims[b]
+        off = sum(dd * dd for dd in alg.block_dims[:b])
+        i, p, q, beta = np.ix_(range(self.cp.n), range(d), range(d), range(h1))
+        raw = (i * alg.dim + off + p * d + q) * h1 + beta
+        return raw.transpose(1, 0, 2, 3).reshape(d, -1)
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Dense raw-space Gram matrix, assembled from the Choi blocks."""
+        gram = np.zeros((self.raw_dim, self.raw_dim), dtype=complex)
+        for b in range(self.cp.algebra.nblocks):
+            choi = self.cp.choi_block(b)
+            for idx in self._raw_indices(b):
+                gram[np.ix_(idx, idx)] = choi
+        return gram
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """Dense raw-space factor, rows in K1 order (block, p, k)."""
+        factor = np.zeros((self.r1, self.raw_dim), dtype=complex)
+        row = 0
+        for b, f in enumerate(self.block_factors):
+            for idx in self._raw_indices(b):
+                factor[row : row + len(f), idx] = f
+                row += len(f)
+        return factor
 
 
 @dataclass(eq=False)
@@ -171,112 +217,66 @@ def _max_rel(actual: np.ndarray, expected: np.ndarray) -> float:
 
 
 def build_gram(cp: CPBlockMap, rel_cutoff: float = DEFAULT_CUTOFF) -> GramFactorization:
-    """Assemble and factor the Gram matrix of the raw-space form.
+    """Factor every compressed Choi block ``C_b = F_b* F_b``.
 
-    Entry [(i, alpha, beta), (j, alpha', beta')] is
-    ``phi_ij(e_alpha* e_alpha')[beta, beta']``; matrix-unit relations
-    make most products vanish.  Raises NotPSDError when the form has a
-    kept-scale negative direction, which is exactly failure of complete
+    Rank decisions are on the scale of the whole raw Gram matrix: kept
+    eigenvalues exceed ``rel_cutoff`` times the largest eigenvalue over
+    all blocks.  Raises NotPSDError when some block has a kept-scale
+    negative direction, which is exactly failure of complete
     n-positivity.
     """
-    n, dim_a, h1 = cp.n, cp.algebra.dim, cp.h1
-    raw_dim = n * dim_a * h1
-    prod = cp.algebra.product_table
-    adj = cp.algebra.adjoint_table
-
-    g6 = np.zeros((n, dim_a, h1, n, dim_a, h1), dtype=complex)
-    for alpha in range(dim_a):
-        row = prod[adj[alpha]]
-        for alpha2 in range(dim_a):
-            t = row[alpha2]
-            if t >= 0:
-                g6[:, alpha, :, :, alpha2, :] = cp.action[:, :, t].transpose(0, 2, 1, 3)
-    gram = g6.reshape(raw_dim, raw_dim)
-
-    eig = hermitian_eig(gram, tol_herm=1e-10)
-    r1, factor = rank_truncate(eig, rel_cutoff)
-    return GramFactorization(
-        raw_dim=raw_dim,
-        gram=gram,
-        r1=r1,
-        factor=factor,
-        kept_eigenvalues=eig.eigenvalues[:r1],
-        kept_eigenvectors=eig.eigenvectors[:, :r1],
-    )
+    eigs = [hermitian_eig(cp.choi_block(b), tol_herm=1e-10) for b in range(cp.algebra.nblocks)]
+    scale = max(float(e.eigenvalues[0]) for e in eigs)
+    return GramFactorization(cp, tuple(rank_truncate(e, rel_cutoff, scale)[1] for e in eigs))
 
 
 def build_pi(g: GramFactorization, cp: CPBlockMap) -> tuple[np.ndarray, float]:
     """Representation of the algebra on K1 induced by left multiplication.
 
-    For each algebra unit, raw-space left multiplication permutes basis
-    columns, so ``F L`` is a gather of factor columns and
-    ``pi(e) = (F L) F^+`` is its least-squares realization on the
-    quotient.  The returned residual is the worst relative defect of
-    ``pi(e) F = F L``; theory makes it vanish for valid inputs.
+    ``pi(e^b_pq) = E_pq (x) 1_{rank_b}`` in closed form, so the returned
+    well-definedness residual is exactly 0.
     """
-    n, dim_a, h1 = cp.n, cp.algebra.dim, cp.h1
-    f6 = g.factor.reshape(g.r1, n, dim_a, h1)
-    fp = g.factor_pinv
-    prod = cp.algebra.product_table
-
-    pi_action = np.zeros((dim_a, g.r1, g.r1), dtype=complex)
-    worst = 0.0
-    for gamma in range(dim_a):
-        fl6 = np.zeros_like(f6)
-        row = prod[gamma]
-        mask = row >= 0
-        fl6[:, :, mask, :] = f6[:, :, row[mask], :]
-        fl = fl6.reshape(g.r1, g.raw_dim)
-        pi_action[gamma] = fl @ fp
-        worst = max(worst, frob(pi_action[gamma] @ g.factor - fl) / max(frob(fl), 1.0))
-    return pi_action, worst
+    dims = cp.algebra.block_dims
+    return amplified_units(cp.algebra.basis_labels, dims, dims, g.ranks), 0.0
 
 
 def build_S(g: GramFactorization, cp: CPBlockMap) -> np.ndarray:
-    """Slot maps S_i : H1 -> K1, the factor columns over the unit element."""
-    n, dim_a, h1 = cp.n, cp.algebra.dim, cp.h1
-    f6 = g.factor.reshape(g.r1, n, dim_a, h1)
-    s = f6[:, :, cp.algebra.identity_indices, :].sum(axis=2)
-    return s.transpose(1, 0, 2)  # (n, r1, h1)
+    """Slot maps S_i : H1 -> K1, the factor columns over the unit element:
+    ``S_i[(b, p, k), beta] = F_b[k, (i, p, beta)]``."""
+    n, h1 = cp.n, cp.h1
+    blocks = [
+        f.reshape(len(f), n, d, h1).transpose(1, 2, 0, 3).reshape(n, d * len(f), h1)
+        for f, d in zip(g.block_factors, cp.algebra.block_dims)
+    ]
+    return np.concatenate(blocks, axis=1)  # (n, r1, h1)
 
 
 def build_psi(
-    g: GramFactorization,
-    cp: CPBlockMap,
-    tup: ModuleCPTuple,
-    rel_cutoff: float = DEFAULT_CUTOFF,
+    g: GramFactorization, cp: CPBlockMap, tup: ModuleCPTuple
 ) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Module representation on the quotient plus the K2 embedding.
 
-    K2 is the column span inside H2 of all Phi_i on module units (each
-    raw spanning vector of K1 is sent by Psi(x) to such a column).  For
-    each module unit f, the defining relation prescribes Psi(f) on every
-    factor column, so Psi(f) is the least-squares solution of
-    ``Psi(f) F = R_f`` where R_f gathers the prescribed images in K2
-    coordinates.  Returns (psi_action, k2_embed, r2, worst residual).
+    ``Psi(f^b_rq) = E_rq (x) 1_{rank_b}`` in closed form.  The embedding
+    columns over ``e_r (x) C^{rank_b}`` are the solution X of
+    ``X F_b = T`` with ``T[:, (i, q, beta)] = Phi_i(f^b_rq) e_beta``;
+    since ``F_b F_b*`` is the diagonal of kept eigenvalues, the
+    least-squares solution is ``T F_b* (F_b F_b*)^-1``.  Returns
+    (psi_action, k2_embed, r2, worst relative solve residual).
     """
-    n, dim_a, h1 = cp.n, cp.algebra.dim, cp.h1
-    dim_v, h2 = tup.module.dim, tup.h2
-
-    cols = tup.action.transpose(2, 0, 1, 3).reshape(h2, n * dim_v * h1)
-    k2_embed = svd_orthobasis(cols, rel_cutoff)
-    r2 = k2_embed.shape[1]
-
-    proj = np.einsum("ry,igyh->igrh", k2_embed.conj().T, tup.action)  # (n, dim_V, r2, h1)
-    fp = g.factor_pinv
-    act_table = tup.module.action_table
-
-    psi_action = np.zeros((dim_v, r2, g.r1), dtype=complex)
-    worst = 0.0
-    for gamma in range(dim_v):
-        r6 = np.zeros((r2, n, dim_a, h1), dtype=complex)
-        row = act_table[gamma]
-        mask = row >= 0
-        r6[:, :, mask, :] = proj[:, row[mask]].transpose(2, 0, 1, 3)
-        rmat = r6.reshape(r2, g.raw_dim)
-        psi_action[gamma] = rmat @ fp
-        worst = max(worst, frob(psi_action[gamma] @ g.factor - rmat) / max(frob(rmat), 1.0))
-    return psi_action, k2_embed, r2, worst
+    n, h1, h2 = cp.n, cp.h1, tup.h2
+    psi_action = amplified_units(
+        tup.module.basis_labels, tup.module.mults, cp.algebra.block_dims, g.ranks
+    )
+    columns, worst, start = [], 0.0, 0
+    for f, d, k in zip(g.block_factors, cp.algebra.block_dims, tup.module.mults):
+        t = tup.action[:, start : start + k * d].reshape(n, k, d, h2, h1)
+        t = t.transpose(1, 3, 0, 2, 4).reshape(k, h2, n * d * h1)
+        start += k * d
+        x = (t @ f.conj().T) / np.einsum("kx,kx->k", f, f.conj()).real
+        res = matrix_norms(x @ f - t) / np.maximum(matrix_norms(t), 1.0)
+        worst = max(worst, float(res.max(initial=0.0)))
+        columns.append(x.transpose(1, 0, 2).reshape(h2, k * len(f)))
+    return psi_action, np.concatenate(columns, axis=1), psi_action.shape[1], worst
 
 
 def build_W(tup: ModuleCPTuple, rel_cutoff: float = DEFAULT_CUTOFF) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
@@ -305,18 +305,13 @@ def dilate(
     The output is minimal by construction: K1 is spanned by the images
     ``pi(e) S_i H1`` (they are exactly the factor columns) and K2 by
     ``Psi(f) S_i H1``.  Raises NotPSDError for inputs that are not
-    completely n-positive and WellDefinednessError when a quotient map
-    fails to close at ``welldef_tol``.
+    completely n-positive and WellDefinednessError when the K2
+    embedding solve fails to close at ``welldef_tol``.
     """
     g = build_gram(inst.cp, cutoff)
     pi_action, pi_res = build_pi(g, inst.cp)
-    if pi_res > welldef_tol:
-        raise WellDefinednessError(
-            f"left multiplication does not descend to the quotient "
-            f"(residual {pi_res:.3e} > {welldef_tol:.1e})"
-        )
     s_ops = build_S(g, inst.cp)
-    psi_action, k2_embed, r2, psi_res = build_psi(g, inst.cp, inst.tup, cutoff)
+    psi_action, k2_embed, r2, psi_res = build_psi(g, inst.cp, inst.tup)
     if psi_res > welldef_tol:
         raise WellDefinednessError(
             f"module map is inconsistent on the spanning family "

@@ -93,22 +93,28 @@ def hermitian_eig(m: np.ndarray, tol_herm: float = 1e-12) -> HermEig:
     return HermEig(w[order], v[:, order])
 
 
-def rank_truncate(e: HermEig, rel_cutoff: float = DEFAULT_CUTOFF) -> tuple[int, np.ndarray]:
+def rank_truncate(
+    e: HermEig, rel_cutoff: float = DEFAULT_CUTOFF, scale: float | None = None
+) -> tuple[int, np.ndarray]:
     """Rank-reveal a PSD eigendecomposition and return its square-root factor.
 
-    Keeps eigenvalues above ``rel_cutoff * max(eigenvalue)`` and returns
+    Keeps eigenvalues above ``rel_cutoff * scale`` and returns
     ``(rank, F)`` with ``F = diag(sqrt(kept)) @ V_kept*`` so that
     ``F* F`` reconstructs the original matrix to cutoff accuracy.  The
     factor's rows are the canonical coordinates of the quotient by the
     numerical null space.
 
     Raises NotPSDError when a kept-scale negative eigenvalue exists, i.e.
-    ``min(eigenvalue) < -rel_cutoff * max(max_eigenvalue, 1)``.
+    ``min(eigenvalue) < -rel_cutoff * max(scale, 1)``.
+
+    ``scale`` defaults to the largest eigenvalue of ``e``; the diagonal
+    blocks of one direct sum pass the largest eigenvalue over all
+    blocks, so their rank decisions match those on the whole sum.
     """
     w = e.eigenvalues
     if w.size == 0:
         return 0, np.zeros((0, 0), dtype=complex)
-    lam_max = float(w[0])
+    lam_max = float(w[0]) if scale is None else scale
     if float(w[-1]) < -rel_cutoff * max(lam_max, 1.0):
         raise NotPSDError(
             f"negative eigenvalue {w[-1]:.3e} at kept scale "

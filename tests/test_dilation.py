@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_gram, scalar_family, transpose_map
+from test_acceptance import acceptance_instances
+from cpdilate import dilation
 from cpdilate.algebra import AlgebraDescriptor, ModuleDescriptor
 from cpdilate.cpmaps import CPBlockMap, Instance, ModuleCPTuple, identity_instance, random_instance
 from cpdilate.dilation import (
@@ -278,3 +280,106 @@ class TestVerifyDilation:
         assert report.psi_module_action <= 1e-9
         assert report.minimality_k1_defect == 0.0
         assert report.minimality_k2_defect == 0.0
+
+
+def choi_ranks(cp, shared_scale=True):
+    """Rank of each compressed Choi block, by eigvalsh, at the default
+    cutoff 1e-10 relative to the largest eigenvalue over all blocks (or,
+    with ``shared_scale=False``, over that block alone)."""
+    spectra = [np.linalg.eigvalsh(cp.choi_block(b)) for b in range(cp.algebra.nblocks)]
+    top = max(float(w[-1]) for w in spectra)
+    return [int((w > 1e-10 * (top if shared_scale else w[-1])).sum()) for w in spectra]
+
+
+def block_scaled(inst, scales):
+    """The instance composed with the central element z = sum_b scales[b] 1_b:
+    phi_ij(a) -> phi_ij(z a z) and Phi_i(x) -> Phi_i(x z), which stays valid."""
+    alg = np.array([scales[b] for b, _, _ in inst.algebra.basis_labels])
+    mod = np.array([scales[b] for b, _, _ in inst.module.basis_labels])
+    cp = CPBlockMap(inst.algebra, inst.n, inst.h1, inst.cp.action * (alg**2)[:, None, None])
+    tup = ModuleCPTuple(inst.module, inst.n, inst.h1, inst.h2, inst.tup.action * mod[:, None, None])
+    return Instance(cp, tup)
+
+
+class TestBlockwiseConstruction:
+    def scaled_two_block(self):
+        # Block 1 sits 1e6 below block 0 in Choi scale, and its smallest
+        # nonzero eigenvalue is below the cutoff on the whole-Gram scale
+        # but above it on the block's own scale; mults [1, 0] keep that
+        # direction out of the K2 solve.
+        base = random_instance(0, n=2, block_dims=[2, 2], mults=[1, 0], h1=1, h2=4,
+                               k1_extra=2, slot_scales=[1.0, 1e-3])
+        return block_scaled(base, [1.0, 1e-3])
+
+    def test_eigendecompositions_are_per_block(self, monkeypatch):
+        seen = []
+        original = dilation.hermitian_eig
+
+        def recording(m, *args, **kwargs):
+            seen.append(m.shape)
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(dilation, "hermitian_eig", recording)
+        for inst in acceptance_instances(100) + [self.scaled_two_block()]:
+            seen.clear()
+            data = dilate(inst)
+            largest = max(inst.n * d * inst.h1 for d in inst.algebra.block_dims)
+            assert len(seen) == inst.algebra.nblocks
+            assert max(max(shape) for shape in seen) <= largest
+            ranks = choi_ranks(inst.cp)
+            assert data.r1 == sum(d * r for d, r in zip(inst.algebra.block_dims, ranks))
+            assert data.r2 == sum(k * r for k, r in zip(inst.module.mults, ranks))
+
+    def test_rank_cutoff_is_on_the_whole_gram_scale(self):
+        inst = self.scaled_two_block()
+        tops = [np.linalg.eigvalsh(inst.cp.choi_block(b))[-1] for b in range(2)]
+        assert tops[0] >= 1e6 * tops[1]
+        assert inst.is_valid()
+        assert choi_ranks(inst.cp) != choi_ranks(inst.cp, shared_scale=False)
+        g = build_gram(inst.cp)
+        assert list(g.ranks) == choi_ranks(inst.cp)
+        data = dilate(inst)
+        assert verify_dilation(inst, data).passed
+
+    def test_closed_forms_satisfy_the_raw_space_relations(self):
+        # pi(e) F = F L_e and k2_embed Psi(f) F = [Phi_i(f . e_alpha) e_beta]
+        # column by column, through the dense raw-space factor.
+        inst = random_instance(81, n=2, block_dims=[2, 1], mults=[1, 2], h1=2, h2=6)
+        g = build_gram(inst.cp)
+        pi, pi_res = build_pi(g, inst.cp)
+        psi, k2e, _, psi_res = build_psi(g, inst.cp, inst.tup)
+        assert pi_res == 0.0 and psi_res <= 1e-12
+        n, dim_a, h1 = inst.n, inst.algebra.dim, inst.h1
+        f = g.factor.reshape(g.r1, n, dim_a, h1)
+        for gamma, row in enumerate(inst.algebra.product_table):
+            moved = np.zeros_like(f)
+            moved[:, :, row >= 0] = f[:, :, row[row >= 0]]
+            want = moved.reshape(g.r1, g.raw_dim)
+            assert frob(pi[gamma] @ g.factor - want) <= 1e-12 * max(frob(want), 1.0)
+        for gamma, row in enumerate(inst.module.action_table):
+            want = np.zeros((inst.h2, n, dim_a, h1), dtype=complex)
+            want[:, :, row >= 0] = inst.tup.action[:, row[row >= 0]].transpose(2, 0, 1, 3)
+            want = want.reshape(inst.h2, g.raw_dim)
+            assert frob(k2e @ psi[gamma] @ g.factor - want) <= 1e-10 * max(frob(want), 1.0)
+
+
+GRADED = dict(n=2, block_dims=[2], mults=[1], h1=1, h2=4, k1_extra=2)
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1e-9])
+def test_graded_slot_scales_dilate_and_verify(scale):
+    inst = random_instance(3, **GRADED, slot_scales=[1.0, scale])
+    assert inst.is_valid()
+    report = verify_dilation(inst, dilate(inst))
+    assert report.passed, report.to_dict()
+    assert report.minimality_k2_defect == 0.0
+
+
+@pytest.mark.xfail(strict=True, raises=WellDefinednessError,
+                   reason="ROADMAP item 3: the K2 solve meets slot-2 directions "
+                          "dropped at the whole-Gram cutoff")
+@pytest.mark.parametrize("scale", [1e-5, 1e-6, 1e-7])
+def test_graded_slot_scales_k2_solve(scale):
+    inst = random_instance(3, **GRADED, slot_scales=[1.0, scale])
+    assert inst.is_valid()
+    assert verify_dilation(inst, dilate(inst)).passed
