@@ -10,9 +10,10 @@ is of this form up to isomorphism, and the single-block square case is
 exactly the bounded-operator module L(H1, H2) over L(H1).
 
 Canonical bases are matrix units ordered lexicographically by
-(block, row, column); the multiplication, adjoint and inner-product
-tables on those bases are precomputed on the descriptors because the
-Gram and dilation stages index through them heavily.
+(block, row, column); the multiplication, action, adjoint and
+inner-product tables on those bases are cached on the descriptors.
+Verification reads only the adjoint and inner-product tables; the
+full multiplication and action tables serve as test references.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from .errors import (
     HermiticityViolationError,
     ShapeMismatchError,
 )
-from .linalg import DEFAULT_TOL, matrix_norms, svd_orthobasis
+from .linalg import DEFAULT_TOL, matrix_norms, max_rel_residual, svd_orthobasis
 
 __all__ = [
     "CPBlockMap",
@@ -218,21 +218,14 @@ class Instance:
 
         Basis pairs suffice because both sides are sesquilinear in (f, g).
         """
+        n, dim_v, h1 = self.n, self.module.dim, self.h1
         inner = self.module.inner_table
-        dim_v = self.module.dim
-        h1 = self.h1
-        worst = 0.0
         mask = inner >= 0
-        for i in range(self.n):
-            ti = self.tup.action[i]
-            for j in range(self.n):
-                tj = self.tup.action[j]
-                lhs = np.einsum("gax,day->gdxy", ti.conj(), tj)
-                exp = np.zeros((dim_v, dim_v, h1, h1), dtype=complex)
-                exp[mask] = self.cp.action[i, j][inner[mask]]
-                denom = np.maximum(matrix_norms(exp), 1.0)
-                worst = max(worst, float((matrix_norms(lhs - exp) / denom).max()))
-        return worst
+        cols = self.tup.action.transpose(2, 0, 1, 3).reshape(self.h2, n * dim_v * h1)
+        lhs = (cols.conj().T @ cols).reshape(n, dim_v, h1, n, dim_v, h1)
+        exp = np.zeros((n, n, dim_v, dim_v, h1, h1), dtype=complex)
+        exp[:, :, mask] = self.cp.action[:, :, inner[mask]]
+        return max_rel_residual(lhs.transpose(0, 3, 1, 4, 2, 5), exp)
 
     def is_valid(self, tol: float = DEFAULT_TOL) -> bool:
         return self.cp.is_completely_n_positive(tol) and self.compatibility_residual() <= tol

@@ -26,6 +26,7 @@ from .errors import InconsistentSpansError, NotMinimalError
 from .linalg import (
     DEFAULT_CUTOFF,
     DEFAULT_TOL,
+    max_rel_residual,
     numerical_rank,
     rel_residual,
     solve_lsq,
@@ -120,7 +121,6 @@ def _k2_span(data: DilationData) -> np.ndarray:
 def _diagram_residuals(
     u1: np.ndarray,
     u2: np.ndarray,
-    inst: Instance,
     data_a: DilationData,
     data_b: DilationData,
 ) -> dict[str, float]:
@@ -138,40 +138,15 @@ def _diagram_residuals(
         ),
     }
 
-    res["u1_S_intertwine"] = max(
-        (
-            rel_residual(u1 @ data_a.s_ops[i], data_b.s_ops[i])
-            for i in range(inst.n)
-        ),
-        default=0.0,
-    )
-    res["u1_pi_intertwine"] = max(
-        (
-            rel_residual(u1 @ data_a.pi_action[a], data_b.pi_action[a] @ u1)
-            for a in range(inst.algebra.dim)
-        ),
-        default=0.0,
-    )
-    res["u2_psi_intertwine"] = max(
-        (
-            rel_residual(u2 @ data_a.psi_action[g], data_b.psi_action[g] @ u1)
-            for g in range(inst.module.dim)
-        ),
-        default=0.0,
-    )
+    res["u1_S_intertwine"] = max_rel_residual(u1 @ data_a.s_ops, data_b.s_ops)
+    res["u1_pi_intertwine"] = max_rel_residual(u1 @ data_a.pi_action, data_b.pi_action @ u1)
+    res["u2_psi_intertwine"] = max_rel_residual(u2 @ data_a.psi_action, data_b.psi_action @ u1)
 
     # U2 W_i = W_i' read in H2 coordinates: conjugating the range
     # projector W_i* W_i by the embedded U2 must give W_i'* W_i'.
     u2_h2 = data_b.k2_embed @ u2 @ data_a.k2_embed.conj().T  # (h2, h2)
-    res["u2_W_intertwine"] = max(
-        (
-            rel_residual(
-                u2_h2 @ (data_a.w_ops[i].conj().T @ data_a.w_ops[i]),
-                data_b.w_ops[i].conj().T @ data_b.w_ops[i],
-            )
-            for i in range(inst.n)
-        ),
-        default=0.0,
+    res["u2_W_intertwine"] = max_rel_residual(
+        u2_h2 @ data_a.range_projectors(), data_b.range_projectors()
     )
     return res
 
@@ -219,7 +194,7 @@ def build_unitaries(
             f"K2 spanning families do not match (residual {res2:.3e} > {tol:.1e})"
         )
 
-    res = _diagram_residuals(u1, u2, inst, data_a, data_b)
+    res = _diagram_residuals(u1, u2, data_a, data_b)
     return EquivalenceWitness(
         u1=u1,
         u2=u2,
@@ -240,5 +215,5 @@ def verify_diagram(
     and return whether every one is within ``tol``."""
     check_shapes(inst, data_a)
     check_shapes(inst, data_b)
-    res = _diagram_residuals(witness.u1, witness.u2, inst, data_a, data_b)
+    res = _diagram_residuals(witness.u1, witness.u2, data_a, data_b)
     return all(v <= tol for v in res.values())

@@ -31,6 +31,7 @@ __all__ = [
     "frob",
     "matrix_norms",
     "rel_residual",
+    "max_rel_residual",
     "hermitian_eig",
     "rank_truncate",
     "solve_lsq",
@@ -56,6 +57,15 @@ def matrix_norms(stack: np.ndarray) -> np.ndarray:
 def rel_residual(actual: np.ndarray, expected: np.ndarray) -> float:
     """``|actual - expected|_F / max(|expected|_F, 1)``."""
     return frob(actual - expected) / max(frob(expected), 1.0)
+
+
+def max_rel_residual(actual: np.ndarray, expected: np.ndarray) -> float:
+    """Max over leading axes of the per-matrix ``rel_residual``; 0.0 when
+    the stacks are empty."""
+    if expected.size == 0:
+        return 0.0
+    denom = np.maximum(matrix_norms(expected), 1.0)
+    return float((matrix_norms(actual - expected) / denom).max())
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Shared oracles for the test suite.
 
 These are deliberately written against the element-level API (explicit
-products, adjoints, basis expansion) rather than the index-table fast
-paths used by the library, so they can serve as independent references.
+products, adjoints, basis expansion), or as the full basis-pair sweeps
+and per-index loops that the library replaced with generator checks and
+stacked products, so they can serve as independent references.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from cpdilate.cpmaps import CPBlockMap
+from cpdilate.linalg import max_rel_residual, rel_residual
 
 
 def brute_force_gram(cp: CPBlockMap) -> np.ndarray:
@@ -63,3 +65,63 @@ def scalar_family(n: int, entries) -> CPBlockMap:
     desc = AlgebraDescriptor((1,))
     action = np.asarray(entries, dtype=complex).reshape(n, n, 1, 1, 1)
     return CPBlockMap(desc, n, 1, action)
+
+
+def pi_multiplicativity_oracle(alg, pi: np.ndarray) -> float:
+    """Full sweep of ``pi(e_alpha) pi(e_beta) = pi(e_alpha e_beta)`` over
+    every basis pair, through the algebra's product table."""
+    worst = 0.0
+    for alpha, row in enumerate(alg.product_table):
+        expected = np.zeros_like(pi)
+        mask = row >= 0
+        expected[mask] = pi[row[mask]]
+        worst = max(worst, max_rel_residual(np.matmul(pi[alpha], pi), expected))
+    return worst
+
+
+def psi_module_action_oracle(mod, pi: np.ndarray, psi: np.ndarray) -> float:
+    """Full sweep of ``Psi(f_gamma) pi(e_alpha) = Psi(f_gamma . e_alpha)``
+    over every basis pair, through the module's action table."""
+    worst = 0.0
+    for alpha, row in enumerate(mod.action_table.T):
+        expected = np.zeros_like(psi)
+        mask = row >= 0
+        expected[mask] = psi[row[mask]]
+        worst = max(worst, max_rel_residual(np.matmul(psi, pi[alpha]), expected))
+    return worst
+
+
+def compatibility_oracle(inst) -> float:
+    """``Phi_i(f)* Phi_j(g) = phi_ij(<f, g>)`` slot pair by slot pair."""
+    inner = inst.module.inner_table
+    mask = inner >= 0
+    worst = 0.0
+    for i in range(inst.n):
+        for j in range(inst.n):
+            lhs = np.einsum("gax,day->gdxy", inst.tup.action[i].conj(), inst.tup.action[j])
+            expected = np.zeros_like(lhs)
+            expected[mask] = inst.cp.action[i, j][inner[mask]]
+            worst = max(worst, max_rel_residual(lhs, expected))
+    return worst
+
+
+def intertwine_oracle(u1, u2, data_a, data_b) -> dict[str, float]:
+    """The four intertwining residuals of an equivalence witness, one
+    matrix at a time."""
+    def worst(pairs):
+        return max((rel_residual(a, b) for a, b in pairs), default=0.0)
+
+    u2_h2 = data_b.k2_embed @ u2 @ data_a.k2_embed.conj().T
+    return {
+        "u1_S_intertwine": worst((u1 @ a, b) for a, b in zip(data_a.s_ops, data_b.s_ops)),
+        "u1_pi_intertwine": worst(
+            (u1 @ a, b @ u1) for a, b in zip(data_a.pi_action, data_b.pi_action)
+        ),
+        "u2_psi_intertwine": worst(
+            (u2 @ a, b @ u1) for a, b in zip(data_a.psi_action, data_b.psi_action)
+        ),
+        "u2_W_intertwine": worst(
+            (u2_h2 @ a.conj().T @ a, b.conj().T @ b)
+            for a, b in zip(data_a.w_ops, data_b.w_ops)
+        ),
+    }

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import apply_phi_oracle, scalar_family, transpose_map
+from conftest import apply_phi_oracle, compatibility_oracle, scalar_family, transpose_map
+from test_acceptance import acceptance_instances
 from cpdilate.algebra import AlgebraDescriptor, random_algebra_element, random_module_element
 from cpdilate.cpmaps import (
     CPBlockMap,
     Instance,
+    ModuleCPTuple,
     haar_unitary,
     identity_instance,
     random_instance,
@@ -132,6 +134,17 @@ class TestCompatibility:
         for seed in range(20):
             inst = random_instance(seed, n=2, block_dims=[2, 1], mults=[1, 1], h1=3, h2=4)
             assert inst.compatibility_residual() <= 1e-10
+
+    def test_matches_slot_pair_oracle(self):
+        rng = np.random.default_rng(12)
+        for inst in acceptance_instances(20):
+            shape = inst.tup.action.shape
+            noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            noisy = ModuleCPTuple(inst.module, inst.n, inst.h1, inst.h2,
+                                  inst.tup.action + 0.1 * noise)
+            for case in (inst, Instance(inst.cp, noisy)):
+                assert np.isclose(case.compatibility_residual(), compatibility_oracle(case),
+                                  rtol=1e-12, atol=1e-14)
 
     def test_each_tuple_map_is_completely_positive(self):
         # Compatibility forces every Phi_i to be completely positive,

@@ -1,11 +1,24 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_gram, scalar_family, transpose_map
+from conftest import (
+    brute_force_gram,
+    pi_multiplicativity_oracle,
+    psi_module_action_oracle,
+    scalar_family,
+    transpose_map,
+)
 from test_acceptance import acceptance_instances
 from cpdilate import dilation
 from cpdilate.algebra import AlgebraDescriptor, ModuleDescriptor
-from cpdilate.cpmaps import CPBlockMap, Instance, ModuleCPTuple, identity_instance, random_instance
+from cpdilate.cpmaps import (
+    CPBlockMap,
+    Instance,
+    ModuleCPTuple,
+    haar_unitary,
+    identity_instance,
+    random_instance,
+)
 from cpdilate.dilation import (
     build_S,
     build_gram,
@@ -15,6 +28,7 @@ from cpdilate.dilation import (
     dilate,
     verify_dilation,
 )
+from cpdilate.equivalence import rotate_dilation
 from cpdilate.errors import NotPSDError, WellDefinednessError
 from cpdilate.linalg import frob
 
@@ -280,6 +294,62 @@ class TestVerifyDilation:
         assert report.psi_module_action <= 1e-9
         assert report.minimality_k1_defect == 0.0
         assert report.minimality_k2_defect == 0.0
+
+
+class TestGeneratorCertificate:
+    """verify_dilation checks pi and Psi on the generators e^b_p0 only;
+    the full basis-pair sweeps in conftest are the reference."""
+
+    def test_agrees_with_full_sweep_oracles(self):
+        rng = np.random.default_rng(23)
+        for inst in acceptance_instances(100):
+            data = dilate(inst)
+            twin = rotate_dilation(data, haar_unitary(rng, data.r1), haar_unitary(rng, data.r2))
+            for d in (data, twin):
+                report = verify_dilation(inst, d)
+                assert report.pi_multiplicativity <= 1e-12
+                assert report.psi_module_action <= 1e-12
+                assert pi_multiplicativity_oracle(inst.algebra, d.pi_action) <= 1e-12
+                assert psi_module_action_oracle(inst.module, d.pi_action, d.psi_action) <= 1e-12
+
+    @pytest.mark.parametrize("sabotage", ["pi_off_generator", "cross_block", "psi_off_generator"])
+    def test_sabotage_off_the_generators_is_caught(self, sabotage):
+        inst = random_instance(7, n=2, block_dims=[2, 2], mults=[1, 1], h1=2, h2=6)
+        data = dilate(inst)
+        alg, mod = inst.algebra, inst.module
+        rng = np.random.default_rng(29)
+
+        def bump(shape):  # unit Frobenius norm
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            return z / frob(z)
+
+        if sabotage == "pi_off_generator":  # pi(e^0_11) moved by 1e-6
+            data.pi_action[alg.basis_labels.index((0, 1, 1))] += 1e-6 * bump((data.r1, data.r1))
+        elif sabotage == "cross_block":  # pi(e^0_00) overlaps pi(e^1_00)
+            data.pi_action[alg.basis_labels.index((0, 0, 0))] += (
+                data.pi_action[alg.basis_labels.index((1, 0, 0))]
+            )
+        else:  # Psi(f^0_01) moved by 1e-6
+            data.psi_action[mod.basis_labels.index((0, 0, 1))] += 1e-6 * bump((data.r2, data.r1))
+        report = verify_dilation(inst, data)
+        oracle = max(
+            pi_multiplicativity_oracle(alg, data.pi_action),
+            psi_module_action_oracle(mod, data.pi_action, data.psi_action),
+        )
+        assert oracle > report.tolerance
+        assert not report.passed
+        certificate = (report.pi_multiplicativity, report.pi_star, report.pi_unital,
+                       report.psi_module_action)
+        assert max(certificate) > report.tolerance
+
+    def test_full_tables_are_not_read(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("full basis-pair table read during verification")
+
+        monkeypatch.setattr(AlgebraDescriptor, "product_table", property(forbidden))
+        monkeypatch.setattr(ModuleDescriptor, "action_table", property(forbidden))
+        inst = random_instance(9, n=2, block_dims=[2, 3], mults=[1, 2], h1=2, h2=8)
+        assert verify_dilation(inst, dilate(inst)).passed
 
 
 def choi_ranks(cp, shared_scale=True):

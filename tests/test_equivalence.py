@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
+from conftest import intertwine_oracle
+from test_acceptance import acceptance_instances
 from cpdilate.cpmaps import haar_unitary, identity_instance, random_instance
 from cpdilate.dilation import DilationData, dilate
-from cpdilate.equivalence import build_unitaries, rotate_dilation, verify_diagram
+from cpdilate.equivalence import (
+    _diagram_residuals,
+    build_unitaries,
+    rotate_dilation,
+    verify_diagram,
+)
 from cpdilate.errors import InconsistentSpansError, NotMinimalError
 from cpdilate.linalg import frob
 
@@ -128,3 +135,16 @@ class TestVerifyDiagram:
             w = build_unitaries(inst, data, twin, tol=1e-9)
             assert verify_diagram(w, inst, data, twin, tol=1e-9)
             assert max(w.u1_unitarity, w.u2_unitarity) <= 1e-10
+
+    def test_stacked_residuals_match_per_index_oracle(self):
+        # A true witness (residuals near rounding) and a wrong one
+        # (residuals of order one) on rotated twins.
+        rng = np.random.default_rng(19)
+        for inst in acceptance_instances(20):
+            data = dilate(inst)
+            twin, q1, q2 = rotated_twin(data, rng)
+            wrong = (haar_unitary(rng, data.r1), haar_unitary(rng, data.r2))
+            for u1, u2 in ((q1, q2), wrong):
+                got = _diagram_residuals(u1, u2, data, twin)
+                for name, want in intertwine_oracle(u1, u2, data, twin).items():
+                    assert np.isclose(got[name], want, rtol=1e-12, atol=1e-14), name
