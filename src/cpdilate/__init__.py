@@ -2,7 +2,7 @@
 on finite-dimensional Hilbert C*-modules: construction, verification,
 and unitary equivalence of minimal representations."""
 
-from .algebra import AlgebraDescriptor, AlgebraElement, ModuleDescriptor, ModuleElement
+from .algebra import AlgebraDescriptor, ModuleDescriptor
 from .cpmaps import CPBlockMap, Instance, ModuleCPTuple, identity_instance, random_instance
 from .dilation import (
     DilationData,
@@ -20,9 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraDescriptor",
-    "AlgebraElement",
     "ModuleDescriptor",
-    "ModuleElement",
     "CPBlockMap",
     "ModuleCPTuple",
     "Instance",

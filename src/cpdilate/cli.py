@@ -33,7 +33,6 @@ from .errors import (
     CPDilateError,
     DimensionTooLargeError,
     DimensionTooSmallError,
-    HermiticityViolationError,
     InconsistentSpansError,
     NotMinimalError,
     NotPSDError,
@@ -112,12 +111,10 @@ def _load_dilation(path: str, inst: Instance):
 
 
 def _validate_instance(inst: Instance, tol: float) -> float:
-    """Run the validity gates; returns the compatibility residual."""
-    defect = inst.cp.hermiticity_defect()
-    if defect > tol:
-        raise HermiticityViolationError(
-            f"Hermiticity pattern defect {defect:.3e} exceeds tolerance {tol:.1e}"
-        )
+    """Run the validity gates; returns the compatibility residual.
+
+    ``is_completely_n_positive`` raises HermiticityViolationError, naming
+    the defect, before its Choi test."""
     if not inst.cp.is_completely_n_positive(tol):
         raise NotPSDError("map family is not completely n-positive (Choi test failed)")
     compat = inst.compatibility_residual()

@@ -33,13 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraDescriptor, AlgebraElement, ModuleDescriptor, ModuleElement
-from .errors import (
-    DescriptorMismatchError,
-    DimensionTooSmallError,
-    HermiticityViolationError,
-    ShapeMismatchError,
-)
+from .algebra import AlgebraDescriptor, ModuleDescriptor
+from .errors import DimensionTooSmallError, HermiticityViolationError, ShapeMismatchError
 from .linalg import DEFAULT_TOL, matrix_norms, max_rel_residual, svd_orthobasis
 
 __all__ = [
@@ -71,14 +66,6 @@ class CPBlockMap:
         if self.action.size and not np.isfinite(self.action).all():
             raise ValueError("non-finite entries in cp action")
 
-    def apply(self, i: int, j: int, a: AlgebraElement) -> np.ndarray:
-        """phi_ij(a) by linear extension of the basis action."""
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"slot ({i}, {j}) outside 0..{self.n - 1}")
-        if a.descriptor != self.algebra:
-            raise DescriptorMismatchError("element over a different algebra")
-        return np.tensordot(a.coeffs(), self.action[i, j], axes=(0, 0))
-
     def hermiticity_defect(self) -> float:
         """Max relative defect of phi_ij(a*) = phi_ji(a)* on basis units."""
         adj = self.algebra.adjoint_table
@@ -105,22 +92,13 @@ class CPBlockMap:
         side = self.n * d * self.h1
         return sub.transpose(0, 2, 4, 1, 3, 5).reshape(side, side)
 
-    def diagonal_choi(self, i: int, b: int) -> np.ndarray:
-        """Choi matrix of the single diagonal map phi_ii on block b."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"slot {i} outside 0..{self.n - 1}")
-        d = self.algebra.block_dims[b]
-        off = sum(dd * dd for dd in self.algebra.block_dims[:b])
-        sub = self.action[i, i, off : off + d * d].reshape(d, d, self.h1, self.h1)
-        side = d * self.h1
-        return sub.transpose(0, 2, 1, 3).reshape(side, side)
-
     def is_completely_n_positive(self, tol: float = DEFAULT_TOL) -> bool:
         """PSD test of every compressed per-block Choi matrix."""
-        if self.hermiticity_defect() > tol:
+        defect = self.hermiticity_defect()
+        if defect > tol:
             raise HermiticityViolationError(
-                "phi_ij(a*) != phi_ji(a)* beyond tolerance; the family cannot "
-                "induce a Hermitian form"
+                f"Hermiticity pattern defect {defect:.3e} exceeds tolerance {tol:.1e}: "
+                "phi_ij(a*) != phi_ji(a)*, so the family cannot induce a Hermitian form"
             )
         for b in range(self.algebra.nblocks):
             c = self.choi_block(b)
@@ -129,24 +107,14 @@ class CPBlockMap:
                 return False
         return True
 
-    def diagonal_is_cp(self, i: int, tol: float = DEFAULT_TOL) -> bool:
-        """Whether the single map phi_ii is completely positive."""
-        for b in range(self.algebra.nblocks):
-            c = self.diagonal_choi(i, b)
-            w = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
-            if w[0] < -tol * max(float(w[-1]), 1.0):
-                return False
-        return True
-
     def diag_unital_defects(self) -> np.ndarray:
         """Spectral-norm distance of each phi_ii(1) from the identity."""
-        ident = self.algebra.identity()
-        return np.array(
-            [
-                np.linalg.norm(self.apply(i, i, ident) - np.eye(self.h1), 2)
-                for i in range(self.n)
-            ]
-        )
+        one = np.zeros(self.algebra.dim, dtype=complex)  # coefficients of the unit
+        one[self.algebra.identity_indices] = 1.0
+        k = np.arange(self.n)
+        images = one @ self.action[k, k].reshape(self.n, self.algebra.dim, -1)
+        images = images.reshape(self.n, self.h1, self.h1)
+        return np.linalg.norm(images - np.eye(self.h1), 2, axis=(1, 2))
 
 
 @dataclass(eq=False)
@@ -168,14 +136,6 @@ class ModuleCPTuple:
             raise ValueError("n, h1, h2 must be >= 1")
         if self.action.size and not np.isfinite(self.action).all():
             raise ValueError("non-finite entries in tuple action")
-
-    def apply(self, i: int, x: ModuleElement) -> np.ndarray:
-        """Phi_i(x) by linear extension of the basis action."""
-        if not 0 <= i < self.n:
-            raise IndexError(f"slot {i} outside 0..{self.n - 1}")
-        if x.descriptor != self.module:
-            raise DescriptorMismatchError("element over a different module")
-        return np.tensordot(x.coeffs(), self.action[i], axes=(0, 0))
 
 
 @dataclass(eq=False)

@@ -234,14 +234,12 @@ def build_gram(cp: CPBlockMap, rel_cutoff: float = DEFAULT_CUTOFF) -> GramFactor
     return GramFactorization(cp, tuple(rank_truncate(e, rel_cutoff, scale)[1] for e in eigs))
 
 
-def build_pi(g: GramFactorization, cp: CPBlockMap) -> tuple[np.ndarray, float]:
-    """Representation of the algebra on K1 induced by left multiplication.
-
-    ``pi(e^b_pq) = E_pq (x) 1_{rank_b}`` in closed form, so the returned
-    well-definedness residual is exactly 0.
-    """
+def build_pi(g: GramFactorization, cp: CPBlockMap) -> np.ndarray:
+    """Representation of the algebra on K1 induced by left multiplication,
+    ``pi(e^b_pq) = E_pq (x) 1_{rank_b}`` in closed form (so well defined
+    by construction)."""
     dims = cp.algebra.block_dims
-    return amplified_units(cp.algebra.basis_labels, dims, dims, g.ranks), 0.0
+    return amplified_units(cp.algebra.basis_labels, dims, dims, g.ranks)
 
 
 def build_S(g: GramFactorization, cp: CPBlockMap) -> np.ndarray:
@@ -257,7 +255,7 @@ def build_S(g: GramFactorization, cp: CPBlockMap) -> np.ndarray:
 
 def build_psi(
     g: GramFactorization, cp: CPBlockMap, tup: ModuleCPTuple
-) -> tuple[np.ndarray, np.ndarray, int, float]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Module representation on the quotient plus the K2 embedding.
 
     ``Psi(f^b_rq) = E_rq (x) 1_{rank_b}`` in closed form.  The embedding
@@ -265,7 +263,7 @@ def build_psi(
     ``X F_b = T`` with ``T[:, (i, q, beta)] = Phi_i(f^b_rq) e_beta``;
     since ``F_b F_b*`` is the diagonal of kept eigenvalues, the
     least-squares solution is ``T F_b* (F_b F_b*)^-1``.  Returns
-    (psi_action, k2_embed, r2, worst relative solve residual).
+    (psi_action, k2_embed, worst relative solve residual).
     """
     n, h1, h2 = cp.n, cp.h1, tup.h2
     psi_action = amplified_units(
@@ -280,7 +278,7 @@ def build_psi(
         res = matrix_norms(x @ f - t) / np.maximum(matrix_norms(t), 1.0)
         worst = max(worst, float(res.max(initial=0.0)))
         columns.append(x.transpose(1, 0, 2).reshape(h2, k * len(f)))
-    return psi_action, np.concatenate(columns, axis=1), psi_action.shape[1], worst
+    return psi_action, np.concatenate(columns, axis=1), worst
 
 
 def build_W(tup: ModuleCPTuple, rel_cutoff: float = DEFAULT_CUTOFF) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
@@ -313,9 +311,9 @@ def dilate(
     embedding solve fails to close at ``welldef_tol``.
     """
     g = build_gram(inst.cp, cutoff)
-    pi_action, pi_res = build_pi(g, inst.cp)
+    pi_action = build_pi(g, inst.cp)
     s_ops = build_S(g, inst.cp)
-    psi_action, k2_embed, r2, psi_res = build_psi(g, inst.cp, inst.tup)
+    psi_action, k2_embed, psi_res = build_psi(g, inst.cp, inst.tup)
     if psi_res > welldef_tol:
         raise WellDefinednessError(
             f"module map is inconsistent on the spanning family "
@@ -324,14 +322,14 @@ def dilate(
     w_ops, k2i_dims = build_W(inst.tup, cutoff)
     return DilationData(
         r1=g.r1,
-        r2=r2,
+        r2=psi_action.shape[1],
         pi_action=pi_action,
         s_ops=s_ops,
         psi_action=psi_action,
         k2_embed=k2_embed,
         w_ops=w_ops,
         k2i_dims=k2i_dims,
-        pi_welldef=pi_res,
+        pi_welldef=0.0,
         psi_welldef=psi_res,
     )
 

@@ -29,10 +29,6 @@ class NotPSDError(CPDilateError):
     input map family is not completely n-positive."""
 
 
-class DescriptorMismatchError(CPDilateError):
-    """Two elements do not live over the same algebra/module descriptor."""
-
-
 class ShapeMismatchError(CPDilateError):
     """Structurally incompatible objects (instance vs. dilation data)."""
 

@@ -1,9 +1,12 @@
 """Shared oracles for the test suite.
 
-These are deliberately written against the element-level API (explicit
-products, adjoints, basis expansion), or as the full basis-pair sweeps
-and per-index loops that the library replaced with generator checks and
-stacked products, so they can serve as independent references.
+A minimal dense model of the algebra and the module stands in for the
+library's index tables: every matrix unit is an explicit block-diagonal
+numpy matrix, products are ``@``, adjoints are conjugate transposes, and
+coefficients are read back from the blocks.  The remaining oracles are
+the full basis-pair sweeps and per-index loops that the library replaced
+with generator checks and stacked products.  All of them serve as
+independent references.
 """
 
 from __future__ import annotations
@@ -14,33 +17,59 @@ from cpdilate.cpmaps import CPBlockMap
 from cpdilate.linalg import max_rel_residual, rel_residual
 
 
+def _dense_units(labels, row_dims, col_dims) -> np.ndarray:
+    rows, cols = np.cumsum([0, *row_dims]), np.cumsum([0, *col_dims])
+    units = np.zeros((len(labels), rows[-1], cols[-1]), dtype=complex)
+    for index, (b, r, q) in enumerate(labels):
+        units[index, rows[b] + r, cols[b] + q] = 1.0
+    return units
+
+
+def algebra_units(alg) -> np.ndarray:
+    """Each algebra matrix unit e^b_pq as a block-diagonal matrix of
+    side ``sum_b d_b``, stacked in basis order."""
+    return _dense_units(alg.basis_labels, alg.block_dims, alg.block_dims)
+
+
+def module_units(mod) -> np.ndarray:
+    """Each module matrix unit f^b_rq as a block-diagonal
+    ``sum_b k_b x sum_b d_b`` matrix, stacked in basis order; the action
+    is ``f @ e`` and the inner product ``<f, g> = f* @ g``."""
+    return _dense_units(mod.basis_labels, mod.mults, mod.algebra.block_dims)
+
+
+def algebra_coeffs(alg, m: np.ndarray) -> np.ndarray:
+    """Coefficients of a block-diagonal matrix over the matrix units."""
+    off = np.cumsum([0, *alg.block_dims])
+    return np.array([m[off[b] + p, off[b] + q] for b, p, q in alg.basis_labels])
+
+
 def brute_force_gram(cp: CPBlockMap) -> np.ndarray:
-    """Double-loop Gram of the raw-space form, entry by entry.
+    """Loop-built Gram of the raw-space form.
 
     Row (i, alpha, beta), column (j, alpha2, beta2) gets
-    ``<e_beta, phi_ij(e_alpha* e_alpha2) e_beta2>`` computed through
-    actual element arithmetic and linear basis expansion.
+    ``<e_beta, phi_ij(e_alpha* e_alpha2) e_beta2>``, with the product
+    taken on dense matrix units and expanded back over the basis.
     """
     alg = cp.algebra
     n, dim_a, h1 = cp.n, alg.dim, cp.h1
-    labels = [(i, a, b) for i in range(n) for a in range(dim_a) for b in range(h1)]
-    raw = len(labels)
-    gram = np.zeros((raw, raw), dtype=complex)
-    basis = [alg.basis_element(a) for a in range(dim_a)]
-    for row, (i, alpha, beta) in enumerate(labels):
-        left = basis[alpha].adjoint()
-        for col, (j, alpha2, beta2) in enumerate(labels):
-            prod = left * basis[alpha2]
-            mat = apply_phi_oracle(cp, i, j, prod)
-            gram[row, col] = mat[beta, beta2]
-    return gram
+    units = algebra_units(alg)
+    gram = np.zeros((n, dim_a, h1, n, dim_a, h1), dtype=complex)
+    for alpha in range(dim_a):
+        for alpha2 in range(dim_a):
+            coeffs = algebra_coeffs(alg, units[alpha].conj().T @ units[alpha2])
+            for i in range(n):
+                for j in range(n):
+                    gram[i, alpha, :, j, alpha2, :] = apply_phi_oracle(cp, i, j, coeffs)
+    side = n * dim_a * h1
+    return gram.reshape(side, side)
 
 
-def apply_phi_oracle(cp: CPBlockMap, i: int, j: int, a) -> np.ndarray:
-    """phi_ij(a) by explicit per-coefficient summation."""
+def apply_phi_oracle(cp: CPBlockMap, i: int, j: int, coeffs: np.ndarray) -> np.ndarray:
+    """phi_ij of the element with the given basis coefficients, by
+    explicit per-coefficient summation."""
     acc = np.zeros((cp.h1, cp.h1), dtype=complex)
-    for alpha, (b, p, q) in enumerate(cp.algebra.basis_labels):
-        coeff = a.blocks[b][p, q]
+    for alpha, coeff in enumerate(coeffs):
         if coeff != 0.0:
             acc = acc + coeff * cp.action[i, j, alpha]
     return acc

@@ -1,176 +1,172 @@
+"""The descriptor tables are the library's model of A and V.
+
+Each table is checked entry by entry against the dense matrix-unit
+oracle, and elements (coefficient vectors) combined through the tables
+are checked to satisfy the C*-algebra and Hilbert-module identities.
+"""
+
 import numpy as np
-import pytest
 
-from cpdilate.algebra import (
-    AlgebraDescriptor,
-    AlgebraElement,
-    ModuleDescriptor,
-    random_algebra_element,
-    random_module_element,
-)
-from cpdilate.errors import DescriptorMismatchError
+from conftest import algebra_units, module_units
+from cpdilate.algebra import AlgebraDescriptor, ModuleDescriptor
 
-DESC = AlgebraDescriptor((2, 1))
-MDESC = ModuleDescriptor(DESC, (2, 1))
+# Three blocks of different sizes and a block that carries no module rows.
+ALG = AlgebraDescriptor((2, 1, 3))
+MOD = ModuleDescriptor(ALG, (2, 0, 1))
+E = algebra_units(ALG)
+F = module_units(MOD)
 
 
-def brute_force_product(a, b):
-    """Triple-loop blockwise product, independent of numpy matmul."""
-    out = []
-    for ab, bb in zip(a.blocks, b.blocks):
-        d = ab.shape[0]
-        m = np.zeros((d, d), dtype=complex)
-        for p in range(d):
-            for q in range(d):
-                m[p, q] = sum(ab[p, k] * bb[k, q] for k in range(d))
-        out.append(m)
-    return AlgebraElement(a.descriptor, tuple(out))
+def unit_or_zero(units, index) -> np.ndarray:
+    """The unit at a table entry, or zero for the entry -1."""
+    return units[index] if index >= 0 else np.zeros_like(units[0])
+
+
+def gaussian(rng, size) -> np.ndarray:
+    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
+
+
+def scatter(table, weights, size) -> np.ndarray:
+    """Coefficients of ``sum weights[i, j] * unit[table[i, j]]``."""
+    out = np.zeros(size, dtype=complex)
+    mask = table >= 0
+    np.add.at(out, table[mask], weights[mask])
+    return out
+
+
+def product(a, b):
+    return scatter(ALG.product_table, np.outer(a, b), ALG.dim)
+
+
+def adjoint(a):
+    out = np.empty_like(a)
+    out[ALG.adjoint_table] = a.conj()
+    return out
+
+
+def act(x, a):
+    return scatter(MOD.action_table, np.outer(x, a), MOD.dim)
+
+
+def inner(x, y):
+    return scatter(MOD.inner_table, np.outer(x.conj(), y), ALG.dim)
+
+
+def dense(a) -> np.ndarray:
+    return np.tensordot(a, E, axes=1)
+
+
+def norm(a) -> float:
+    return float(np.linalg.norm(dense(a), 2))
+
+
+def module_norm(x) -> float:
+    return float(np.sqrt(norm(inner(x, x))))
+
+
+def unit() -> np.ndarray:
+    one = np.zeros(ALG.dim, dtype=complex)
+    one[ALG.identity_indices] = 1.0
+    return one
 
 
 class TestAlgebraOps:
     def test_unit_is_neutral(self):
-        rng = np.random.default_rng(0)
-        a = random_algebra_element(DESC, rng)
-        assert np.allclose((a * DESC.identity()).coeffs(), a.coeffs())
-        assert np.allclose((DESC.identity() * a).coeffs(), a.coeffs())
+        idx = ALG.identity_indices
+        assert len(set(idx.tolist())) == len(idx) == sum(ALG.block_dims)
+        assert np.array_equal(E[idx].sum(axis=0), np.eye(6))
+        a = gaussian(np.random.default_rng(0), ALG.dim)
+        assert np.array_equal(product(unit(), a), a)
+        assert np.array_equal(product(a, unit()), a)
 
     def test_matrix_unit_relations(self):
-        m2 = AlgebraDescriptor((2,))
-        e11, e12 = m2.basis_element(0), m2.basis_element(1)
-        assert np.allclose((e11 * e12).coeffs(), e12.coeffs())
-        assert np.allclose((e12 * e12).coeffs(), m2.zero().coeffs())
+        table = ALG.product_table
+        for alpha in range(ALG.dim):
+            for beta in range(ALG.dim):
+                assert np.array_equal(E[alpha] @ E[beta], unit_or_zero(E, table[alpha, beta]))
 
     def test_product_against_brute_force(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
-            a = random_algebra_element(DESC, rng)
-            b = random_algebra_element(DESC, rng)
-            assert np.allclose((a * b).coeffs(), brute_force_product(a, b).coeffs(), atol=1e-13)
+            a, b = gaussian(rng, ALG.dim), gaussian(rng, ALG.dim)
+            da, db = dense(a), dense(b)
+            side = len(da)
+            brute = [[sum(da[p, k] * db[k, q] for k in range(side)) for q in range(side)]
+                     for p in range(side)]
+            assert np.allclose(dense(product(a, b)), brute, rtol=0, atol=1e-13)
 
     def test_adjoint(self):
-        ident = DESC.identity()
-        assert np.allclose(ident.adjoint().coeffs(), ident.coeffs())
-        m2 = AlgebraDescriptor((2,))
-        e12, e21 = m2.basis_element(1), m2.basis_element(2)
-        assert np.allclose(e12.adjoint().coeffs(), e21.coeffs())
+        for alpha, star in enumerate(ALG.adjoint_table):
+            assert np.array_equal(E[alpha].conj().T, E[star])
+        assert np.array_equal(adjoint(unit()), unit())
 
     def test_adjoint_antimultiplicative(self):
         rng = np.random.default_rng(1)
-        a = random_algebra_element(DESC, rng)
-        b = random_algebra_element(DESC, rng)
-        lhs = (a * b).adjoint()
-        rhs = b.adjoint() * a.adjoint()
-        assert (lhs - rhs).norm() <= 1e-14 * max(a.norm() * b.norm(), 1.0)
+        a, b = gaussian(rng, ALG.dim), gaussian(rng, ALG.dim)
+        lhs, rhs = adjoint(product(a, b)), product(adjoint(b), adjoint(a))
+        assert norm(lhs - rhs) <= 1e-14 * max(norm(a) * norm(b), 1.0)
 
     def test_positivity(self):
-        assert DESC.identity().is_positive()
-        single = AlgebraDescriptor((2,))
-        indef = AlgebraElement(single, (np.diag([1.0, -1.0]).astype(complex),))
-        assert not indef.is_positive()
-        rng = np.random.default_rng(2)
-        a = random_algebra_element(DESC, rng)
-        assert (a.adjoint() * a).is_positive(1e-12)
-
-    def test_norm(self):
-        assert abs(DESC.identity().norm() - 1.0) <= 1e-15
-        single = AlgebraDescriptor((2,))
-        a = AlgebraElement(single, (np.diag([3.0, -4.0]).astype(complex),))
-        assert abs(a.norm() - 4.0) <= 1e-14
-
-    def test_norm_against_eig_oracle(self):
-        rng = np.random.default_rng(3)
-        a = random_algebra_element(DESC, rng)
-        sq = a.adjoint() * a
-        lam_max = max(np.linalg.eigvalsh(b).max() for b in sq.blocks)
-        assert abs(a.norm() - np.sqrt(lam_max)) <= 1e-12
+        a = gaussian(np.random.default_rng(2), ALG.dim)
+        square = dense(product(adjoint(a), a))
+        assert np.allclose(square, square.conj().T, rtol=0, atol=1e-14)
+        assert np.linalg.eigvalsh(square).min() >= -1e-12 * norm(a) ** 2
 
     def test_cstar_identity(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            a = random_algebra_element(DESC, rng)
-            assert abs((a.adjoint() * a).norm() - a.norm() ** 2) <= 1e-10 * a.norm() ** 2
-
-    def test_descriptor_mismatch(self):
-        other = AlgebraDescriptor((3,))
-        with pytest.raises(DescriptorMismatchError):
-            DESC.identity() * other.identity()
+            a = gaussian(rng, ALG.dim)
+            assert abs(norm(product(adjoint(a), a)) - norm(a) ** 2) <= 1e-10 * norm(a) ** 2
 
 
 class TestModuleOps:
     def test_inner_of_basis_unit(self):
-        # <f, f> for the unit at (block b, row r, col q) is e_qq of block b
-        gamma = 0
-        b, _, q = MDESC.basis_labels[gamma]
-        f = MDESC.basis_element(gamma)
-        inner = f.inner(f)
-        expected = DESC.zero()
-        expected.blocks[b][q, q] = 1.0
-        assert np.allclose(inner.coeffs(), expected.coeffs())
-
-    def test_inner_with_zero(self):
-        rng = np.random.default_rng(5)
-        x = random_module_element(MDESC, rng)
-        assert np.allclose(x.inner(MDESC.zero()).coeffs(), 0.0)
+        table = MOD.inner_table
+        for gamma in range(MOD.dim):
+            for delta in range(MOD.dim):
+                expected = unit_or_zero(E, table[gamma, delta])
+                assert np.array_equal(F[gamma].conj().T @ F[delta], expected)
 
     def test_inner_algebra_linearity(self):
         rng = np.random.default_rng(6)
-        x = random_module_element(MDESC, rng)
-        y = random_module_element(MDESC, rng)
-        a = random_algebra_element(DESC, rng)
-        lhs = x.inner(y.act(a))
-        rhs = x.inner(y) * a
-        assert (lhs - rhs).norm() <= 1e-13 * max(rhs.norm(), 1.0)
+        x, y, a = gaussian(rng, MOD.dim), gaussian(rng, MOD.dim), gaussian(rng, ALG.dim)
+        lhs, rhs = inner(x, act(y, a)), product(inner(x, y), a)
+        assert norm(lhs - rhs) <= 1e-13 * max(norm(rhs), 1.0)
 
     def test_inner_conjugate_symmetry_and_positivity(self):
         rng = np.random.default_rng(7)
-        x = random_module_element(MDESC, rng)
-        y = random_module_element(MDESC, rng)
-        assert (x.inner(y).adjoint() - y.inner(x)).norm() <= 1e-14
-        assert x.inner(x).is_positive(1e-12)
-
-    def test_inner_conjugate_linear_first_argument(self):
-        rng = np.random.default_rng(8)
-        x = random_module_element(MDESC, rng)
-        y = random_module_element(MDESC, rng)
-        lam = 0.3 - 1.7j
-        lhs = (lam * x).inner(y)
-        rhs = np.conj(lam) * x.inner(y)
-        assert np.allclose(lhs.coeffs(), rhs.coeffs(), rtol=0, atol=1e-13)
+        x, y = gaussian(rng, MOD.dim), gaussian(rng, MOD.dim)
+        assert norm(adjoint(inner(x, y)) - inner(y, x)) <= 1e-14
+        assert np.linalg.eigvalsh(dense(inner(x, x))).min() >= -1e-12
 
     def test_action_unit_and_matrix_units(self):
-        rng = np.random.default_rng(9)
-        x = random_module_element(MDESC, rng)
-        assert np.allclose(x.act(DESC.identity()).coeffs(), x.coeffs())
-        # f_{rq} . e_{qp} = f_{rp} inside the first block
-        f = MDESC.basis_element(0)          # (block 0, row 0, col 0)
-        e01 = DESC.basis_element(1)         # (block 0, 0, 1)
-        moved = f.act(e01)
-        assert np.allclose(moved.coeffs(), MDESC.basis_element(1).coeffs())
+        table = MOD.action_table
+        assert table.shape == (MOD.dim, ALG.dim)
+        for gamma in range(MOD.dim):
+            for alpha in range(ALG.dim):
+                assert np.array_equal(F[gamma] @ E[alpha], unit_or_zero(F, table[gamma, alpha]))
+        x = gaussian(np.random.default_rng(9), MOD.dim)
+        assert np.array_equal(act(x, unit()), x)
 
     def test_action_associativity(self):
         rng = np.random.default_rng(10)
-        x = random_module_element(MDESC, rng)
-        a = random_algebra_element(DESC, rng)
-        b = random_algebra_element(DESC, rng)
-        lhs = x.act(a).act(b)
-        rhs = x.act(a * b)
-        scale = max((np.linalg.norm(np.concatenate([blk.ravel() for blk in rhs.blocks]))), 1.0)
-        assert np.linalg.norm((lhs - rhs).coeffs()) <= 1e-13 * scale
+        x, a, b = gaussian(rng, MOD.dim), gaussian(rng, ALG.dim), gaussian(rng, ALG.dim)
+        lhs, rhs = act(act(x, a), b), act(x, product(a, b))
+        assert np.linalg.norm(lhs - rhs) <= 1e-13 * max(np.linalg.norm(rhs), 1.0)
 
     def test_module_norm(self):
-        assert abs(MDESC.basis_element(0).norm() - 1.0) <= 1e-15
-        assert MDESC.zero().norm() == 0.0
-        rng = np.random.default_rng(11)
-        x = random_module_element(MDESC, rng)
-        assert abs((2 * x).norm() - 2 * x.norm()) <= 1e-12
+        assert MOD.dim == len(F) == 2 * 2 + 1 * 3
+        for gamma in range(MOD.dim):
+            assert module_norm(np.eye(MOD.dim)[gamma]) == 1.0
+        x = gaussian(np.random.default_rng(11), MOD.dim)
+        assert abs(module_norm(2 * x) - 2 * module_norm(x)) <= 1e-12
 
     def test_cauchy_schwarz(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
-            x = random_module_element(MDESC, rng)
-            y = random_module_element(MDESC, rng)
-            assert x.inner(y).norm() <= x.norm() * y.norm() + 1e-10
+            x, y = gaussian(rng, MOD.dim), gaussian(rng, MOD.dim)
+            assert norm(inner(x, y)) <= module_norm(x) * module_norm(y) + 1e-10
 
     def test_fullness_flag(self):
-        assert MDESC.is_full
-        assert not ModuleDescriptor(DESC, (1, 0)).is_full
+        assert ModuleDescriptor(ALG, (1, 1, 2)).is_full
+        assert not MOD.is_full

@@ -84,6 +84,18 @@ class TestDilate:
         assert rc == 3
         assert "not completely n-positive" in capsys.readouterr().err
 
+    def test_hermiticity_violation_gives_validity_exit(self, tmp_path, capsys):
+        inst, inst_path = write_instance(tmp_path)
+        broken = parse_instance(inst_path.read_text(encoding="utf-8"))
+        broken.cp.action[0, 1] += 0.5  # phi_01 is no longer phi_10*
+        inst_path.write_text(emit_instance(broken), encoding="utf-8")
+        defect = broken.cp.hermiticity_defect()
+        rc = cli.main(["dilate", str(inst_path)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "HermiticityViolationError" in err
+        assert f"defect {defect:.3e}" in err
+
     def test_identity_instance_file(self, tmp_path, capsys):
         from cpdilate.cpmaps import identity_instance
 
