@@ -31,16 +31,22 @@ form into a direct sum, so nothing is ever factored on the raw space:
     input was not a valid instance and is reported as a well-definedness
     failure.  The W_i are coisometries onto the per-slot ranges.
 
-Linear and sesquilinear identities are verified on canonical bases.
-Multiplicative ones are verified on the generators ``e^b_p0`` of each
-block: ``pi(e_pq) = pi(e_p0) pi(e_0q)`` and
+Linear identities are verified on canonical bases.  Multiplicative and
+sesquilinear ones are verified on the generators ``e^b_p0`` and
+``f^b_r0`` of each block: ``pi(e_pq) = pi(e_p0) pi(e_0q)`` and
 ``pi(e_0p) pi(e_q0) = delta_pq pi(e_00)``, with ``pi(e_qp) = pi(e_pq)*``
 and ``sum pi(e^b_pp) = 1``, make the ``pi(e^b_pp)`` self-adjoint
 idempotents summing to 1, hence mutually orthogonal, and imply every
 matrix-unit relation; ``Psi(f^b_rq) = Psi(f^b_r0) pi(e^b_0q)`` then
-implies ``Psi(f . e) = Psi(f) pi(e)``.  This costs O(d_b^2) products
-per block instead of O(dim_A^2) and stays exact: a generator residual
-eps bounds every product residual by O(eps |pi|^2).
+implies ``Psi(f . e) = Psi(f) pi(e)``.  Finally
+``Psi(f^b_r0)* Psi(f^c_s0) = delta_bc delta_rs pi(e^b_00)`` gives
+``Psi(f^b_rq)* Psi(f^c_sq') = pi(e^b_q0) Psi(f^b_r0)* Psi(f^c_s0) pi(e^c_0q')
+= delta_bc delta_rs pi(e^b_qq') = pi(<f^b_rq, f^c_sq'>)`` on every
+basis pair, so ``Psi(f)* Psi(g) = pi(<f, g>)``.  This costs O(d_b^2)
+products per block for pi, O(k_b d_b) for the module action and
+O((sum_b k_b)^2) for the inner products, instead of O(dim_A^2) and
+O(dim_V^2), and stays exact: a generator residual eps bounds every
+product residual by O(eps |pi|^2).
 """
 
 from __future__ import annotations
@@ -358,11 +364,12 @@ def verify_dilation(
 ) -> VerificationReport:
     """Check every asserted identity of the dilation.
 
-    Linear and sesquilinear identities are checked on canonical bases;
-    ``pi_multiplicativity`` and ``psi_module_action`` are checked on the
-    generators ``e^b_p0`` only, which together with ``pi_star`` and
-    ``pi_unital`` certifies them on all elements (module docstring).
-    The full basis-pair tables are never read.
+    Linear identities are checked on canonical bases;
+    ``pi_multiplicativity``, ``psi_module_action`` and
+    ``psi_representation`` are checked on the generators ``e^b_p0`` and
+    ``f^b_r0`` only, which together with ``pi_star`` and ``pi_unital``
+    certifies them on all elements (module docstring).  The full
+    basis-pair tables are never read.
 
     All quantities are relative residuals with denominator
     ``max(|expected|_F, 1)``.  The slot-isometry defect
@@ -391,6 +398,7 @@ def verify_dilation(
     # certified on the generators e^b_p0 of each block (module docstring).
     pi_mult = psi_mod = 0.0
     a_off = v_off = 0
+    gens, gen_units = [], []  # indices of f^b_r0 and of the matching e^b_00
     for d, k in zip(alg.block_dims, mod.mults):
         units = pi[a_off : a_off + d * d].reshape(d, d, r1, r1)
         col, row = units[:, 0], units[0]  # pi(e_p0), pi(e_0q)
@@ -402,17 +410,20 @@ def verify_dilation(
         )
         f = psi[v_off : v_off + k * d].reshape(k, d, r2, r1)
         psi_mod = max(psi_mod, max_rel_residual(f[:, :1] @ row[None], f))
+        gens += range(v_off, v_off + k * d, d)
+        gen_units += [a_off] * k
         a_off, v_off = a_off + d * d, v_off + k * d
     pi_star = max_rel_residual(pi.conj().transpose(0, 2, 1), pi[alg.adjoint_table])
     pi_one = pi[alg.identity_indices].sum(axis=0)
     pi_unital = rel_residual(pi_one, np.eye(r1, dtype=complex))
 
-    # Psi(f)* Psi(g) = pi(<f, g>)
-    psi_cols = psi.transpose(1, 0, 2).reshape(r2, dim_v * r1)
-    lhs = (psi_cols.conj().T @ psi_cols).reshape(dim_v, r1, dim_v, r1)
-    expected = np.zeros((dim_v, dim_v, r1, r1), dtype=complex)
-    mask = mod.inner_table >= 0
-    expected[mask] = pi[mod.inner_table[mask]]
+    # Psi(f)* Psi(g) = pi(<f, g>), certified on the generators as
+    # Psi(f^b_r0)* Psi(f^c_s0) = delta_bc delta_rs pi(e^b_00) (module docstring)
+    g = len(gens)
+    gen_cols = psi[gens].transpose(1, 0, 2).reshape(r2, g * r1)
+    lhs = (gen_cols.conj().T @ gen_cols).reshape(g, r1, g, r1)
+    expected = np.zeros((g, g, r1, r1), dtype=complex)
+    expected[range(g), range(g)] = pi[gen_units]
     psi_rep = max_rel_residual(lhs.transpose(0, 2, 1, 3), expected)
 
     # Phi_i(f) = W_i* Psi(f) S_i, read both directly through the K2

@@ -7,13 +7,30 @@ Conventions shared by every format:
 * every dimension is carried explicitly, so empty tensors round-trip;
 * emission is deterministic (sorted keys, fixed separators, trailing
   newline, no timestamps), so ``parse(emit(x))`` returns ``x``
-  bit-exactly and equal inputs give byte-identical files.
+  bit-exactly and equal inputs give byte-identical files;
+* dimension fields are JSON integers; anything else (``1.9``, ``"1"``,
+  ``true``) is a ParseError naming the field.
+
+Tensor text is written by one array encoder instead of ``json.dumps``
+over nested lists.  It finds the distinct float magnitudes of a tensor
+by bit pattern (so ``-0.0`` keeps its sign), formats each once with
+``repr`` (the text ``json`` writes for a float) and makes the negative
+twin by prefixing ``-``; each distinct ``[re,im]`` pair is assembled
+once and scattered back by index, and the nesting is one join of the
+pairs with separators that close and reopen the axes that wrap.  The
+closed-form pi and Psi tensors hold a handful of distinct values, and
+Hermitian Choi data repeats its magnitudes, so most of the formatting
+disappears.  The output is byte for byte what ``emit_json`` writes for
+the nested lists; ``tests/test_serialize.py::TestEncoderEquivalence``
+holds that guarantee against the former encoder, and
+``TestGoldenFiles`` against version-1 files it wrote.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Sequence
+import math
+from functools import partial
 
 import numpy as np
 
@@ -35,14 +52,74 @@ DILATION_FORMAT = "cpdilate/dilation"
 FORMAT_VERSION = 1
 
 
+_dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"), allow_nan=False)
+_SIGN_BIT = np.uint64(1 << 63)
+
+
 def emit_json(payload: dict) -> str:
     """Deterministic JSON text used by every writer."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    return _dumps(payload) + "\n"
 
 
-def _encode_complex(arr: np.ndarray) -> list:
+def _tensor_text(arr: np.ndarray) -> str:
+    """``_dumps`` of the tensor as nested ``[re, im]`` lists, from each
+    distinct value formatted once (module docstring)."""
     arr = np.asarray(arr, dtype=complex)
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+    if not np.isfinite(arr).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    shape = arr.shape
+    if 0 in shape:  # nested lists down to the first zero-size axis
+        shape = shape[: shape.index(0)]
+        leaves = np.full(math.prod(shape), "[]", dtype=object)
+    else:
+        leaves = _pair_texts(arr)
+    return _nest(leaves, shape)
+
+
+def _pair_texts(arr: np.ndarray) -> np.ndarray:
+    """``[re,im]`` text of every entry in row-major order, formatting each
+    distinct float magnitude and each distinct pair once."""
+    bits = np.ascontiguousarray(arr).reshape(-1).view(np.uint64)  # re, im interleaved
+    mags, ids = _factorize(bits & ~_SIGN_BIT)
+    texts = [repr(x) for x in mags.view(np.float64).tolist()]
+    texts += ["-" + t for t in texts]
+    ids += (bits >> 63).astype(ids.dtype) * len(mags)
+    keys, pair_ids = _factorize(ids[0::2] * len(texts) + ids[1::2])
+    re_ids, im_ids = np.divmod(keys, len(texts))
+    pairs = [f"[{texts[r]},{texts[i]}]" for r, i in zip(re_ids.tolist(), im_ids.tolist())]
+    return np.array(pairs, dtype=object)[pair_ids]
+
+
+def _factorize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of a non-empty 1-D array and each element's
+    index among them.  A binary search over a few distinct values beats
+    the argsort in ``np.unique``, which is slow on long runs of zeros."""
+    s = np.sort(x)
+    distinct = s[np.concatenate(([True], s[1:] != s[:-1]))]
+    if len(distinct) > 8:
+        return np.unique(x, return_inverse=True)
+    return distinct, np.searchsorted(distinct, x)
+
+
+def _nest(leaves: np.ndarray, shape: tuple[int, ...]) -> str:
+    """Row-major leaves nested to ``shape`` in one join: between two
+    neighbours, every axis whose index wraps is closed and reopened."""
+    k = np.arange(1, len(leaves))
+    depth = np.zeros(len(k), dtype=np.intp)
+    for block in np.cumprod(shape[:0:-1], dtype=np.intp):
+        depth += k % block == 0
+    seps = np.array(["]" * c + "," + "[" * c for c in range(len(shape))], dtype=object)
+    parts = np.empty(2 * len(leaves) - 1, dtype=object)
+    parts[0::2] = leaves
+    parts[1::2] = seps[depth]
+    return "[" * len(shape) + "".join(parts.tolist()) + "]" * len(shape)
+
+
+def _emit_object(fields: dict, tensor_texts: dict) -> str:
+    """``emit_json(fields | tensors)`` with the tensors already encoded."""
+    texts = {key: _dumps(value) for key, value in fields.items()}
+    texts.update(tensor_texts)
+    return "{" + ",".join(f"{_dumps(key)}:{texts[key]}" for key in sorted(texts)) + "}\n"
 
 
 def _decode_complex(data, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -71,9 +148,21 @@ def _require(payload: dict, key: str, what: str):
     return payload[key]
 
 
-def _int_list(value, what: str) -> list[int]:
-    if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
-        raise ParseError(f"{what}: expected a list of integers")
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_field(payload: dict, key: str, what: str) -> int:
+    value = _require(payload, key, what)
+    if not _is_int(value):
+        raise ParseError(f"{what}: field '{key}' must be an integer, got {value!r}")
+    return value
+
+
+def _int_list(payload: dict, key: str, what: str) -> list[int]:
+    value = _require(payload, key, what)
+    if not isinstance(value, list) or not all(_is_int(v) for v in value):
+        raise ParseError(f"{what}: field '{key}' must be a list of integers, got {value!r}")
     return value
 
 
@@ -94,7 +183,7 @@ def _load(text: str, expected_format: str) -> dict:
 
 
 def emit_instance(inst: Instance) -> str:
-    payload = {
+    fields = {
         "format": INSTANCE_FORMAT,
         "version": FORMAT_VERSION,
         "n": inst.n,
@@ -102,22 +191,24 @@ def emit_instance(inst: Instance) -> str:
         "h2": inst.h2,
         "block_dims": list(inst.algebra.block_dims),
         "mults": list(inst.module.mults),
-        "cp_action": _encode_complex(inst.cp.action),
-        "tuple_action": _encode_complex(inst.tup.action),
         "meta": inst.meta,
     }
-    return emit_json(payload)
+    tensors = {
+        "cp_action": _tensor_text(inst.cp.action),
+        "tuple_action": _tensor_text(inst.tup.action),
+    }
+    return _emit_object(fields, tensors)
 
 
 def parse_instance(text: str) -> Instance:
     payload = _load(text, INSTANCE_FORMAT)
     what = "instance"
     try:
-        n = int(_require(payload, "n", what))
-        h1 = int(_require(payload, "h1", what))
-        h2 = int(_require(payload, "h2", what))
-        block_dims = _int_list(_require(payload, "block_dims", what), what)
-        mults = _int_list(_require(payload, "mults", what), what)
+        n = _int_field(payload, "n", what)
+        h1 = _int_field(payload, "h1", what)
+        h2 = _int_field(payload, "h2", what)
+        block_dims = _int_list(payload, "block_dims", what)
+        mults = _int_list(payload, "mults", what)
         algebra = AlgebraDescriptor(tuple(block_dims))
         module = ModuleDescriptor(algebra, tuple(mults))
         cp_action = _decode_complex(
@@ -141,7 +232,7 @@ def parse_instance(text: str) -> Instance:
 
 
 def emit_dilation(inst: Instance, data: DilationData) -> str:
-    payload = {
+    fields = {
         "format": DILATION_FORMAT,
         "version": FORMAT_VERSION,
         "n": inst.n,
@@ -151,16 +242,16 @@ def emit_dilation(inst: Instance, data: DilationData) -> str:
         "mults": list(inst.module.mults),
         "r1": data.r1,
         "r2": data.r2,
-        "pi_action": _encode_complex(data.pi_action),
-        "s_ops": _encode_complex(data.s_ops),
-        "psi_action": _encode_complex(data.psi_action),
-        "k2_embed": _encode_complex(data.k2_embed),
         "k2i_dims": list(data.k2i_dims),
-        "w_ops": [_encode_complex(w) for w in data.w_ops],
         "pi_welldef": data.pi_welldef,
         "psi_welldef": data.psi_welldef,
     }
-    return emit_json(payload)
+    tensors = {
+        name: _tensor_text(getattr(data, name))
+        for name in ("pi_action", "s_ops", "psi_action", "k2_embed")
+    }
+    tensors["w_ops"] = "[" + ",".join(_tensor_text(w) for w in data.w_ops) + "]"
+    return _emit_object(fields, tensors)
 
 
 def parse_dilation(text: str) -> tuple[DilationData, dict]:
@@ -168,16 +259,16 @@ def parse_dilation(text: str) -> tuple[DilationData, dict]:
     payload = _load(text, DILATION_FORMAT)
     what = "dilation"
     try:
-        n = int(_require(payload, "n", what))
-        h1 = int(_require(payload, "h1", what))
-        h2 = int(_require(payload, "h2", what))
-        block_dims = _int_list(_require(payload, "block_dims", what), what)
-        mults = _int_list(_require(payload, "mults", what), what)
+        n = _int_field(payload, "n", what)
+        h1 = _int_field(payload, "h1", what)
+        h2 = _int_field(payload, "h2", what)
+        block_dims = _int_list(payload, "block_dims", what)
+        mults = _int_list(payload, "mults", what)
         algebra = AlgebraDescriptor(tuple(block_dims))
         module = ModuleDescriptor(algebra, tuple(mults))
-        r1 = int(_require(payload, "r1", what))
-        r2 = int(_require(payload, "r2", what))
-        k2i_dims = _int_list(_require(payload, "k2i_dims", what), what)
+        r1 = _int_field(payload, "r1", what)
+        r2 = _int_field(payload, "r2", what)
+        k2i_dims = _int_list(payload, "k2i_dims", what)
         if len(k2i_dims) != n:
             raise ParseError(f"{what}: expected {n} coisometries")
         w_raw = _require(payload, "w_ops", what)

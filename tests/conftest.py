@@ -5,11 +5,14 @@ library's index tables: every matrix unit is an explicit block-diagonal
 numpy matrix, products are ``@``, adjoints are conjugate transposes, and
 coefficients are read back from the blocks.  The remaining oracles are
 the full basis-pair sweeps and per-index loops that the library replaced
-with generator checks and stacked products.  All of them serve as
-independent references.
+with generator checks and stacked products, and the ``json.dumps``
+encoder that the version-1 writers replaced with an array encoder.  All
+of them serve as independent references.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -154,3 +157,70 @@ def intertwine_oracle(u1, u2, data_a, data_b) -> dict[str, float]:
             for a, b in zip(data_a.w_ops, data_b.w_ops)
         ),
     }
+
+
+def psi_representation_oracle(mod, pi: np.ndarray, psi: np.ndarray) -> float:
+    """Full sweep of ``Psi(f_gamma)* Psi(f_delta) = pi(<f_gamma, f_delta>)``
+    over every basis pair, through the module's inner-product table."""
+    dim_v, r2, r1 = psi.shape
+    cols = psi.transpose(1, 0, 2).reshape(r2, dim_v * r1)
+    lhs = (cols.conj().T @ cols).reshape(dim_v, r1, dim_v, r1).transpose(0, 2, 1, 3)
+    expected = np.zeros((dim_v, dim_v, r1, r1), dtype=complex)
+    mask = mod.inner_table >= 0
+    expected[mask] = pi[mod.inner_table[mask]]
+    return max_rel_residual(lhs, expected)
+
+
+def encode_complex_oracle(arr) -> list:
+    """A complex tensor as nested ``[re, im]`` lists, the input of the
+    former ``json.dumps`` encoder."""
+    arr = np.asarray(arr, dtype=complex)
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+
+
+def tensor_text_oracle(arr) -> str:
+    """JSON text of one tensor as the former encoder wrote it."""
+    return json.dumps(encode_complex_oracle(arr), separators=(",", ":"), allow_nan=False)
+
+
+def _emit_oracle(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+def emit_instance_oracle(inst) -> str:
+    """Instance file text as the former encoder wrote it."""
+    return _emit_oracle({
+        "format": "cpdilate/instance",
+        "version": 1,
+        "n": inst.n,
+        "h1": inst.h1,
+        "h2": inst.h2,
+        "block_dims": list(inst.algebra.block_dims),
+        "mults": list(inst.module.mults),
+        "cp_action": encode_complex_oracle(inst.cp.action),
+        "tuple_action": encode_complex_oracle(inst.tup.action),
+        "meta": inst.meta,
+    })
+
+
+def emit_dilation_oracle(inst, data) -> str:
+    """Dilation file text as the former encoder wrote it."""
+    return _emit_oracle({
+        "format": "cpdilate/dilation",
+        "version": 1,
+        "n": inst.n,
+        "h1": inst.h1,
+        "h2": inst.h2,
+        "block_dims": list(inst.algebra.block_dims),
+        "mults": list(inst.module.mults),
+        "r1": data.r1,
+        "r2": data.r2,
+        "pi_action": encode_complex_oracle(data.pi_action),
+        "s_ops": encode_complex_oracle(data.s_ops),
+        "psi_action": encode_complex_oracle(data.psi_action),
+        "k2_embed": encode_complex_oracle(data.k2_embed),
+        "k2i_dims": list(data.k2i_dims),
+        "w_ops": [encode_complex_oracle(w) for w in data.w_ops],
+        "pi_welldef": data.pi_welldef,
+        "psi_welldef": data.psi_welldef,
+    })

@@ -3,6 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from test_serialize import (
+    DIMENSION_FIELDS,
+    GOLDEN_INSTANCE,
+    REJECTED_FORMS,
+    corrupted_text,
+)
 from cpdilate import cli
 from cpdilate.cpmaps import haar_unitary, random_instance
 from cpdilate.dilation import dilate
@@ -140,6 +146,21 @@ class TestVerify:
         dil_path = tmp_path / "dil.json"
         dil_path.write_text(emit_dilation(other, dilate(other)), encoding="utf-8")
         assert cli.main(["verify", str(inst_path), str(dil_path)]) == 3
+
+
+class TestDimensionFields:
+    @pytest.mark.parametrize("form", REJECTED_FORMS)
+    @pytest.mark.parametrize("kind, field", DIMENSION_FIELDS)
+    def test_non_integer_gives_parse_exit(self, tmp_path, capsys, kind, field, form):
+        bad = tmp_path / f"{kind}.json"
+        bad.write_text(corrupted_text(kind, field, form), encoding="utf-8")
+        if kind == "instance":
+            rc = cli.main(["dilate", str(bad)])
+        else:
+            rc = cli.main(["verify", str(GOLDEN_INSTANCE), str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "ParseError" in err and f"field '{field}'" in err
 
 
 class TestEquiv:

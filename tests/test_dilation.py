@@ -6,6 +6,7 @@ from conftest import (
     module_units,
     pi_multiplicativity_oracle,
     psi_module_action_oracle,
+    psi_representation_oracle,
     scalar_family,
     transpose_map,
 )
@@ -312,8 +313,10 @@ class TestGeneratorCertificate:
                 report = verify_dilation(inst, d)
                 assert report.pi_multiplicativity <= 1e-12
                 assert report.psi_module_action <= 1e-12
+                assert report.psi_representation <= 1e-12
                 assert pi_multiplicativity_oracle(inst.algebra, d.pi_action) <= 1e-12
                 assert psi_module_action_oracle(inst.module, d.pi_action, d.psi_action) <= 1e-12
+                assert psi_representation_oracle(inst.module, d.pi_action, d.psi_action) <= 1e-12
 
     @pytest.mark.parametrize("sabotage", ["pi_off_generator", "cross_block", "psi_off_generator"])
     def test_sabotage_off_the_generators_is_caught(self, sabotage):
@@ -345,12 +348,25 @@ class TestGeneratorCertificate:
                        report.psi_module_action)
         assert max(certificate) > report.tolerance
 
+    def test_moved_psi_generator_is_caught_by_the_representation_check(self):
+        inst = random_instance(13, n=2, block_dims=[2, 1], mults=[2, 1], h1=2, h2=8)
+        data = dilate(inst)
+        mod = inst.module
+        rng = np.random.default_rng(37)
+        z = rng.standard_normal((data.r2, data.r1)) + 1j * rng.standard_normal((data.r2, data.r1))
+        data.psi_action[mod.basis_labels.index((0, 1, 0))] += 1e-6 * z / frob(z)
+        report = verify_dilation(inst, data)
+        assert psi_representation_oracle(mod, data.pi_action, data.psi_action) > report.tolerance
+        assert report.psi_representation > report.tolerance
+        assert not report.passed
+
     def test_full_tables_are_not_read(self, monkeypatch):
         def forbidden(self):
             raise AssertionError("full basis-pair table read during verification")
 
         monkeypatch.setattr(AlgebraDescriptor, "product_table", property(forbidden))
         monkeypatch.setattr(ModuleDescriptor, "action_table", property(forbidden))
+        monkeypatch.setattr(ModuleDescriptor, "inner_table", property(forbidden))
         inst = random_instance(9, n=2, block_dims=[2, 3], mults=[1, 2], h1=2, h2=8)
         assert verify_dilation(inst, dilate(inst)).passed
 

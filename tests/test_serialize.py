@@ -1,11 +1,32 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from conftest import emit_dilation_oracle, emit_instance_oracle, tensor_text_oracle
+from test_acceptance import acceptance_instances
+from cpdilate import cli, serialize
 from cpdilate.algebra import AlgebraDescriptor, ModuleDescriptor
-from cpdilate.cpmaps import CPBlockMap, Instance, ModuleCPTuple, identity_instance, random_instance
+from cpdilate.cpmaps import (
+    CPBlockMap,
+    Instance,
+    ModuleCPTuple,
+    haar_unitary,
+    identity_instance,
+    random_instance,
+)
 from cpdilate.dilation import dilate
+from cpdilate.equivalence import rotate_dilation
 from cpdilate.errors import ParseError
 from cpdilate.serialize import emit_dilation, emit_instance, parse_dilation, parse_instance
+
+DATA = Path(__file__).parent / "data"
+GOLDEN_INSTANCE = DATA / "golden_instance.json"
+GOLDEN_DILATION = DATA / "golden_dilation.json"
 
 
 class TestInstanceRoundTrip:
@@ -89,3 +110,163 @@ class TestParseErrors:
     def test_instance_file_is_not_a_dilation(self):
         with pytest.raises(ParseError):
             parse_dilation(emit_instance(identity_instance(1)))
+
+
+def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and bit patterns, so -0.0 differs from 0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# Floats whose text json writes in unusual forms: signed zeros, the
+# smallest subnormal and other subnormals, the largest finite values,
+# exponent switch points and integer values.
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1e16, -1e16, 1e-05,
+    0.0001, 1e15, 9007199254740993.0, 1.0, -1.0, 2.0, -3.0, 0.1, 1 / 3,
+]
+FLOATS = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(-10**6, 10**6).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+SHAPES = st.lists(st.sampled_from([0, 1, 1, 2, 3]), min_size=0, max_size=4).map(tuple)
+
+
+def complex_tensor(pairs: np.ndarray) -> np.ndarray:
+    """Complex view of a float array whose last axis holds (re, im)."""
+    return np.ascontiguousarray(pairs).view(np.complex128)[..., 0]
+
+
+class TestEncoderEquivalence:
+    """Tensor text is byte for byte what the former json.dumps encoder
+    (tests/conftest.py) wrote."""
+
+    def test_acceptance_instances_and_rotated_twins(self):
+        rng = np.random.default_rng(31)
+        for inst in acceptance_instances(100):
+            assert emit_instance(inst) == emit_instance_oracle(inst)
+            data = dilate(inst)
+            twin = rotate_dilation(
+                data,
+                haar_unitary(rng, data.r1),
+                haar_unitary(rng, data.r2),
+                [haar_unitary(rng, k) for k in data.k2i_dims],
+            )
+            for d in (data, twin):
+                assert emit_dilation(inst, d) == emit_dilation_oracle(inst, d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(SHAPES.flatmap(lambda shape: arrays(np.float64, shape + (2,), elements=FLOATS)))
+    def test_property_against_the_former_encoder(self, pairs):
+        tensor = complex_tensor(pairs)
+        assert serialize._tensor_text(tensor) == tensor_text_oracle(tensor)
+        assert serialize._tensor_text(tensor.real) == tensor_text_oracle(tensor.real)
+
+    @settings(max_examples=100, deadline=None)
+    @given(SHAPES.flatmap(lambda shape: arrays(np.float64, shape + (2,), elements=FLOATS)))
+    def test_round_trip_keeps_every_bit(self, pairs):
+        tensor = complex_tensor(pairs)
+        back = serialize._decode_complex(json.loads(serialize._tensor_text(tensor)),
+                                         tensor.shape, "tensor")
+        assert bitwise_equal(back, tensor)
+
+    def test_few_distinct_values_in_long_runs(self):
+        tensor = np.zeros((7, 5, 9), dtype=complex)
+        tensor[::2, 1, ::3] = -0.0 - 1j
+        tensor[3, :, 4] = 1e16 + 5e-324j
+        assert serialize._tensor_text(tensor) == tensor_text_oracle(tensor)
+        assert serialize._tensor_text(tensor.transpose(2, 0, 1)) == tensor_text_oracle(
+            tensor.transpose(2, 0, 1)
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.nan, 1j * np.inf])
+    def test_non_finite_values_raise(self, bad):
+        inst = random_instance(3, n=1, block_dims=[2], mults=[1], h1=2, h2=2)
+        data = dilate(inst)
+        data.k2_embed[-1, 0] = bad
+        with pytest.raises(ValueError):
+            emit_dilation(inst, data)
+        with pytest.raises(ValueError):
+            emit_dilation_oracle(inst, data)
+        inst.cp.action[0, 0, 1, 1, 0] = bad
+        with pytest.raises(ValueError):
+            emit_instance(inst)
+        with pytest.raises(ValueError):
+            emit_instance_oracle(inst)
+
+
+class TestGoldenFiles:
+    """Version-1 files written by the former encoder: a two-block
+    instance with a zero-multiplicity block and a k2_extra pad, and its
+    dilation."""
+
+    def test_emission_reproduces_the_files(self):
+        inst_text = GOLDEN_INSTANCE.read_text(encoding="utf-8")
+        dil_text = GOLDEN_DILATION.read_text(encoding="utf-8")
+        inst = parse_instance(inst_text)
+        data, _ = parse_dilation(dil_text)
+        assert inst.algebra.block_dims == (2, 1) and inst.module.mults == (1, 0)
+        assert inst.meta["k2_extra"] == 1
+        assert emit_instance(inst) == inst_text
+        assert emit_dilation(inst, data) == dil_text
+
+    def test_parsing_round_trips_bit_exactly(self):
+        inst = parse_instance(GOLDEN_INSTANCE.read_text(encoding="utf-8"))
+        data, _ = parse_dilation(GOLDEN_DILATION.read_text(encoding="utf-8"))
+        inst2 = parse_instance(emit_instance(inst))
+        data2, _ = parse_dilation(emit_dilation(inst, data))
+        assert bitwise_equal(inst2.cp.action, inst.cp.action)
+        assert bitwise_equal(inst2.tup.action, inst.tup.action)
+        for name in ("pi_action", "s_ops", "psi_action", "k2_embed"):
+            assert bitwise_equal(getattr(data2, name), getattr(data, name))
+        assert all(bitwise_equal(a, b) for a, b in zip(data2.w_ops, data.w_ops))
+        assert data2.psi_welldef == data.psi_welldef
+
+    def test_cli_verify_passes(self, capsys):
+        assert cli.main(["verify", str(GOLDEN_INSTANCE), str(GOLDEN_DILATION)]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+
+
+# (file, field) pairs whose values must be JSON integers, and the
+# rejected forms of a value v: fractional, integral float, string, bool.
+DIMENSION_FIELDS = [("instance", f) for f in ("n", "h1", "h2", "block_dims", "mults")] + [
+    ("dilation", f)
+    for f in ("n", "h1", "h2", "block_dims", "mults", "r1", "r2", "k2i_dims")
+]
+REJECTED_FORMS = {
+    "fraction": lambda v: v + 0.9,
+    "float": float,
+    "string": str,
+    "bool": lambda v: True,
+}
+
+
+def corrupted_text(kind: str, field: str, form: str) -> str:
+    """A golden file with one dimension field (or the first entry of a
+    dimension list) replaced by a non-integer JSON value."""
+    path = GOLDEN_INSTANCE if kind == "instance" else GOLDEN_DILATION
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    bad = REJECTED_FORMS[form]
+    if isinstance(payload[field], list):
+        payload[field][0] = bad(payload[field][0])
+    else:
+        payload[field] = bad(payload[field])
+    return json.dumps(payload)
+
+
+class TestDimensionFields:
+    @pytest.mark.parametrize("form", REJECTED_FORMS)
+    @pytest.mark.parametrize("kind, field", DIMENSION_FIELDS)
+    def test_non_integer_is_rejected(self, kind, field, form):
+        parse = parse_instance if kind == "instance" else parse_dilation
+        with pytest.raises(ParseError, match=f"field '{field}'"):
+            parse(corrupted_text(kind, field, form))
+
+    @pytest.mark.parametrize("field", ["block_dims", "mults", "k2i_dims"])
+    def test_list_field_must_be_a_list(self, field):
+        payload = json.loads(GOLDEN_DILATION.read_text(encoding="utf-8"))
+        payload[field] = 2
+        with pytest.raises(ParseError, match=f"field '{field}'"):
+            parse_dilation(json.dumps(payload))
