@@ -82,8 +82,8 @@ def _int_csv(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _read(path: str) -> bytes:
+    return Path(path).read_bytes()  # the reader checks the UTF-8 itself
 
 
 def _write(path: str, text: str) -> None:

@@ -24,6 +24,16 @@ disappears.  The output is byte for byte what ``emit_json`` writes for
 the nested lists; ``tests/test_serialize.py::TestEncoderEquivalence``
 holds that guarantee against the former encoder, and
 ``TestGoldenFiles`` against version-1 files it wrote.
+
+Files are read by one strict RFC 8259 reader, ``orjson.loads``, over
+UTF-8 bytes (``str`` input is encoded first).  What it rejects is a
+ParseError: malformed or non-UTF-8 input, ``NaN``/``Infinity`` literals,
+numbers beyond the double range such as ``1e400``, lone surrogate
+escapes, and nesting deeper than ``MAX_DEPTH``, which is checked before
+parsing because the parser recurses on the C stack.  An integer beyond
+64 bits reads as a float, so a dimension field holding one is rejected
+by name.  The writers stay on ``json``/``_tensor_text``: orjson writes
+``1e16`` where version 1 has ``1e+16``.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ import math
 from functools import partial
 
 import numpy as np
+import orjson
 
 from .algebra import AlgebraDescriptor, ModuleDescriptor
 from .cpmaps import CPBlockMap, Instance, ModuleCPTuple
@@ -50,10 +61,15 @@ __all__ = [
 INSTANCE_FORMAT = "cpdilate/instance"
 DILATION_FORMAT = "cpdilate/dilation"
 FORMAT_VERSION = 1
+MAX_DEPTH = 512  # deepest nesting a file may have; version-1 tensors need 7
 
 
 _dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"), allow_nan=False)
 _SIGN_BIT = np.uint64(1 << 63)
+_NOT_STRUCTURAL = bytes(c for c in range(256) if c not in b'[]{}"')
+_DEPTH_STEP = np.zeros(256, dtype=np.int8)
+_DEPTH_STEP[list(b"[{")] = 1
+_DEPTH_STEP[list(b"]}")] = -1
 
 
 def emit_json(payload: dict) -> str:
@@ -166,17 +182,41 @@ def _int_list(payload: dict, key: str, what: str) -> list[int]:
     return value
 
 
-def _load(text: str, expected_format: str) -> dict:
+def _real_field(payload: dict, key: str, what: str) -> float:
+    """An optional JSON number, finite because the reader rejects the
+    rest; a missing field reads as 0.0."""
+    value = payload.get(key, 0.0)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParseError(f"{what}: field '{key}' must be a number, got {value!r}")
+    return float(value)
+
+
+def _nesting_depth(text: bytes) -> int:
+    """Deepest bracket nesting of JSON text, ignoring brackets in strings:
+    escaped backslashes and quotes are dropped, then every byte but
+    brackets and quotes, and the quotes' parity marks string contents."""
+    if b"\\" in text:
+        text = text.replace(b"\\\\", b"").replace(b'\\"', b"")
+    marks = np.frombuffer(text.translate(None, _NOT_STRUCTURAL), dtype=np.uint8)
+    outside = (np.cumsum(marks == ord('"'), dtype=np.intp) & 1) == 0
+    return int(np.cumsum(_DEPTH_STEP[marks] * outside, dtype=np.intp).max(initial=0))
+
+
+def _load(text: str | bytes, expected_format: str) -> dict:
+    if isinstance(text, str):
+        text = text.encode("utf-8", "surrogatepass")  # orjson rejects the surrogates
+    if _nesting_depth(text) > MAX_DEPTH:
+        raise ParseError(f"invalid JSON: nesting deeper than {MAX_DEPTH} levels")
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParseError("top-level JSON value must be an object")
     fmt = _require(payload, "format", expected_format)
     if fmt != expected_format:
         raise ParseError(f"format '{fmt}', expected '{expected_format}'")
-    version = _require(payload, "version", expected_format)
+    version = _int_field(payload, "version", expected_format)
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported version {version}")
     return payload
@@ -200,7 +240,7 @@ def emit_instance(inst: Instance) -> str:
     return _emit_object(fields, tensors)
 
 
-def parse_instance(text: str) -> Instance:
+def parse_instance(text: str | bytes) -> Instance:
     payload = _load(text, INSTANCE_FORMAT)
     what = "instance"
     try:
@@ -254,7 +294,7 @@ def emit_dilation(inst: Instance, data: DilationData) -> str:
     return _emit_object(fields, tensors)
 
 
-def parse_dilation(text: str) -> tuple[DilationData, dict]:
+def parse_dilation(text: str | bytes) -> tuple[DilationData, dict]:
     """Returns the data plus the context dims recorded in the file."""
     payload = _load(text, DILATION_FORMAT)
     what = "dilation"
@@ -289,8 +329,8 @@ def parse_dilation(text: str) -> tuple[DilationData, dict]:
                 _decode_complex(w, (k, h2), what) for w, k in zip(w_raw, k2i_dims)
             ),
             k2i_dims=tuple(k2i_dims),
-            pi_welldef=float(payload.get("pi_welldef", 0.0)),
-            psi_welldef=float(payload.get("psi_welldef", 0.0)),
+            pi_welldef=_real_field(payload, "pi_welldef", what),
+            psi_welldef=_real_field(payload, "psi_welldef", what),
         )
         context = {
             "n": n,

@@ -5,9 +5,10 @@ library's index tables: every matrix unit is an explicit block-diagonal
 numpy matrix, products are ``@``, adjoints are conjugate transposes, and
 coefficients are read back from the blocks.  The remaining oracles are
 the full basis-pair sweeps and per-index loops that the library replaced
-with generator checks and stacked products, and the ``json.dumps``
-encoder that the version-1 writers replaced with an array encoder.  All
-of them serve as independent references.
+with generator checks and stacked products, the ``json.dumps`` encoder
+that the version-1 writers replaced with an array encoder, and the
+``json.loads`` reader that orjson replaced.  All of them serve as
+independent references.
 """
 
 from __future__ import annotations
@@ -224,3 +225,23 @@ def emit_dilation_oracle(inst, data) -> str:
         "pi_welldef": data.pi_welldef,
         "psi_welldef": data.psi_welldef,
     })
+
+
+def load_oracle(data: str | bytes):
+    """The former reader: ``json.loads`` over the UTF-8 text."""
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+    return json.loads(data)
+
+
+def complex_tensor_oracle(nested, shape: tuple[int, ...]) -> np.ndarray:
+    """Nested ``[re, im]`` lists as a complex array of the given shape,
+    components assigned so that ``-0.0`` keeps its sign."""
+    if 0 in shape:
+        return np.zeros(shape, dtype=complex)
+    pairs = np.asarray(nested, dtype=float)
+    assert pairs.shape == tuple(shape) + (2,)
+    out = np.empty(shape, dtype=complex)
+    out.real = pairs[..., 0]
+    out.imag = pairs[..., 1]
+    return out

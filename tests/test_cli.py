@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from test_serialize import (
     GOLDEN_INSTANCE,
     REJECTED_FORMS,
     corrupted_text,
+    tensor_entry_replaced,
 )
 from cpdilate import cli
 from cpdilate.cpmaps import haar_unitary, random_instance
@@ -161,6 +166,71 @@ class TestDimensionFields:
         assert rc == 2
         err = capsys.readouterr().err
         assert "ParseError" in err and f"field '{field}'" in err
+
+
+def dilate_exit(tmp_path, capsys, data: bytes) -> tuple[int, str]:
+    """Exit code and stderr of ``cpdilate dilate`` on a file holding ``data``."""
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    rc = cli.main(["dilate", str(path)])
+    return rc, capsys.readouterr().err
+
+
+def golden_with_meta_entry(entry: bytes) -> bytes:
+    return GOLDEN_INSTANCE.read_bytes().replace(b'"meta":{', b'"meta":{"x":' + entry + b",")
+
+
+class TestStrictReader:
+    """What the strict reader rejects gives the parse exit, with the cause
+    on stderr instead of a traceback."""
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        rc, err = dilate_exit(tmp_path, capsys, golden_with_meta_entry(b'"\xff"'))
+        assert rc == 2
+        assert "ParseError" in err and "UTF-8" in err
+
+    def test_deep_nesting(self, tmp_path, capsys):
+        rc, err = dilate_exit(tmp_path, capsys, b"[" * 100_000 + b"]" * 100_000)
+        assert rc == 2
+        assert "ParseError" in err and "nesting deeper than" in err
+
+    def test_deep_nesting_in_a_fresh_process(self, tmp_path):
+        # a million levels would overflow the parser's C stack; the depth
+        # check refuses them first, and a fresh process keeps a crash apart
+        path = tmp_path / "deep.json"
+        path.write_bytes(b'{"a":' + b"[" * 1_000_000 + b"]" * 1_000_000 + b"}")
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "cpdilate.cli", "dilate", str(path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "nesting deeper than" in proc.stderr
+
+    @pytest.mark.parametrize("version", ["true", "1.0", '"1"'])
+    def test_version_must_be_an_integer(self, tmp_path, capsys, version):
+        text = GOLDEN_INSTANCE.read_bytes().replace(b'"version":1', b'"version":' + version.encode())
+        rc, err = dilate_exit(tmp_path, capsys, text)
+        assert rc == 2
+        assert "field 'version'" in err
+
+    @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e400"])
+    def test_non_finite_tensor_entry(self, tmp_path, capsys, literal):
+        rc, err = dilate_exit(tmp_path, capsys, tensor_entry_replaced(literal).encode())
+        assert rc == 2
+        assert "ParseError" in err
+
+    @pytest.mark.parametrize("value", [2**64, 10**30, -(2**63) - 1])
+    def test_dimension_beyond_64_bits(self, tmp_path, capsys, value):
+        payload = json.loads(GOLDEN_INSTANCE.read_text(encoding="utf-8"))
+        payload["h1"] = value
+        rc, err = dilate_exit(tmp_path, capsys, json.dumps(payload).encode())
+        assert rc == 2
+        assert "field 'h1'" in err
+
+    def test_lone_surrogate_escape(self, tmp_path, capsys):
+        rc, err = dilate_exit(tmp_path, capsys, golden_with_meta_entry(b'"\\ud800"'))
+        assert rc == 2
+        assert "surrogate" in err
 
 
 class TestEquiv:

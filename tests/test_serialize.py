@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import emit_dilation_oracle, emit_instance_oracle, tensor_text_oracle
+from conftest import (
+    complex_tensor_oracle,
+    emit_dilation_oracle,
+    emit_instance_oracle,
+    load_oracle,
+    tensor_text_oracle,
+)
 from test_acceptance import acceptance_instances
 from cpdilate import cli, serialize
 from cpdilate.algebra import AlgebraDescriptor, ModuleDescriptor
@@ -111,6 +117,92 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_dilation(emit_instance(identity_instance(1)))
 
+    @pytest.mark.parametrize("version", ["true", "1.0", '"1"'])
+    def test_version_must_be_an_integer(self, version):
+        text = emit_instance(identity_instance(1)).replace('"version":1', f'"version":{version}')
+        with pytest.raises(ParseError, match="field 'version'"):
+            parse_instance(text)
+        with pytest.raises(ParseError, match="field 'version'"):
+            parse_dilation(GOLDEN_DILATION.read_text(encoding="utf-8").replace(
+                '"version":1', f'"version":{version}'))
+
+    @pytest.mark.parametrize("field", ["pi_welldef", "psi_welldef"])
+    @pytest.mark.parametrize("value", ['"nan"', '"1e-3"', "true", "null", "[0.0]"])
+    def test_welldef_residual_must_be_a_number(self, field, value):
+        payload = load_oracle(GOLDEN_DILATION.read_bytes())
+        payload[field] = "@"
+        text = json.dumps(payload).replace('"@"', value)
+        with pytest.raises(ParseError, match=f"field '{field}'"):
+            parse_dilation(text)
+
+    @pytest.mark.parametrize("field", ["pi_welldef", "psi_welldef"])
+    def test_missing_welldef_residual_reads_as_zero(self, field):
+        payload = load_oracle(GOLDEN_DILATION.read_bytes())
+        del payload[field]
+        data, _ = parse_dilation(json.dumps(payload))
+        assert getattr(data, field) == 0.0
+
+    def test_lone_surrogate_escape(self):
+        text = GOLDEN_INSTANCE.read_text(encoding="utf-8").replace('"meta":{', '"meta":{"x":"\\ud800",')
+        assert load_oracle(text)["meta"]["x"] == "\ud800"  # the former reader took it
+        with pytest.raises(ParseError, match="invalid JSON"):
+            parse_instance(text)
+        with pytest.raises(ParseError, match="invalid JSON"):
+            parse_instance("\ud800".join(text.rsplit("\\ud800", 1)))
+
+    def test_nesting_beyond_the_limit(self):
+        depth = serialize.MAX_DEPTH + 1
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse_instance(b"[" * depth + b"]" * depth)
+        nested = GOLDEN_INSTANCE.read_bytes().replace(
+            b'"meta":{', b'"meta":{"x":' + b"[" * depth + b"]" * depth + b",")
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse_instance(nested)
+
+    def test_nesting_at_the_limit_parses(self):
+        depth = serialize.MAX_DEPTH - 2  # inside "meta" inside the top-level object
+        text = GOLDEN_INSTANCE.read_bytes().replace(
+            b'"meta":{', b'"meta":{"x":' + b"[" * depth + b"]" * depth + b",")
+        assert parse_instance(text).meta["x"] == load_oracle(text)["meta"]["x"]
+
+
+def tensor_entry_replaced(literal: str) -> str:
+    """The golden instance with its first ``cp_action`` number replaced
+    by a literal text."""
+    payload = load_oracle(GOLDEN_INSTANCE.read_bytes())
+    payload["cp_action"][0][0][0][0][0][0] = "@"
+    return json.dumps(payload).replace('"@"', literal)
+
+
+def json_depth(value) -> int:
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return 1 + max(map(json_depth, value), default=0)
+    return 0
+
+
+TRICKY_TEXT = st.text(alphabet='[]{}"\\/ab\u00e9\n', max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | TRICKY_TEXT,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(TRICKY_TEXT, kids, max_size=3),
+    max_leaves=30,
+)
+
+
+class TestNestingDepth:
+    """The pre-parse depth check counts only brackets outside strings."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES, st.booleans())
+    def test_matches_the_parsed_structure(self, value, ascii_only):
+        text = json.dumps(value, ensure_ascii=ascii_only).encode("utf-8")
+        assert serialize._nesting_depth(text) == json_depth(value)
+
+    def test_brackets_and_escapes_in_strings(self):
+        text = json.dumps({"a": ["[[[\\", '\\"{{', "]]]\"\\"], "b": "\\"}).encode()
+        assert serialize._nesting_depth(text) == 2
+
 
 def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal shapes and bit patterns, so -0.0 differs from 0.0."""
@@ -195,6 +287,50 @@ class TestEncoderEquivalence:
             emit_instance(inst)
         with pytest.raises(ValueError):
             emit_instance_oracle(inst)
+
+
+def spelled(pairs: np.ndarray, fmt) -> str:
+    """Nested JSON text of a float array with each number written by ``fmt``."""
+    if pairs.ndim == 0:
+        return fmt(float(pairs))
+    return "[" + ",".join(spelled(p, fmt) for p in pairs) + "]"
+
+
+# The writer's spelling (repr) and other correctly rounded ones a reader
+# must accept: 17 significant digits, and exponent forms.
+SPELLINGS = [repr, "{:.17g}".format, "{:.16e}".format, "{:.17E}".format]
+
+
+class TestReaderOracle:
+    """Parsed arrays and fields are bit for bit what the former json.loads
+    reader (tests/conftest.py) gave."""
+
+    def test_acceptance_instances_and_dilations(self):
+        for inst in acceptance_instances(100):
+            text = emit_instance(inst).encode("utf-8")
+            back, payload = parse_instance(text), load_oracle(text)
+            for name, arr in (("cp_action", back.cp.action), ("tuple_action", back.tup.action)):
+                assert bitwise_equal(arr, complex_tensor_oracle(payload[name], arr.shape))
+            assert back.meta == payload["meta"]
+            text = emit_dilation(inst, dilate(inst)).encode("utf-8")
+            (data, context), payload = parse_dilation(text), load_oracle(text)
+            for name in ("pi_action", "s_ops", "psi_action", "k2_embed"):
+                arr = getattr(data, name)
+                assert bitwise_equal(arr, complex_tensor_oracle(payload[name], arr.shape))
+            for w, nested in zip(data.w_ops, payload["w_ops"], strict=True):
+                assert bitwise_equal(w, complex_tensor_oracle(nested, w.shape))
+            for name in ("pi_welldef", "psi_welldef"):
+                assert bitwise_equal(np.float64(getattr(data, name)), np.float64(payload[name]))
+            assert context == {key: payload[key] for key in context}
+
+    @settings(max_examples=300, deadline=None)
+    @given(SHAPES.flatmap(lambda shape: arrays(np.float64, shape + (2,), elements=FLOATS)),
+           st.sampled_from(SPELLINGS))
+    def test_property_against_the_former_reader(self, pairs, fmt):
+        text = '{"format":"t","version":1,"t":' + spelled(pairs, fmt) + "}"
+        shape = pairs.shape[:-1]
+        back = serialize._decode_complex(serialize._load(text, "t")["t"], shape, "t")
+        assert bitwise_equal(back, complex_tensor_oracle(load_oracle(text)["t"], shape))
 
 
 class TestGoldenFiles:
