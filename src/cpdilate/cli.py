@@ -10,7 +10,8 @@ Exit codes are a stable contract:
 * 5  minimality or equivalence failure
 
 The only recognized environment variable is ``CPDILATE_TOL``, which
-overrides the default residual tolerance for all subcommands.
+overrides the default residual tolerance for all subcommands; it is read
+on every call of ``main``, and an explicit ``--tol`` wins over it.
 Emitted files and reports contain no timestamps, so identical
 invocations produce identical bytes.
 """
@@ -18,6 +19,7 @@ invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -339,7 +341,10 @@ def _cmd_fuzz(args) -> int:
     return EXIT_OK if all_passed else EXIT_VALIDITY
 
 
-def _build_parser(tol_default: float) -> argparse.ArgumentParser:
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  ``--tol`` defaults to
+    None; ``main`` resolves it from ``CPDILATE_TOL`` on every call."""
     parser = argparse.ArgumentParser(
         prog="cpdilate",
         description="Construct and verify joint Stinespring dilations of "
@@ -348,8 +353,8 @@ def _build_parser(tol_default: float) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, cutoff=True):
-        p.add_argument("--tol", type=float, default=tol_default,
-                       help=f"residual tolerance (default {tol_default:g})")
+        p.add_argument("--tol", type=float, default=None,
+                       help=f"residual tolerance (default $CPDILATE_TOL, else {DEFAULT_TOL:g})")
         if cutoff:
             p.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF,
                            help=f"relative rank cutoff (default {DEFAULT_CUTOFF:g})")
@@ -370,7 +375,7 @@ def _build_parser(tol_default: float) -> argparse.ArgumentParser:
     p.add_argument("--k2-extra", dest="k2_extra", type=int, default=0,
                    help="extra embedding slack for the generator")
     p.add_argument("--out", "-o", required=True, help="instance file to write")
-    p.add_argument("--tol", type=float, default=tol_default)
+    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(handler=_cmd_generate)
 
     p = sub.add_parser("dilate", help="dilate an instance file and verify the result")
@@ -406,11 +411,13 @@ def _build_parser(tol_default: float) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        parser = _build_parser(_default_tol())
+        tol = _default_tol()
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    if args.tol is None:
+        args.tol = tol
     try:
         return args.handler(args)
     except Exception as exc:  # noqa: BLE001 - mapped onto the exit contract

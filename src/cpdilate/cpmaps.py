@@ -216,12 +216,17 @@ def amplified_units(labels, row_dims, col_dims, copies) -> np.ndarray:
     ``psi``, and the pair satisfies ``psi(f)* psi(g) = pi(<f, g>)``
     exactly.
     """
-    row_off = np.concatenate([[0], np.cumsum([d * c for d, c in zip(row_dims, copies)])])
-    col_off = np.concatenate([[0], np.cumsum([d * c for d, c in zip(col_dims, copies)])])
-    out = np.zeros((len(labels), int(row_off[-1]), int(col_off[-1])), dtype=complex)
-    for index, (b, r, q) in enumerate(labels):
-        copy = np.arange(copies[b])
-        out[index, row_off[b] + r * copies[b] + copy, col_off[b] + q * copies[b] + copy] = 1.0
+    copies = np.asarray(copies, dtype=np.intp)
+    row_off = np.concatenate([[0], np.cumsum(np.asarray(row_dims, dtype=np.intp) * copies)])
+    col_off = np.concatenate([[0], np.cumsum(np.asarray(col_dims, dtype=np.intp) * copies)])
+    out = np.zeros((len(labels), row_off[-1], col_off[-1]), dtype=complex)
+    b, r, q = np.asarray(labels, dtype=np.intp).reshape(-1, 3).T
+    # one entry per (label, copy): the label repeated, the copy counted up
+    reps = copies[b]
+    index = np.repeat(np.arange(len(b)), reps)
+    copy = np.arange(len(index)) - np.repeat(np.cumsum(reps) - reps, reps)
+    b, r, q, reps = b[index], r[index], q[index], reps[index]
+    out[index, row_off[b] + r * reps + copy, col_off[b] + q * reps + copy] = 1.0
     return out
 
 

@@ -162,18 +162,31 @@ def svd_orthobasis(columns: np.ndarray, rel_cutoff: float = DEFAULT_CUTOFF) -> n
     column space; singular directions at or below ``rel_cutoff * s_max``
     are dropped.  Zero or empty input yields a zero-column result.
     """
-    columns = np.asarray(columns, dtype=complex)
-    if columns.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {columns.shape}")
+    columns = _matrix(columns)
     if columns.size == 0:
         return np.zeros((columns.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((columns.shape[0], 0), dtype=complex)
-    r = int(np.count_nonzero(s > rel_cutoff * s[0]))
-    return u[:, :r]
+    return u[:, : _kept(s, rel_cutoff)]
 
 
 def numerical_rank(columns: np.ndarray, rel_cutoff: float = DEFAULT_CUTOFF) -> int:
-    """Rank of a matrix at the given relative singular-value cutoff."""
-    return svd_orthobasis(columns, rel_cutoff).shape[1]
+    """Rank of a matrix at the given relative singular-value cutoff, the
+    column count ``svd_orthobasis`` would return, from the singular values
+    alone."""
+    columns = _matrix(columns)
+    if columns.size == 0:
+        return 0
+    return _kept(np.linalg.svd(columns, compute_uv=False), rel_cutoff)
+
+
+def _matrix(columns: np.ndarray) -> np.ndarray:
+    columns = np.asarray(columns, dtype=complex)
+    if columns.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {columns.shape}")
+    return columns
+
+
+def _kept(s: np.ndarray, rel_cutoff: float) -> int:
+    """Number of the descending singular values ``s`` above
+    ``rel_cutoff * s[0]``; 0 when all are zero."""
+    return int(np.count_nonzero(s > rel_cutoff * s[0]))

@@ -16,14 +16,18 @@ over nested lists.  It finds the distinct float magnitudes of a tensor
 by bit pattern (so ``-0.0`` keeps its sign), formats each once with
 ``repr`` (the text ``json`` writes for a float) and makes the negative
 twin by prefixing ``-``; each distinct ``[re,im]`` pair is assembled
-once and scattered back by index, and the nesting is one join of the
-pairs with separators that close and reopen the axes that wrap.  The
-closed-form pi and Psi tensors hold a handful of distinct values, and
-Hermitian Choi data repeats its magnitudes, so most of the formatting
-disappears.  The output is byte for byte what ``emit_json`` writes for
-the nested lists; ``tests/test_serialize.py::TestEncoderEquivalence``
-holds that guarantee against the former encoder, and
-``TestGoldenFiles`` against version-1 files it wrote.
+once, each distinct row of pairs along the last axis is joined once as
+``[...]`` (rows are told apart by an exact integer key over their pair
+ids), the rows are scattered back by index, and the nesting is one join
+of the rows with separators that close and reopen the axes that wrap.
+The closed-form pi and Psi tensors ``E_pq (x) 1`` hold a handful of
+distinct values and distinct rows (about 17 among the 1,024 rows of a
+raw-dim-768 pi), and Hermitian Choi data repeats its magnitudes, so most
+of the formatting disappears.  The output is byte for byte what
+``emit_json`` writes for the nested lists;
+``tests/test_serialize.py::TestEncoderEquivalence`` holds that guarantee
+against the former encoder, and ``TestGoldenFiles`` against version-1
+files it wrote.
 
 Files are read by one strict RFC 8259 reader, ``orjson.loads``, over
 UTF-8 bytes (``str`` input is encoded first).  What it rejects is a
@@ -32,15 +36,24 @@ numbers beyond the double range such as ``1e400``, lone surrogate
 escapes, and nesting deeper than ``MAX_DEPTH``, which is checked before
 parsing because the parser recurses on the C stack.  An integer beyond
 64 bits reads as a float, so a dimension field holding one is rejected
-by name.  The writers stay on ``json``/``_tensor_text``: orjson writes
+by name.  A tensor entry must be a JSON number: a string such as
+``"1.5"``, ``true`` or ``null`` in a tensor, or a ragged row, is a
+ParseError.  The writers stay on ``json``/``_tensor_text``: orjson writes
 ``1e16`` where version 1 has ``1e+16``.
+
+The readers run with CPython's cyclic garbage collector paused
+(``_outside_cyclic_gc``): the parsed lists are acyclic, and collections
+triggered by their allocation found nothing to free.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
+from contextlib import contextmanager
 from functools import partial
+from itertools import chain
 
 import numpy as np
 import orjson
@@ -79,22 +92,30 @@ def emit_json(payload: dict) -> str:
 
 def _tensor_text(arr: np.ndarray) -> str:
     """``_dumps`` of the tensor as nested ``[re, im]`` lists, from each
-    distinct value formatted once (module docstring)."""
+    distinct value and each distinct row formatted once (module
+    docstring)."""
     arr = np.asarray(arr, dtype=complex)
     if not np.isfinite(arr).all():
         raise ValueError("Out of range float values are not JSON compliant")
     shape = arr.shape
     if 0 in shape:  # nested lists down to the first zero-size axis
         shape = shape[: shape.index(0)]
-        leaves = np.full(math.prod(shape), "[]", dtype=object)
-    else:
-        leaves = _pair_texts(arr)
-    return _nest(leaves, shape)
+        return _nest(np.full(math.prod(shape), "[]", dtype=object), shape)
+    pairs, pair_ids = _pair_texts(arr)
+    if arr.ndim < 2:
+        return _nest(pairs[pair_ids], shape)
+    rows = pair_ids.reshape(-1, shape[-1])
+    count, row_ids = _factorize_rows(rows, len(pairs))
+    first = np.empty(count, dtype=np.intp)
+    first[row_ids] = np.arange(len(rows))  # any row of a class will do
+    texts = ["[" + ",".join(row) + "]" for row in pairs[rows[first]].tolist()]
+    return _nest(np.array(texts, dtype=object)[row_ids], shape[:-1])
 
 
-def _pair_texts(arr: np.ndarray) -> np.ndarray:
-    """``[re,im]`` text of every entry in row-major order, formatting each
-    distinct float magnitude and each distinct pair once."""
+def _pair_texts(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Text ``[re,im]`` of each distinct entry, and every entry's index
+    among them in row-major order; each distinct float magnitude and each
+    distinct pair is formatted once."""
     bits = np.ascontiguousarray(arr).reshape(-1).view(np.uint64)  # re, im interleaved
     mags, ids = _factorize(bits & ~_SIGN_BIT)
     texts = [repr(x) for x in mags.view(np.float64).tolist()]
@@ -103,7 +124,7 @@ def _pair_texts(arr: np.ndarray) -> np.ndarray:
     keys, pair_ids = _factorize(ids[0::2] * len(texts) + ids[1::2])
     re_ids, im_ids = np.divmod(keys, len(texts))
     pairs = [f"[{texts[r]},{texts[i]}]" for r, i in zip(re_ids.tolist(), im_ids.tolist())]
-    return np.array(pairs, dtype=object)[pair_ids]
+    return np.array(pairs, dtype=object), pair_ids
 
 
 def _factorize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,6 +136,22 @@ def _factorize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if len(distinct) > 8:
         return np.unique(x, return_inverse=True)
     return distinct, np.searchsorted(distinct, x)
+
+
+def _factorize_rows(rows: np.ndarray, radix: int) -> tuple[int, np.ndarray]:
+    """Number of distinct rows of a 2-D array of ids in ``[0, radix)`` and
+    each row's index among them.  The key of a row is the row read as a
+    base-``radix`` number; before a digit could overflow int64 the key is
+    factorized to its distinct values, so it stays exact."""
+    key, span = np.zeros(len(rows), dtype=np.int64), 1
+    for column in rows.T:
+        if span * radix > 2**63:
+            distinct, key = _factorize(key)
+            span = len(distinct)
+        key = key * radix + column
+        span *= radix
+    distinct, row_ids = _factorize(key)
+    return len(distinct), row_ids
 
 
 def _nest(leaves: np.ndarray, shape: tuple[int, ...]) -> str:
@@ -139,23 +176,25 @@ def _emit_object(fields: dict, tensor_texts: dict) -> str:
 
 
 def _decode_complex(data, shape: tuple[int, ...], what: str) -> np.ndarray:
-    size = 1
-    for s in shape:
-        size *= s
-    if size == 0:
+    """Nested ``[re, im]`` lists as a complex tensor of the declared shape.
+
+    The lists are flattened level by level; every node must be a list of
+    the declared length and every leaf a JSON number (a ``float`` or an
+    ``int``, never a string, ``true`` or ``null``)."""
+    if math.prod(shape) == 0:
         return np.zeros(shape, dtype=complex)
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{what}: malformed complex tensor") from exc
-    if arr.shape != shape + (2,):
-        raise ParseError(f"{what}: shape {arr.shape} does not match declared {shape + (2,)}")
-    # assign components instead of re + 1j*im, which would lose the sign
-    # of negative zeros and break bit-exact round-trips
-    out = np.empty(shape, dtype=complex)
-    out.real = arr[..., 0]
-    out.imag = arr[..., 1]
-    return out
+    nodes = [data]
+    for length in shape + (2,):
+        if set(map(type, nodes)) != {list} or set(map(len, nodes)) != {length}:
+            raise ParseError(f"{what}: tensor nesting does not match declared shape "
+                             f"{shape + (2,)}")
+        nodes = list(chain.from_iterable(nodes))
+    if not set(map(type, nodes)) <= {float, int}:
+        raise ParseError(f"{what}: tensor entries must be JSON numbers")
+    # the interleaved (re, im) doubles are the complex128 memory layout,
+    # so the signs of negative zeros survive for bit-exact round-trips
+    pairs = np.fromiter(nodes, dtype=np.float64, count=len(nodes))
+    return pairs.view(np.complex128).reshape(shape)
 
 
 def _require(payload: dict, key: str, what: str):
@@ -202,6 +241,30 @@ def _nesting_depth(text: bytes) -> int:
     return int(np.cumsum(_DEPTH_STEP[marks] * outside, dtype=np.intp).max(initial=0))
 
 
+@contextmanager
+def _outside_cyclic_gc():
+    """Pause CPython's cyclic garbage collector for one read.
+
+    ``orjson.loads`` builds one list per tensor row, about 15,000 for a
+    500 KB instance.  Allocating them makes the collector traverse the
+    young objects again and again, and now and then the whole heap, yet
+    the lists are acyclic: reference counting frees them and the
+    collector never finds garbage among them.  ``gc.disable`` is
+    process-global, but it holds only for the few milliseconds of one
+    read, and on exit the collector is enabled again only if it was
+    enabled on entry.  The readers use this as a decorator, so their
+    frame, and the payload it holds, is freed inside the region; freeing
+    a tracked object takes back its allocation count, so no collection is
+    left pending when the collector is enabled again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _load(text: str | bytes, expected_format: str) -> dict:
     if isinstance(text, str):
         text = text.encode("utf-8", "surrogatepass")  # orjson rejects the surrogates
@@ -240,6 +303,7 @@ def emit_instance(inst: Instance) -> str:
     return _emit_object(fields, tensors)
 
 
+@_outside_cyclic_gc()
 def parse_instance(text: str | bytes) -> Instance:
     payload = _load(text, INSTANCE_FORMAT)
     what = "instance"
@@ -294,6 +358,7 @@ def emit_dilation(inst: Instance, data: DilationData) -> str:
     return _emit_object(fields, tensors)
 
 
+@_outside_cyclic_gc()
 def parse_dilation(text: str | bytes) -> tuple[DilationData, dict]:
     """Returns the data plus the context dims recorded in the file."""
     payload = _load(text, DILATION_FORMAT)

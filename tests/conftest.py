@@ -29,6 +29,18 @@ def _dense_units(labels, row_dims, col_dims) -> np.ndarray:
     return units
 
 
+def amplified_units_oracle(labels, row_dims, col_dims, copies) -> np.ndarray:
+    """``cpmaps.amplified_units`` as the per-label loop it replaced:
+    ``E_rq (x) 1_{copies[b]}`` set copy by copy for each label."""
+    row_off = np.concatenate([[0], np.cumsum([d * c for d, c in zip(row_dims, copies)])])
+    col_off = np.concatenate([[0], np.cumsum([d * c for d, c in zip(col_dims, copies)])])
+    out = np.zeros((len(labels), int(row_off[-1]), int(col_off[-1])), dtype=complex)
+    for index, (b, r, q) in enumerate(labels):
+        copy = np.arange(copies[b])
+        out[index, row_off[b] + r * copies[b] + copy, col_off[b] + q * copies[b] + copy] = 1.0
+    return out
+
+
 def algebra_units(alg) -> np.ndarray:
     """Each algebra matrix unit e^b_pq as a block-diagonal matrix of
     side ``sum_b d_b``, stacked in basis order."""

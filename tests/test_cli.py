@@ -13,6 +13,7 @@ from test_serialize import (
     REJECTED_FORMS,
     corrupted_text,
     tensor_entry_replaced,
+    tensor_made_ragged,
 )
 from cpdilate import cli
 from cpdilate.cpmaps import haar_unitary, random_instance
@@ -219,6 +220,17 @@ class TestStrictReader:
         assert rc == 2
         assert "ParseError" in err
 
+    @pytest.mark.parametrize("literal", ['"1.5"', "true", "null"])
+    def test_tensor_entry_that_is_not_a_number(self, tmp_path, capsys, literal):
+        rc, err = dilate_exit(tmp_path, capsys, tensor_entry_replaced(literal).encode())
+        assert rc == 2
+        assert "tensor entries must be JSON numbers" in err
+
+    def test_ragged_tensor_row(self, tmp_path, capsys):
+        rc, err = dilate_exit(tmp_path, capsys, tensor_made_ragged("short row").encode())
+        assert rc == 2
+        assert "tensor nesting does not match declared shape" in err
+
     @pytest.mark.parametrize("value", [2**64, 10**30, -(2**63) - 1])
     def test_dimension_beyond_64_bits(self, tmp_path, capsys, value):
         payload = json.loads(GOLDEN_INSTANCE.read_text(encoding="utf-8"))
@@ -311,6 +323,19 @@ class TestEnvOverride:
         report = json.loads(capsys.readouterr().out)
         assert report["tolerance"] == 0.5
 
+    def test_environment_is_read_on_every_call(self, tmp_path, monkeypatch, capsys):
+        _, inst_path = write_instance(tmp_path)
+        tolerances = []
+        for value, argv in (("0.5", []), ("0.25", []), (None, []), ("0.5", ["--tol", "0.125"])):
+            if value is None:
+                monkeypatch.delenv("CPDILATE_TOL")
+            else:
+                monkeypatch.setenv("CPDILATE_TOL", value)
+            assert cli.main(["dilate", str(inst_path), "--json", *argv]) == 0
+            tolerances.append(json.loads(capsys.readouterr().out)["tolerance"])
+        assert tolerances == [0.5, 0.25, 1e-9, 0.125]
+
     def test_bad_env_value(self, monkeypatch, capsys):
         monkeypatch.setenv("CPDILATE_TOL", "abc")
         assert cli.main(["fuzz", "--trials", "1"]) == 2
+        assert cli.main(["fuzz", "--trials", "1", "--tol", "1e-9"]) == 2

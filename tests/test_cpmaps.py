@@ -4,6 +4,7 @@ import pytest
 from conftest import (
     algebra_coeffs,
     algebra_units,
+    amplified_units_oracle,
     apply_phi_oracle,
     compatibility_oracle,
     module_units,
@@ -11,11 +12,12 @@ from conftest import (
     transpose_map,
 )
 from test_acceptance import acceptance_instances
-from cpdilate.algebra import AlgebraDescriptor
+from cpdilate.algebra import AlgebraDescriptor, ModuleDescriptor
 from cpdilate.cpmaps import (
     CPBlockMap,
     Instance,
     ModuleCPTuple,
+    amplified_units,
     haar_unitary,
     identity_instance,
     random_instance,
@@ -193,6 +195,27 @@ class TestRandomInstance:
         # up to h1; the construction must still embed into h2 = dim V_range.
         inst = random_instance(4, n=1, block_dims=[1], mults=[1], h1=3, h2=3)
         assert inst.is_valid(1e-9)
+
+
+class TestAmplifiedUnits:
+    """The vectorized scatter equals the former per-label loop."""
+
+    @pytest.mark.parametrize("block_dims, mults, copies", [
+        ((1,), (1,), (1,)),
+        ((8,), (2,), (2,)),
+        ((3, 1, 2), (2, 0, 1), (2, 3, 1)),
+        ((2, 3), (1, 2), (0, 2)),
+        ((2, 2, 1), (0, 1, 3), (3, 0, 0)),
+        ((1, 4), (1, 1), (0, 0)),
+    ])
+    def test_matches_the_loop(self, block_dims, mults, copies):
+        alg = AlgebraDescriptor(block_dims)
+        mod = ModuleDescriptor(alg, mults)
+        for labels, rows in ((alg.basis_labels, block_dims), (mod.basis_labels, mults)):
+            got = amplified_units(labels, rows, block_dims, copies)
+            want = amplified_units_oracle(labels, rows, block_dims, copies)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 class TestHermiticityPattern:

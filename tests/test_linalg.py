@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from test_acceptance import acceptance_instances
+from cpdilate import dilation, equivalence, linalg
+from cpdilate.cpmaps import haar_unitary
 from cpdilate.errors import NotHermitianError, NotPSDError, NotSquareError
 from cpdilate.linalg import (
     HermEig,
     frob,
     hermitian_eig,
+    numerical_rank,
     rank_truncate,
     solve_lsq,
     svd_orthobasis,
@@ -146,3 +150,43 @@ class TestSvdOrthobasis:
     def test_zero_input(self):
         q = svd_orthobasis(np.zeros((3, 4), dtype=complex))
         assert q.shape == (3, 0)
+
+
+class TestNumericalRank:
+    """The rank from singular values alone equals the column count of
+    ``svd_orthobasis`` at the same cutoff."""
+
+    def test_spans_ranked_by_verification_and_equivalence(self, monkeypatch):
+        ranked = []
+
+        def recording_rank(columns, rel_cutoff=linalg.DEFAULT_CUTOFF):
+            ranked.append((columns, rel_cutoff))
+            return numerical_rank(columns, rel_cutoff)
+
+        monkeypatch.setattr(dilation, "numerical_rank", recording_rank)
+        monkeypatch.setattr(equivalence, "numerical_rank", recording_rank)
+        rng = np.random.default_rng(47)
+        for inst in acceptance_instances(100):
+            data = dilation.dilate(inst)
+            twin = equivalence.rotate_dilation(
+                data,
+                haar_unitary(rng, data.r1),
+                haar_unitary(rng, data.r2),
+                [haar_unitary(rng, k) for k in data.k2i_dims],
+            )
+            for d in (data, twin):
+                assert dilation.verify_dilation(inst, d).passed
+            equivalence.build_unitaries(inst, data, twin)
+        assert len(ranked) == 100 * (2 * 2 + 4)
+        for columns, cutoff in ranked:
+            assert numerical_rank(columns, cutoff) == svd_orthobasis(columns, cutoff).shape[1]
+
+    @pytest.mark.parametrize("shape", [(3, 4), (0, 5), (4, 0)])
+    def test_zero_and_empty_input(self, shape):
+        assert numerical_rank(np.zeros(shape, dtype=complex)) == 0
+
+    def test_cutoff_is_relative_to_the_largest_singular_value(self):
+        m = np.diag([1e3, 1e-6, 1e-8]).astype(complex)
+        assert numerical_rank(m, 1e-10) == 2
+        assert numerical_rank(m, 1e-12) == 3
+        assert numerical_rank(m, 1e-10) == svd_orthobasis(m, 1e-10).shape[1]

@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -159,11 +160,69 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="nesting deeper than"):
             parse_instance(nested)
 
+    @pytest.mark.parametrize("literal", ['"1.5"', "true", "false", "null", "{}", "[1.5]"])
+    def test_tensor_entry_must_be_a_number(self, literal):
+        with pytest.raises(ParseError, match="tensor entries must be JSON numbers"):
+            parse_instance(tensor_entry_replaced(literal))
+
+    @pytest.mark.parametrize("edit", ["short pair", "long pair", "short row", "swapped rows"])
+    def test_ragged_tensor_is_rejected(self, edit):
+        with pytest.raises(ParseError, match="tensor nesting does not match declared shape"):
+            parse_instance(tensor_made_ragged(edit))
+
+    def test_integer_entries_read_as_floats(self):
+        back = parse_instance(tensor_entry_replaced("-3"))
+        assert bitwise_equal(np.float64(back.cp.action[0, 0, 0, 0, 0].real), np.float64(-3.0))
+
     def test_nesting_at_the_limit_parses(self):
         depth = serialize.MAX_DEPTH - 2  # inside "meta" inside the top-level object
         text = GOLDEN_INSTANCE.read_bytes().replace(
             b'"meta":{', b'"meta":{"x":' + b"[" * depth + b"]" * depth + b",")
         assert parse_instance(text).meta["x"] == load_oracle(text)["meta"]["x"]
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def gc_state(request):
+    """The cyclic collector enabled or disabled by the caller, and put back
+    as it was after the test."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+class TestReadersLeaveTheCollectorAsFound:
+    """The readers pause the cyclic collector and restore the caller's
+    state, on success and on ParseError."""
+
+    def test_success(self, gc_state):
+        parse_instance(GOLDEN_INSTANCE.read_bytes())
+        assert gc.isenabled() is gc_state
+        parse_dilation(GOLDEN_DILATION.read_bytes())
+        assert gc.isenabled() is gc_state
+
+    @pytest.mark.parametrize("text", [b"{not json", b"[]", GOLDEN_DILATION.read_bytes()])
+    def test_parse_error(self, gc_state, text):
+        with pytest.raises(ParseError):
+            parse_instance(text)
+        assert gc.isenabled() is gc_state
+        with pytest.raises(ParseError):
+            parse_dilation(text.replace(b"cpdilate/dilation", b"cpdilate/other"))
+        assert gc.isenabled() is gc_state
+
+    def test_collector_is_paused_while_reading(self, monkeypatch):
+        seen = []
+        loads = serialize.orjson.loads
+
+        def recording_loads(text):
+            seen.append(gc.isenabled())
+            return loads(text)
+
+        monkeypatch.setattr(serialize.orjson, "loads", recording_loads)
+        gc.enable()
+        parse_instance(GOLDEN_INSTANCE.read_bytes())
+        parse_dilation(GOLDEN_DILATION.read_bytes())
+        assert seen == [False, False] and gc.isenabled()
 
 
 def tensor_entry_replaced(literal: str) -> str:
@@ -172,6 +231,22 @@ def tensor_entry_replaced(literal: str) -> str:
     payload = load_oracle(GOLDEN_INSTANCE.read_bytes())
     payload["cp_action"][0][0][0][0][0][0] = "@"
     return json.dumps(payload).replace('"@"', literal)
+
+
+def tensor_made_ragged(edit: str) -> str:
+    """The golden instance with the nesting of ``cp_action`` broken, the
+    number of entries kept where the edit allows it."""
+    payload = load_oracle(GOLDEN_INSTANCE.read_bytes())
+    rows = payload["cp_action"][0][0][0]  # (h1, h1, 2) of the first phi_00(e_00)
+    if edit == "short pair":
+        rows[0][0] = rows[0][0][:1]
+    elif edit == "long pair":
+        rows[0][0] = rows[0][0] + [0.0]
+    elif edit == "short row":  # one pair moved to the next row
+        rows[1].insert(0, rows[0].pop())
+    else:  # a whole row where a pair belongs, and a pair where a row belongs
+        rows[0][0], rows[1] = rows[1], rows[0][0]
+    return json.dumps(payload)
 
 
 def json_depth(value) -> int:
@@ -226,6 +301,17 @@ FLOATS = st.one_of(
 SHAPES = st.lists(st.sampled_from([0, 1, 1, 2, 3]), min_size=0, max_size=4).map(tuple)
 
 
+@st.composite
+def repeated_rows(draw) -> np.ndarray:
+    """A float array (..., width, 2) whose rows over the last two axes
+    are drawn from a pool of one to three rows, so rows repeat."""
+    outer = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    width = draw(st.integers(1, 5))
+    pool = draw(arrays(np.float64, (draw(st.integers(1, 3)), width, 2), elements=FLOATS))
+    picks = draw(arrays(np.intp, tuple(outer), elements=st.integers(0, len(pool) - 1)))
+    return pool[picks]
+
+
 def complex_tensor(pairs: np.ndarray) -> np.ndarray:
     """Complex view of a float array whose last axis holds (re, im)."""
     return np.ascontiguousarray(pairs).view(np.complex128)[..., 0]
@@ -255,6 +341,23 @@ class TestEncoderEquivalence:
         tensor = complex_tensor(pairs)
         assert serialize._tensor_text(tensor) == tensor_text_oracle(tensor)
         assert serialize._tensor_text(tensor.real) == tensor_text_oracle(tensor.real)
+
+    @settings(max_examples=300, deadline=None)
+    @given(repeated_rows())
+    def test_property_with_repeated_rows(self, pairs):
+        tensor = complex_tensor(pairs)
+        assert serialize._tensor_text(tensor) == tensor_text_oracle(tensor)
+        back = serialize._decode_complex(json.loads(serialize._tensor_text(tensor)),
+                                         tensor.shape, "tensor")
+        assert bitwise_equal(back, tensor)
+
+    def test_long_rows_beyond_one_integer_key(self):
+        # 40 pairs a row over about 60 distinct pairs: the row key is
+        # refactorized several times before it could overflow
+        rng = np.random.default_rng(5)
+        rows = rng.integers(-30, 30, size=(4, 40)) + 1j * rng.integers(0, 2, size=(4, 40))
+        tensor = rows[[0, 1, 0, 2, 3, 3, 1, 0]].reshape(2, 4, 40) / 8
+        assert serialize._tensor_text(tensor) == tensor_text_oracle(tensor)
 
     @settings(max_examples=100, deadline=None)
     @given(SHAPES.flatmap(lambda shape: arrays(np.float64, shape + (2,), elements=FLOATS)))
