@@ -47,12 +47,18 @@ products per block for pi, O(k_b d_b) for the module action and
 O((sum_b k_b)^2) for the inner products, instead of O(dim_A^2) and
 O(dim_V^2), and stays exact: a generator residual eps bounds every
 product residual by O(eps |pi|^2).
+
+Minimality is read off the same generators.  With the block spans
+``X_b = [pi(e^b_0q) S_i e_beta]`` over (q, i, beta), the K1 family
+``pi(e^b_p0) X_b`` has Gram blocks ``delta_bc delta_pp' X_b* X_b``, so its
+singular values are the X_b's, each d_b times; the K2 family
+``Psi(f^b_r0) X_b`` has them k_b times.  Both ranks are counted on the
+X_b at one scale (``linalg.direct_sum_rank``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -61,10 +67,10 @@ from .errors import ShapeMismatchError, WellDefinednessError
 from .linalg import (
     DEFAULT_CUTOFF,
     DEFAULT_TOL,
+    direct_sum_rank,
     hermitian_eig,
     matrix_norms,
     max_rel_residual,
-    numerical_rank,
     rank_truncate,
     rel_residual,
     svd_orthobasis,
@@ -90,10 +96,8 @@ class GramFactorization:
 
     ``block_factors[b]`` is ``F_b`` of shape (rank_b, n * d_b * h1) with
     ``F_b* F_b = cp.choi_block(b)`` to cutoff accuracy and orthogonal
-    rows.  ``gram`` and ``factor`` (shape (r1, raw_dim), with
-    ``F* F = gram``; applied to raw coordinates it is the quotient map
-    onto K1) assemble the dense raw-space matrices on first access; the
-    construction itself never reads them.
+    rows.  The raw Gram matrix is a permuted direct sum of ``d_b``
+    copies of each Choi block (module docstring); it is never assembled.
     """
 
     cp: CPBlockMap = field(repr=False)
@@ -110,37 +114,6 @@ class GramFactorization:
     @property
     def r1(self) -> int:
         return sum(d * r for d, r in zip(self.cp.algebra.block_dims, self.ranks))
-
-    def _raw_indices(self, b: int) -> np.ndarray:
-        """Raw-space indices of block b, one row per p, each row listing
-        ``(i, e^b_pq, beta)`` in the Choi order (i, q, beta)."""
-        alg, h1 = self.cp.algebra, self.cp.h1
-        d = alg.block_dims[b]
-        off = sum(dd * dd for dd in alg.block_dims[:b])
-        i, p, q, beta = np.ix_(range(self.cp.n), range(d), range(d), range(h1))
-        raw = (i * alg.dim + off + p * d + q) * h1 + beta
-        return raw.transpose(1, 0, 2, 3).reshape(d, -1)
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """Dense raw-space Gram matrix, assembled from the Choi blocks."""
-        gram = np.zeros((self.raw_dim, self.raw_dim), dtype=complex)
-        for b in range(self.cp.algebra.nblocks):
-            choi = self.cp.choi_block(b)
-            for idx in self._raw_indices(b):
-                gram[np.ix_(idx, idx)] = choi
-        return gram
-
-    @cached_property
-    def factor(self) -> np.ndarray:
-        """Dense raw-space factor, rows in K1 order (block, p, k)."""
-        factor = np.zeros((self.r1, self.raw_dim), dtype=complex)
-        row = 0
-        for b, f in enumerate(self.block_factors):
-            for idx in self._raw_indices(b):
-                factor[row : row + len(f), idx] = f
-                row += len(f)
-        return factor
 
 
 @dataclass(eq=False)
@@ -356,6 +329,36 @@ def check_shapes(inst: Instance, data: DilationData) -> None:
         raise ShapeMismatchError("coisometry shapes do not match instance")
 
 
+def span_families(
+    inst: Instance, data: DilationData
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The slot maps stacked as ``S[y, (j, k)] = S_j[y, k]`` (r1, n h1), the
+    K1 and K2 families ``pi(e_alpha) S`` (dim_A, r1, n h1) and ``Psi(f_gamma) S``
+    (dim_V, r2, n h1), and per algebra block b the block span
+    ``X_b = [pi(e^b_0q) S_i e_beta]`` over (q, i, beta), (r1, d_b n h1)."""
+    n, r1, h1 = data.s_ops.shape
+    dim_a, dim_v, r2 = len(data.pi_action), len(data.psi_action), data.r2
+    s_cols = data.s_ops.transpose(1, 0, 2).reshape(r1, n * h1)
+    pi_s = (data.pi_action.reshape(dim_a * r1, r1) @ s_cols).reshape(dim_a, r1, n * h1)
+    psi_s = (data.psi_action.reshape(dim_v * r2, r1) @ s_cols).reshape(dim_v, r2, n * h1)
+    spans, off = [], 0
+    for d in inst.algebra.block_dims:
+        spans.append(pi_s[off : off + d].transpose(1, 0, 2).reshape(r1, d * n * h1))
+        off += d * d
+    return s_cols, pi_s, psi_s, spans
+
+
+def minimality_defects(
+    inst: Instance, data: DilationData, spans: list[np.ndarray], rank_cutoff: float
+) -> tuple[float, float]:
+    """``r1`` and ``r2`` minus the ranks of the K1 and K2 families, ``d_b``
+    and ``k_b`` copies of each block span ``X_b`` (module docstring)."""
+    spectra = [np.linalg.svd(x, compute_uv=False) for x in spans]
+    k1_rank = direct_sum_rank(spectra, inst.algebra.block_dims, rank_cutoff)
+    k2_rank = direct_sum_rank(spectra, inst.module.mults, rank_cutoff)
+    return float(data.r1 - k1_rank), float(data.r2 - k2_rank)
+
+
 def verify_dilation(
     inst: Instance,
     data: DilationData,
@@ -384,11 +387,8 @@ def verify_dilation(
     n, h1, r1, r2 = inst.n, inst.h1, data.r1, data.r2
     pi, s, psi = data.pi_action, data.s_ops, data.psi_action
 
-    # The reconstruction and minimality checks share pi(e) S and Psi(f) S,
-    # with the slot maps stacked as S[y, (j, k)] = S_j[y, k].
-    s_cols = s.transpose(1, 0, 2).reshape(r1, n * h1)
-    pi_s = (pi.reshape(dim_a * r1, r1) @ s_cols).reshape(dim_a, r1, n * h1)
-    psi_s = (psi.reshape(dim_v * r2, r1) @ s_cols).reshape(dim_v, r2, n * h1)
+    # The reconstruction and minimality checks share pi(e) S and Psi(f) S.
+    s_cols, pi_s, psi_s, spans = span_families(inst, data)
 
     # phi_ij(e) = S_i* pi(e) S_j
     recon = (s_cols.conj().T @ pi_s).reshape(dim_a, n, h1, n, h1)
@@ -446,10 +446,7 @@ def verify_dilation(
         w_coiso = max(w_coiso, rel_residual(w @ w.conj().T, np.eye(k, dtype=complex)))
 
     # Minimality: the span families must exhaust K1 and K2
-    m1 = pi_s.transpose(1, 0, 2).reshape(r1, dim_a * n * h1)
-    k1_defect = float(r1 - numerical_rank(m1, rank_cutoff))
-    m2 = psi_s.transpose(1, 0, 2).reshape(r2, dim_v * n * h1)
-    k2_defect = float(r2 - numerical_rank(m2, rank_cutoff))
+    k1_defect, k2_defect = minimality_defects(inst, data, spans, rank_cutoff)
 
     unital_defects = tuple(float(v) for v in cp.diag_unital_defects())
     s_in_pass = all(v <= tol for v in unital_defects)

@@ -5,13 +5,16 @@ are related by unitaries U1 : K1 -> K1' and U2 : K2 -> K2' that
 intertwine the whole diagram: U1 S_i = S_i', U1 pi(a) = pi'(a) U1,
 U2 W_i = W_i', U2 Psi(x) = Psi'(x) U1.
 
-Numerically, U1 is the least-squares solution matching the K1 spanning
-family ``pi(e_alpha) S_i e_beta`` of one representation to the other's,
-index by index, and U2 likewise on ``Psi(f_gamma) S_i e_beta``.  On
-minimal inputs the solve is consistent (tiny residual) and the solution
-unitary; a large residual certifies that the two data do not dilate the
-same instance.  W-intertwining is checked in H2 coordinates through the
-recorded K2 embeddings, since each W_i maps H2 onto a subspace of K2.
+Both come from the matrix units.  The block span ``X_b`` of
+``dilation.span_families`` spans ``pi(e^b_00) K1``, and intertwining gives
+``U1 pi(e^b_pp) = pi'(e^b_p0) [U1 pi(e^b_00)] pi(e^b_0p)``, so one small
+least-squares solve ``V_b X_b = X_b'`` per block fixes
+``U1 = sum_{b,p} pi'(e^b_p0) V_b pi(e^b_0p)``.  On minimal data the
+``Psi(f^b_r0)`` are partial isometries with orthogonal ranges summing to
+K2, so ``U2 = sum_{b,r} Psi'(f^b_r0) U1 Psi(f^b_r0)*`` with no solve.  A
+large residual of U1 or U2 on the full spanning families certifies that
+the two data do not dilate the same instance.  W-intertwining is checked
+in H2 coordinates through the recorded K2 embeddings.
 """
 
 from __future__ import annotations
@@ -21,16 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cpmaps import Instance
-from .dilation import DilationData, check_shapes
+from .dilation import DilationData, check_shapes, minimality_defects, span_families
 from .errors import InconsistentSpansError, NotMinimalError
-from .linalg import (
-    DEFAULT_CUTOFF,
-    DEFAULT_TOL,
-    max_rel_residual,
-    numerical_rank,
-    rel_residual,
-    solve_lsq,
-)
+from .linalg import DEFAULT_CUTOFF, DEFAULT_TOL, max_rel_residual, rel_residual, solve_lsq
 
 __all__ = ["EquivalenceWitness", "rotate_dilation", "build_unitaries", "verify_diagram"]
 
@@ -88,34 +84,19 @@ def rotate_dilation(
     q2 = np.asarray(q2, dtype=complex)
     if q1.shape != (data.r1, data.r1) or q2.shape != (data.r2, data.r2):
         raise ValueError("rotation shapes must match (r1, r1) and (r2, r2)")
-    if w_rotations is None:
-        w_ops = data.w_ops
-    else:
-        w_ops = tuple(r @ w for r, w in zip(w_rotations, data.w_ops))
+    w_ops = data.w_ops if w_rotations is None else tuple(map(np.matmul, w_rotations, data.w_ops))
     return DilationData(
         r1=data.r1,
         r2=data.r2,
-        pi_action=np.einsum("xy,ayz,wz->axw", q1, data.pi_action, q1.conj()),
-        s_ops=np.einsum("xy,iyh->ixh", q1, data.s_ops),
-        psi_action=np.einsum("xy,gyz,wz->gxw", q2, data.psi_action, q1.conj()),
+        pi_action=q1 @ data.pi_action @ q1.conj().T,
+        s_ops=q1 @ data.s_ops,
+        psi_action=q2 @ data.psi_action @ q1.conj().T,
         k2_embed=data.k2_embed @ q2.conj().T,
         w_ops=w_ops,
         k2i_dims=data.k2i_dims,
         pi_welldef=data.pi_welldef,
         psi_welldef=data.psi_welldef,
     )
-
-
-def _k1_span(data: DilationData) -> np.ndarray:
-    """Columns pi(e_alpha) S_i e_beta, ordered (alpha, i, beta)."""
-    cols = np.einsum("axy,iyh->xaih", data.pi_action, data.s_ops)
-    return cols.reshape(data.r1, -1)
-
-
-def _k2_span(data: DilationData) -> np.ndarray:
-    """Columns Psi(f_gamma) S_i e_beta, ordered (gamma, i, beta)."""
-    cols = np.einsum("grx,ixh->rgih", data.psi_action, data.s_ops)
-    return cols.reshape(data.r2, -1)
 
 
 def _diagram_residuals(
@@ -160,35 +141,42 @@ def build_unitaries(
 ) -> EquivalenceWitness:
     """Recover the unitaries relating two minimal dilations.
 
-    Solves one least-squares system per unitary over the full matched
-    spanning family and certifies consistency by the solve residual.
-    Raises NotMinimalError when either input fails the span conditions
-    and InconsistentSpansError when the solve residual exceeds ``tol``
-    (the two data are not dilations of the same instance).
+    One solve ``V_b X_b = X_b'`` per algebra block, then U1 and U2 in
+    closed form (module docstring).  The solve residuals are
+    ``|U X - X'|_F / max(|X'|_F, 1)`` over the full families
+    ``X = [pi(e_alpha) S_i e_beta]`` for U1 and ``[Psi(f_gamma) S_i e_beta]``
+    for U2.  Raises NotMinimalError when either input fails the span
+    conditions and InconsistentSpansError when a solve residual exceeds
+    ``tol`` (the two data do not dilate the same instance).
     """
     check_shapes(inst, data_a)
     check_shapes(inst, data_b)
 
-    x_a, x_b = _k1_span(data_a), _k1_span(data_b)
-    y_a, y_b = _k2_span(data_a), _k2_span(data_b)
-    for label, span, r in (
-        ("first", x_a, data_a.r1),
-        ("second", x_b, data_b.r1),
-        ("first", y_a, data_a.r2),
-        ("second", y_b, data_b.r2),
-    ):
-        if numerical_rank(span, rank_cutoff) < r:
+    _, pi_s_a, psi_s_a, spans_a = span_families(inst, data_a)
+    _, pi_s_b, psi_s_b, spans_b = span_families(inst, data_b)
+    for label, data, spans in (("first", data_a, spans_a), ("second", data_b, spans_b)):
+        if any(minimality_defects(inst, data, spans, rank_cutoff)):
             raise NotMinimalError(f"{label} dilation is not minimal (span rank defect)")
 
-    sol1, res1 = solve_lsq(x_a.T, x_b.T)
-    u1 = sol1.T
+    # U1 = sum_{b,p} pi'(e^b_p0) V_b pi(e^b_0p)
+    u1, off = np.zeros((data_b.r1, data_a.r1), dtype=complex), 0
+    for d, x_a, x_b in zip(inst.algebra.block_dims, spans_a, spans_b):
+        v_t, _ = solve_lsq(x_a.T, x_b.T)
+        cols_b = data_b.pi_action[off : off + d * d : d]  # pi'(e^b_p0)
+        moved = v_t.T @ data_a.pi_action[off : off + d]   # V_b pi(e^b_0p)
+        u1 += np.hstack(cols_b) @ np.vstack(moved)
+        off += d * d
+    res1 = rel_residual(u1 @ pi_s_a, pi_s_b)
     if res1 > tol:
         raise InconsistentSpansError(
             f"K1 spanning families do not match (residual {res1:.3e} > {tol:.1e}); "
             "the two data do not dilate the same instance"
         )
-    sol2, res2 = solve_lsq(y_a.T, y_b.T)
-    u2 = sol2.T
+
+    # U2 = sum_{b,r} Psi'(f^b_r0) U1 Psi(f^b_r0)*
+    gens = [g for g, (_, _, q) in enumerate(inst.module.basis_labels) if q == 0]
+    u2 = np.hstack(data_b.psi_action[gens] @ u1) @ np.hstack(data_a.psi_action[gens]).conj().T
+    res2 = rel_residual(u2 @ psi_s_a, psi_s_b)
     if res2 > tol:
         raise InconsistentSpansError(
             f"K2 spanning families do not match (residual {res2:.3e} > {tol:.1e})"

@@ -1,10 +1,10 @@
 """Dense complex linear-algebra kernel.
 
 Everything downstream (Gram factorization, quotient maps, span bases,
-unitary recovery) is built from the four operations here.  All matrices
-are ``numpy.ndarray`` with dtype complex128; all comparisons are relative
-Frobenius residuals with denominator ``max(norm, 1)`` so zero inputs never
-divide by zero.
+span ranks, unitary recovery) is built from the operations here.  All
+matrices are ``numpy.ndarray`` with dtype complex128; all comparisons
+are relative Frobenius residuals with denominator ``max(norm, 1)`` so
+zero inputs never divide by zero.
 
 Determinism: LAPACK eigendecompositions are deterministic on a fixed
 platform, but eigenvector phase and ordering inside degenerate clusters
@@ -34,9 +34,9 @@ __all__ = [
     "max_rel_residual",
     "hermitian_eig",
     "rank_truncate",
+    "direct_sum_rank",
     "solve_lsq",
     "svd_orthobasis",
-    "numerical_rank",
 ]
 
 
@@ -136,6 +136,21 @@ def rank_truncate(
     return rank, factor
 
 
+def direct_sum_rank(spectra, copies, rel_cutoff: float = DEFAULT_CUTOFF) -> int:
+    """Rank of the direct sum holding ``copies[b]`` copies of a block
+    whose descending singular values are ``spectra[b]``.
+
+    The sum's singular values are the blocks', each repeated ``copies[b]``
+    times, so every block is cut at ``rel_cutoff`` times the largest
+    singular value over the blocks with copies (as ``rank_truncate``'s
+    ``scale`` does for eigenvalues): the decision an SVD of the whole
+    sum makes.  Blocks without copies enter neither count nor scale.
+    """
+    kept = [(c, s) for s, c in zip(spectra, copies) if c and s.size]
+    scale = max((float(s[0]) for _, s in kept), default=0.0)
+    return sum(c * int(np.count_nonzero(s > rel_cutoff * scale)) for c, s in kept)
+
+
 def solve_lsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimum-norm least-squares solution of ``a @ x = b``.
 
@@ -162,31 +177,10 @@ def svd_orthobasis(columns: np.ndarray, rel_cutoff: float = DEFAULT_CUTOFF) -> n
     column space; singular directions at or below ``rel_cutoff * s_max``
     are dropped.  Zero or empty input yields a zero-column result.
     """
-    columns = _matrix(columns)
-    if columns.size == 0:
-        return np.zeros((columns.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    return u[:, : _kept(s, rel_cutoff)]
-
-
-def numerical_rank(columns: np.ndarray, rel_cutoff: float = DEFAULT_CUTOFF) -> int:
-    """Rank of a matrix at the given relative singular-value cutoff, the
-    column count ``svd_orthobasis`` would return, from the singular values
-    alone."""
-    columns = _matrix(columns)
-    if columns.size == 0:
-        return 0
-    return _kept(np.linalg.svd(columns, compute_uv=False), rel_cutoff)
-
-
-def _matrix(columns: np.ndarray) -> np.ndarray:
     columns = np.asarray(columns, dtype=complex)
     if columns.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {columns.shape}")
-    return columns
-
-
-def _kept(s: np.ndarray, rel_cutoff: float) -> int:
-    """Number of the descending singular values ``s`` above
-    ``rel_cutoff * s[0]``; 0 when all are zero."""
-    return int(np.count_nonzero(s > rel_cutoff * s[0]))
+    if columns.size == 0:
+        return np.zeros((columns.shape[0], 0), dtype=complex)
+    u, s, _ = np.linalg.svd(columns, full_matrices=False)
+    return u[:, : int(np.count_nonzero(s > rel_cutoff * s[0]))]

@@ -5,8 +5,11 @@ library's index tables: every matrix unit is an explicit block-diagonal
 numpy matrix, products are ``@``, adjoints are conjugate transposes, and
 coefficients are read back from the blocks.  The remaining oracles are
 the full basis-pair sweeps and per-index loops that the library replaced
-with generator checks and stacked products, the ``json.dumps`` encoder
-that the version-1 writers replaced with an array encoder, and the
+with generator checks and stacked products, the dense raw-space Gram
+matrix and factor that the blockwise construction never forms, the
+full-span rank checks and least-squares solves that the block spans
+replaced in minimality and equivalence, the ``json.dumps`` encoder that
+the version-1 writers replaced with an array encoder, and the
 ``json.loads`` reader that orjson replaced.  All of them serve as
 independent references.
 """
@@ -18,7 +21,9 @@ import json
 import numpy as np
 
 from cpdilate.cpmaps import CPBlockMap
-from cpdilate.linalg import max_rel_residual, rel_residual
+from cpdilate.dilation import DilationData, GramFactorization, check_shapes
+from cpdilate.errors import InconsistentSpansError, NotMinimalError
+from cpdilate.linalg import DEFAULT_CUTOFF, DEFAULT_TOL, max_rel_residual, rel_residual, solve_lsq
 
 
 def _dense_units(labels, row_dims, col_dims) -> np.ndarray:
@@ -79,6 +84,119 @@ def brute_force_gram(cp: CPBlockMap) -> np.ndarray:
                     gram[i, alpha, :, j, alpha2, :] = apply_phi_oracle(cp, i, j, coeffs)
     side = n * dim_a * h1
     return gram.reshape(side, side)
+
+
+def _raw_indices(cp: CPBlockMap, b: int) -> np.ndarray:
+    """Raw-space indices of block b, one row per p, each row listing
+    ``(i, e^b_pq, beta)`` in the Choi order (i, q, beta)."""
+    alg, h1 = cp.algebra, cp.h1
+    d = alg.block_dims[b]
+    off = sum(dd * dd for dd in alg.block_dims[:b])
+    i, p, q, beta = np.ix_(range(cp.n), range(d), range(d), range(h1))
+    raw = (i * alg.dim + off + p * d + q) * h1 + beta
+    return raw.transpose(1, 0, 2, 3).reshape(d, -1)
+
+
+def raw_gram(cp: CPBlockMap) -> np.ndarray:
+    """Dense raw-space Gram matrix, assembled from the Choi blocks: the
+    permuted direct sum of d_b copies of each ``cp.choi_block(b)``."""
+    side = cp.n * cp.algebra.dim * cp.h1
+    gram = np.zeros((side, side), dtype=complex)
+    for b in range(cp.algebra.nblocks):
+        choi = cp.choi_block(b)
+        for idx in _raw_indices(cp, b):
+            gram[np.ix_(idx, idx)] = choi
+    return gram
+
+
+def raw_factor(g: GramFactorization) -> np.ndarray:
+    """Dense raw-space factor of shape (r1, raw_dim), rows in K1 order
+    (block, p, k), with ``F* F = raw_gram(g.cp)`` to cutoff accuracy;
+    applied to raw coordinates it is the quotient map onto K1."""
+    factor = np.zeros((g.r1, g.raw_dim), dtype=complex)
+    row = 0
+    for b, f in enumerate(g.block_factors):
+        for idx in _raw_indices(g.cp, b):
+            factor[row : row + len(f), idx] = f
+            row += len(f)
+    return factor
+
+
+def rotate_dilation_oracle(data, q1, q2, w_rotations=None) -> DilationData:
+    """``equivalence.rotate_dilation`` as the index contractions it
+    replaced with matrix products."""
+    w_ops = data.w_ops if w_rotations is None else tuple(
+        r @ w for r, w in zip(w_rotations, data.w_ops)
+    )
+    return DilationData(
+        r1=data.r1,
+        r2=data.r2,
+        pi_action=np.einsum("xy,ayz,wz->axw", q1, data.pi_action, q1.conj()),
+        s_ops=np.einsum("xy,iyh->ixh", q1, data.s_ops),
+        psi_action=np.einsum("xy,gyz,wz->gxw", q2, data.psi_action, q1.conj()),
+        k2_embed=data.k2_embed @ q2.conj().T,
+        w_ops=w_ops,
+        k2i_dims=data.k2i_dims,
+        pi_welldef=data.pi_welldef,
+        psi_welldef=data.psi_welldef,
+    )
+
+
+def numerical_rank(columns, rel_cutoff: float = DEFAULT_CUTOFF) -> int:
+    """Rank of one matrix at ``rel_cutoff`` times its largest singular
+    value, the rank the full-span checks took."""
+    s = np.linalg.svd(np.asarray(columns, dtype=complex), compute_uv=False)
+    return int(np.count_nonzero(s > rel_cutoff * s[0])) if s.size else 0
+
+
+def k1_span_oracle(data) -> np.ndarray:
+    """The full K1 family: columns pi(e_alpha) S_i e_beta, ordered
+    (alpha, i, beta)."""
+    cols = np.einsum("axy,iyh->xaih", data.pi_action, data.s_ops)
+    return cols.reshape(data.r1, -1)
+
+
+def k2_span_oracle(data) -> np.ndarray:
+    """The full K2 family: columns Psi(f_gamma) S_i e_beta, ordered
+    (gamma, i, beta)."""
+    cols = np.einsum("grx,ixh->rgih", data.psi_action, data.s_ops)
+    return cols.reshape(data.r2, -1)
+
+
+def full_span_defects(data, rank_cutoff: float = DEFAULT_CUTOFF) -> tuple[float, float]:
+    """Minimality defects from one SVD of each full spanning family."""
+    return (
+        float(data.r1 - numerical_rank(k1_span_oracle(data), rank_cutoff)),
+        float(data.r2 - numerical_rank(k2_span_oracle(data), rank_cutoff)),
+    )
+
+
+def build_unitaries_oracle(
+    inst, data_a, data_b, tol: float = DEFAULT_TOL, rank_cutoff: float = DEFAULT_CUTOFF
+):
+    """The former ``build_unitaries``: rank checks and one least-squares
+    solve per unitary over the full spanning families.  Returns
+    ``(u1, u2, u1_solve_residual, u2_solve_residual)`` and raises as the
+    library does."""
+    check_shapes(inst, data_a)
+    check_shapes(inst, data_b)
+    x_a, x_b = k1_span_oracle(data_a), k1_span_oracle(data_b)
+    y_a, y_b = k2_span_oracle(data_a), k2_span_oracle(data_b)
+    for label, span, r in (
+        ("first", x_a, data_a.r1),
+        ("second", x_b, data_b.r1),
+        ("first", y_a, data_a.r2),
+        ("second", y_b, data_b.r2),
+    ):
+        if numerical_rank(span, rank_cutoff) < r:
+            raise NotMinimalError(f"{label} dilation is not minimal (span rank defect)")
+    sol1, res1 = solve_lsq(x_a.T, x_b.T)
+    if res1 > tol:
+        raise InconsistentSpansError(f"K1 spanning families do not match ({res1:.3e})")
+    sol2, res2 = solve_lsq(y_a.T, y_b.T)
+    if res2 > tol:
+        raise InconsistentSpansError(f"K2 spanning families do not match ({res2:.3e})")
+    return sol1.T, sol2.T, res1, res2
 
 
 def apply_phi_oracle(cp: CPBlockMap, i: int, j: int, coeffs: np.ndarray) -> np.ndarray:

@@ -7,6 +7,8 @@ from conftest import (
     pi_multiplicativity_oracle,
     psi_module_action_oracle,
     psi_representation_oracle,
+    raw_factor,
+    raw_gram,
     scalar_family,
     transpose_map,
 )
@@ -43,11 +45,11 @@ class TestBuildGram:
     def test_scalar_identity(self):
         g = build_gram(scalar_family(1, [[1.0]]))
         assert g.raw_dim == 1 and g.r1 == 1
-        assert np.allclose(g.gram, [[1.0]])
+        assert np.allclose(raw_gram(g.cp), [[1.0]])
 
     def test_all_ones_family_rank_one(self):
         g = build_gram(scalar_family(2, [[1.0, 1.0], [1.0, 1.0]]))
-        assert np.allclose(g.gram, np.ones((2, 2)))
+        assert np.allclose(raw_gram(g.cp), np.ones((2, 2)))
         assert g.r1 == 1
 
     def test_identity_on_m2_rank_two(self):
@@ -71,18 +73,19 @@ class TestBuildGram:
             g = build_gram(cp)
             assert g.raw_dim <= 64
             oracle = brute_force_gram(cp)
-            assert frob(g.gram - oracle) <= 1e-12 * max(frob(oracle), 1.0)
+            assert frob(raw_gram(cp) - oracle) <= 1e-12 * max(frob(oracle), 1.0)
 
     def test_gram_hermitian_for_generated_instances(self):
         inst = random_instance(11, n=2, block_dims=[2], mults=[1], h1=2, h2=3)
-        g = build_gram(inst.cp)
-        assert frob(g.gram - g.gram.conj().T) <= 1e-12 * max(frob(g.gram), 1.0)
+        gram = raw_gram(inst.cp)
+        assert frob(gram - gram.conj().T) <= 1e-12 * max(frob(gram), 1.0)
 
     def test_factor_reconstructs_gram(self):
         inst = random_instance(13, n=2, block_dims=[2], mults=[1], h1=3, h2=3)
         g = build_gram(inst.cp)
-        lam_max = float(np.linalg.eigvalsh(g.gram).max())
-        assert frob(g.factor.conj().T @ g.factor - g.gram) <= 10 * 1e-10 * lam_max
+        gram, factor = raw_gram(inst.cp), raw_factor(g)
+        lam_max = float(np.linalg.eigvalsh(gram).max())
+        assert frob(factor.conj().T @ factor - gram) <= 10 * 1e-10 * lam_max
 
     def test_not_psd_on_transpose(self):
         # The transpose family satisfies the Hermiticity pattern, so the
@@ -170,7 +173,7 @@ class TestBuildPsi:
             fa = inst.module.action_table[0, alpha]
             if fa >= 0:
                 targets[:, col] = inst.tup.action[i, fa][:, beta]
-        oracle = targets @ np.linalg.pinv(g.factor)
+        oracle = targets @ np.linalg.pinv(raw_factor(g))
         assert frob(k2e @ psi[0] - oracle) <= 1e-10
 
     def test_zero_tuple_collapses(self):
@@ -390,16 +393,17 @@ def block_scaled(inst, scales):
     return Instance(cp, tup)
 
 
-class TestBlockwiseConstruction:
-    def scaled_two_block(self):
-        # Block 1 sits 1e6 below block 0 in Choi scale, and its smallest
-        # nonzero eigenvalue is below the cutoff on the whole-Gram scale
-        # but above it on the block's own scale; mults [1, 0] keep that
-        # direction out of the K2 solve.
-        base = random_instance(0, n=2, block_dims=[2, 2], mults=[1, 0], h1=1, h2=4,
-                               k1_extra=2, slot_scales=[1.0, 1e-3])
-        return block_scaled(base, [1.0, 1e-3])
+def scaled_two_block():
+    # Block 1 sits 1e6 below block 0 in Choi scale, and its smallest
+    # nonzero eigenvalue is below the cutoff on the whole-Gram scale
+    # but above it on the block's own scale; mults [1, 0] keep that
+    # direction out of the K2 solve.
+    base = random_instance(0, n=2, block_dims=[2, 2], mults=[1, 0], h1=1, h2=4,
+                           k1_extra=2, slot_scales=[1.0, 1e-3])
+    return block_scaled(base, [1.0, 1e-3])
 
+
+class TestBlockwiseConstruction:
     def test_eigendecompositions_are_per_block(self, monkeypatch):
         seen = []
         original = dilation.hermitian_eig
@@ -409,7 +413,7 @@ class TestBlockwiseConstruction:
             return original(m, *args, **kwargs)
 
         monkeypatch.setattr(dilation, "hermitian_eig", recording)
-        for inst in acceptance_instances(100) + [self.scaled_two_block()]:
+        for inst in acceptance_instances(100) + [scaled_two_block()]:
             seen.clear()
             data = dilate(inst)
             largest = max(inst.n * d * inst.h1 for d in inst.algebra.block_dims)
@@ -420,7 +424,7 @@ class TestBlockwiseConstruction:
             assert data.r2 == sum(k * r for k, r in zip(inst.module.mults, ranks))
 
     def test_rank_cutoff_is_on_the_whole_gram_scale(self):
-        inst = self.scaled_two_block()
+        inst = scaled_two_block()
         tops = [np.linalg.eigvalsh(inst.cp.choi_block(b))[-1] for b in range(2)]
         assert tops[0] >= 1e6 * tops[1]
         assert inst.is_valid()
@@ -439,17 +443,18 @@ class TestBlockwiseConstruction:
         psi, k2e, psi_res = build_psi(g, inst.cp, inst.tup)
         assert psi_res <= 1e-12
         n, dim_a, h1 = inst.n, inst.algebra.dim, inst.h1
-        f = g.factor.reshape(g.r1, n, dim_a, h1)
+        factor = raw_factor(g)
+        f = factor.reshape(g.r1, n, dim_a, h1)
         for gamma, row in enumerate(inst.algebra.product_table):
             moved = np.zeros_like(f)
             moved[:, :, row >= 0] = f[:, :, row[row >= 0]]
             want = moved.reshape(g.r1, g.raw_dim)
-            assert frob(pi[gamma] @ g.factor - want) <= 1e-12 * max(frob(want), 1.0)
+            assert frob(pi[gamma] @ factor - want) <= 1e-12 * max(frob(want), 1.0)
         for gamma, row in enumerate(inst.module.action_table):
             want = np.zeros((inst.h2, n, dim_a, h1), dtype=complex)
             want[:, :, row >= 0] = inst.tup.action[:, row[row >= 0]].transpose(2, 0, 1, 3)
             want = want.reshape(inst.h2, g.raw_dim)
-            assert frob(k2e @ psi[gamma] @ g.factor - want) <= 1e-10 * max(frob(want), 1.0)
+            assert frob(k2e @ psi[gamma] @ factor - want) <= 1e-10 * max(frob(want), 1.0)
 
 
 GRADED = dict(n=2, block_dims=[2], mults=[1], h1=1, h2=4, k1_extra=2)

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from conftest import full_span_defects, k1_span_oracle, k2_span_oracle, numerical_rank
 from test_acceptance import acceptance_instances
-from cpdilate import dilation, equivalence, linalg
+from test_equivalence import doubled
+from cpdilate import dilation, equivalence
 from cpdilate.cpmaps import haar_unitary
-from cpdilate.errors import NotHermitianError, NotPSDError, NotSquareError
+from cpdilate.errors import NotHermitianError, NotMinimalError, NotPSDError, NotSquareError
 from cpdilate.linalg import (
     HermEig,
+    direct_sum_rank,
     frob,
     hermitian_eig,
-    numerical_rank,
     rank_truncate,
     solve_lsq,
     svd_orthobasis,
@@ -153,18 +155,13 @@ class TestSvdOrthobasis:
 
 
 class TestNumericalRank:
-    """The rank from singular values alone equals the column count of
-    ``svd_orthobasis`` at the same cutoff."""
+    """The full-span rank of the former minimality checks (the oracle
+    ``numerical_rank`` in tests/conftest.py) equals the column count of
+    ``svd_orthobasis`` at the same cutoff, and the minimality ranks that
+    verification and equivalence now count on the block spans equal it
+    on the full spanning families."""
 
-    def test_spans_ranked_by_verification_and_equivalence(self, monkeypatch):
-        ranked = []
-
-        def recording_rank(columns, rel_cutoff=linalg.DEFAULT_CUTOFF):
-            ranked.append((columns, rel_cutoff))
-            return numerical_rank(columns, rel_cutoff)
-
-        monkeypatch.setattr(dilation, "numerical_rank", recording_rank)
-        monkeypatch.setattr(equivalence, "numerical_rank", recording_rank)
+    def test_spans_ranked_by_verification_and_equivalence(self):
         rng = np.random.default_rng(47)
         for inst in acceptance_instances(100):
             data = dilation.dilate(inst)
@@ -174,12 +171,17 @@ class TestNumericalRank:
                 haar_unitary(rng, data.r2),
                 [haar_unitary(rng, k) for k in data.k2i_dims],
             )
-            for d in (data, twin):
-                assert dilation.verify_dilation(inst, d).passed
+            for d in (data, twin, doubled(data)):
+                report = dilation.verify_dilation(inst, d)
+                got = (report.minimality_k1_defect, report.minimality_k2_defect)
+                assert got == full_span_defects(d)
+                for columns in (k1_span_oracle(d), k2_span_oracle(d)):
+                    assert numerical_rank(columns) == svd_orthobasis(columns).shape[1]
+            assert full_span_defects(doubled(data)) == (float(data.r1), 0.0)
             equivalence.build_unitaries(inst, data, twin)
-        assert len(ranked) == 100 * (2 * 2 + 4)
-        for columns, cutoff in ranked:
-            assert numerical_rank(columns, cutoff) == svd_orthobasis(columns, cutoff).shape[1]
+            if data.r1:
+                with pytest.raises(NotMinimalError):
+                    equivalence.build_unitaries(inst, doubled(data), twin)
 
     @pytest.mark.parametrize("shape", [(3, 4), (0, 5), (4, 0)])
     def test_zero_and_empty_input(self, shape):
@@ -190,3 +192,60 @@ class TestNumericalRank:
         assert numerical_rank(m, 1e-10) == 2
         assert numerical_rank(m, 1e-12) == 3
         assert numerical_rank(m, 1e-10) == svd_orthobasis(m, 1e-10).shape[1]
+
+
+class TestDirectSumRank:
+    """One cutoff for every block: ``rel_cutoff`` times the largest
+    singular value over the blocks that enter, as on the whole sum."""
+
+    @staticmethod
+    def whole_sum(blocks, copies):
+        rows = sum(c * m.shape[0] for m, c in zip(blocks, copies))
+        cols = sum(c * m.shape[1] for m, c in zip(blocks, copies))
+        out = np.zeros((rows, cols), dtype=complex)
+        r = q = 0
+        for m, c in zip(blocks, copies):
+            for _ in range(c):
+                out[r : r + m.shape[0], q : q + m.shape[1]] = m
+                r, q = r + m.shape[0], q + m.shape[1]
+        return out
+
+    @staticmethod
+    def rank(blocks, copies, rel_cutoff=1e-10):
+        spectra = [np.linalg.svd(m, compute_uv=False) for m in blocks]
+        return direct_sum_rank(spectra, copies, rel_cutoff)
+
+    def test_equals_the_rank_of_the_whole_sum(self):
+        rng = np.random.default_rng(53)
+        for _ in range(30):
+            blocks = []
+            for _ in range(int(rng.integers(1, 4))):
+                rows, cols = (int(v) for v in rng.integers(0, 6, size=2))
+                grade = np.diag(10.0 ** -rng.uniform(0, 14, size=min(rows, cols)))
+                m = np.zeros((rows, cols), dtype=complex)
+                if min(rows, cols):
+                    q_l = np.linalg.qr(random_complex(rng, rows, min(rows, cols)))[0]
+                    q_r = np.linalg.qr(random_complex(rng, cols, min(rows, cols)))[0]
+                    m = 10.0 ** rng.uniform(-6, 6) * q_l @ grade @ q_r.conj().T
+                blocks.append(m)
+            copies = [int(c) for c in rng.integers(0, 4, size=len(blocks))]
+            assert self.rank(blocks, copies) == numerical_rank(self.whole_sum(blocks, copies))
+
+    def test_scale_is_shared_across_blocks(self):
+        # 1e-11 is above 1e-10 of its own block's top value 1e-6 but
+        # below 1e-10 of the sum's top value 1: a per-block cutoff would
+        # count 3.
+        blocks = [np.diag([1.0]).astype(complex), np.diag([1e-6, 1e-11]).astype(complex)]
+        assert self.rank(blocks, [1, 1]) == 2
+        assert self.rank(blocks, [1, 1]) == numerical_rank(self.whole_sum(blocks, [1, 1]))
+        assert sum(self.rank([m], [1]) for m in blocks) == 3
+        assert self.rank(blocks, [2, 3]) == 2 + 3
+
+    def test_blocks_without_copies_set_no_scale(self):
+        blocks = [np.diag([1e6]).astype(complex), np.diag([1.0, 1e-5]).astype(complex)]
+        assert self.rank(blocks, [0, 2]) == 4
+        assert self.rank(blocks, [1, 2]) == 1 + 2
+
+    def test_empty_and_zero_blocks(self):
+        assert direct_sum_rank([], []) == 0
+        assert self.rank([np.zeros((0, 3)), np.zeros((2, 2))], [2, 1]) == 0
