@@ -352,7 +352,10 @@ def minimality_defects(
     inst: Instance, data: DilationData, spans: list[np.ndarray], rank_cutoff: float
 ) -> tuple[float, float]:
     """``r1`` and ``r2`` minus the ranks of the K1 and K2 families, ``d_b``
-    and ``k_b`` copies of each block span ``X_b`` (module docstring)."""
+    and ``k_b`` copies of each block span ``X_b`` (module docstring).
+
+    This equals the full-family defect only when pi and Psi are
+    *-representations; on other data it can differ, and be negative."""
     spectra = [np.linalg.svd(x, compute_uv=False) for x in spans]
     k1_rank = direct_sum_rank(spectra, inst.algebra.block_dims, rank_cutoff)
     k2_rank = direct_sum_rank(spectra, inst.module.mults, rank_cutoff)

@@ -84,7 +84,10 @@ def rotate_dilation(
     q2 = np.asarray(q2, dtype=complex)
     if q1.shape != (data.r1, data.r1) or q2.shape != (data.r2, data.r2):
         raise ValueError("rotation shapes must match (r1, r1) and (r2, r2)")
-    w_ops = data.w_ops if w_rotations is None else tuple(map(np.matmul, w_rotations, data.w_ops))
+    if w_rotations is None:
+        w_ops = data.w_ops
+    else:
+        w_ops = tuple(r @ w for r, w in zip(w_rotations, data.w_ops))
     return DilationData(
         r1=data.r1,
         r2=data.r2,
@@ -155,8 +158,10 @@ def build_unitaries(
     _, pi_s_a, psi_s_a, spans_a = span_families(inst, data_a)
     _, pi_s_b, psi_s_b, spans_b = span_families(inst, data_b)
     for label, data, spans in (("first", data_a, spans_a), ("second", data_b, spans_b)):
-        if any(minimality_defects(inst, data, spans, rank_cutoff)):
-            raise NotMinimalError(f"{label} dilation is not minimal (span rank defect)")
+        defects = minimality_defects(inst, data, spans, rank_cutoff)
+        if any(defects):
+            why = "span rank defect" if min(defects) > 0 else "pi or Psi is not a *-representation"
+            raise NotMinimalError(f"{label} dilation is not minimal ({why})")
 
     # U1 = sum_{b,p} pi'(e^b_p0) V_b pi(e^b_0p)
     u1, off = np.zeros((data_b.r1, data_a.r1), dtype=complex), 0

@@ -279,6 +279,34 @@ class TestEquiv:
         assert rc == 5
         assert "InconsistentSpans" in capsys.readouterr().err
 
+    def test_non_representation_file(self, tmp_path, capsys):
+        # A = M_2 with pi(e_00) = 1 and pi = 0 on the other units is not
+        # a *-representation.  The whole K1 family [S, 0, 0, 0] has rank
+        # 2 = r1 (defect 0), but the block count d_b rank(X_b) is 2 * 2:
+        # defect -2.
+        inst, inst_path = write_instance(tmp_path)
+        data = dilate(inst)
+        pi = np.zeros((inst.algebra.dim, 2, 2), dtype=complex)
+        pi[0] = np.eye(2)
+        psi = np.zeros((inst.module.dim, 2, 2), dtype=complex)
+        psi[0] = np.eye(2)
+        data.r1, data.r2, data.pi_action, data.psi_action = 2, 2, pi, psi
+        data.s_ops = np.random.default_rng(0).standard_normal((inst.n, 2, inst.h1)) + 0j
+        data.k2_embed = np.eye(inst.h2, 2, dtype=complex)
+        dil_path = tmp_path / "dil.json"
+        dil_path.write_text(emit_dilation(inst, data), encoding="utf-8")
+
+        assert cli.main(["verify", str(inst_path), str(dil_path), "--json"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is False
+        assert report["pi_multiplicativity"] >= 0.1
+        assert (report["minimality_k1_defect"], report["minimality_k2_defect"]) == (-2.0, 0.0)
+
+        assert cli.main(["equiv", str(inst_path), str(dil_path), str(dil_path)]) == 5
+        err = capsys.readouterr().err
+        assert "NotMinimalError" in err
+        assert "pi or Psi is not a *-representation" in err
+
 
 class TestFuzz:
     def test_single_trial(self, capsys):

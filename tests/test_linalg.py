@@ -171,17 +171,19 @@ class TestNumericalRank:
                 haar_unitary(rng, data.r2),
                 [haar_unitary(rng, k) for k in data.k2i_dims],
             )
-            for d in (data, twin, doubled(data)):
+            data_doubled = doubled(data)
+            for d in (data, twin, data_doubled):
                 report = dilation.verify_dilation(inst, d)
+                assert report.passed == (d is not data_doubled or not data.r1)
                 got = (report.minimality_k1_defect, report.minimality_k2_defect)
                 assert got == full_span_defects(d)
                 for columns in (k1_span_oracle(d), k2_span_oracle(d)):
                     assert numerical_rank(columns) == svd_orthobasis(columns).shape[1]
-            assert full_span_defects(doubled(data)) == (float(data.r1), 0.0)
+            assert full_span_defects(data_doubled) == (float(data.r1), 0.0)
             equivalence.build_unitaries(inst, data, twin)
             if data.r1:
                 with pytest.raises(NotMinimalError):
-                    equivalence.build_unitaries(inst, doubled(data), twin)
+                    equivalence.build_unitaries(inst, data_doubled, twin)
 
     @pytest.mark.parametrize("shape", [(3, 4), (0, 5), (4, 0)])
     def test_zero_and_empty_input(self, shape):
