@@ -9,6 +9,11 @@ Exit codes are a stable contract:
 * 4  well-definedness failure of the quotient construction
 * 5  minimality or equivalence failure
 
+``dilate`` checks the Hermiticity pattern and compatibility, then reads
+complete n-positivity off the Choi spectra ``build_gram`` factors, once per
+block; ``generate`` checks positivity first.  Every subcommand bounds the
+largest Choi block side ``n * d_b * h1`` by ``MAX_CHOI_SIDE``.
+
 The only recognized environment variable is ``CPDILATE_TOL``, which
 overrides the default residual tolerance for all subcommands; it is read
 on every call of ``main``, and an explicit ``--tol`` wins over it.
@@ -29,8 +34,8 @@ import numpy as np
 
 from . import serialize
 from .cpmaps import Instance, haar_unitary, random_instance
-from .dilation import VerificationReport, dilate, verify_dilation
-from .equivalence import build_unitaries, rotate_dilation, verify_diagram
+from .dilation import NOT_CNP, VerificationReport, dilate, verify_dilation
+from .equivalence import build_unitaries, rotate_dilation
 from .errors import (
     CPDilateError,
     DimensionTooLargeError,
@@ -44,7 +49,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_CUTOFF, DEFAULT_TOL
 
-MAX_RAW_GRAM_DIM = 10_000
+MAX_CHOI_SIDE = 1024
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -84,27 +89,28 @@ def _int_csv(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _read(path: str) -> bytes:
-    return Path(path).read_bytes()  # the reader checks the UTF-8 itself
-
-
 def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _check_choi_side(n: int, block_dims, h1: int, what: str) -> None:
+    """The guardrail on the largest matrix eigendecomposed, a Choi block."""
+    side = n * max(block_dims, default=0) * h1
+    if side > MAX_CHOI_SIDE:
+        raise DimensionTooLargeError(
+            f"{what} a Choi block of side {side}, above the guardrail {MAX_CHOI_SIDE}"
+        )
+
+
 def _load_instance(path: str) -> Instance:
-    return serialize.parse_instance(_read(path))
+    inst = serialize.parse_instance(Path(path).read_bytes())  # the reader checks the UTF-8
+    _check_choi_side(inst.n, inst.algebra.block_dims, inst.h1, "instance has")
+    return inst
 
 
 def _load_dilation(path: str, inst: Instance):
-    data, context = serialize.parse_dilation(_read(path))
-    expected = {
-        "n": inst.n,
-        "h1": inst.h1,
-        "h2": inst.h2,
-        "block_dims": list(inst.algebra.block_dims),
-        "mults": list(inst.module.mults),
-    }
+    data, context = serialize.parse_dilation(Path(path).read_bytes())
+    expected = serialize.instance_dims(inst)
     if context != expected:
         raise ShapeMismatchError(
             f"dilation file was produced for dims {context}, instance has {expected}"
@@ -112,13 +118,9 @@ def _load_dilation(path: str, inst: Instance):
     return data
 
 
-def _validate_instance(inst: Instance, tol: float) -> float:
-    """Run the validity gates; returns the compatibility residual.
-
-    ``is_completely_n_positive`` raises HermiticityViolationError, naming
-    the defect, before its Choi test."""
-    if not inst.cp.is_completely_n_positive(tol):
-        raise NotPSDError("map family is not completely n-positive (Choi test failed)")
+def _check_compatible(inst: Instance, tol: float) -> float:
+    """Hermiticity pattern and compatibility gates; returns the residual."""
+    inst.cp.check_hermiticity(tol)
     compat = inst.compatibility_residual()
     if compat > tol:
         raise CPDilateError(
@@ -163,16 +165,15 @@ def _print_witness(witness, commutes: bool, tol: float, json_mode: bool) -> None
 
 def _cmd_generate(args) -> int:
     block_dims, mults = args.blocks, args.mults
-    raw_dim = args.n * sum(d * d for d in block_dims) * args.h1
-    if raw_dim > MAX_RAW_GRAM_DIM:
-        raise DimensionTooLargeError(
-            f"raw Gram dimension {raw_dim} exceeds guardrail {MAX_RAW_GRAM_DIM}"
-        )
+    _check_choi_side(args.n, block_dims, args.h1, "requested dimensions give")
     inst = random_instance(
         args.seed, args.n, block_dims, mults, args.h1, args.h2,
         k1_extra=args.k1_extra, k2_extra=args.k2_extra,
     )
-    compat = _validate_instance(inst, args.tol)
+    if not inst.cp.is_completely_n_positive(args.tol):
+        raise NotPSDError(NOT_CNP)
+    compat = _check_compatible(inst, args.tol)
+    raw_dim = args.n * sum(d * d for d in block_dims) * args.h1
     _write(args.out, serialize.emit_instance(inst))
     full = "full" if inst.module.is_full else "not full"
     print(
@@ -185,7 +186,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_dilate(args) -> int:
     inst = _load_instance(args.instance)
-    _validate_instance(inst, args.tol)
+    _check_compatible(inst, args.tol)
     data = dilate(inst, cutoff=args.cutoff, welldef_tol=args.tol)
     report = verify_dilation(inst, data, tol=args.tol, rank_cutoff=args.cutoff)
     if args.out:
@@ -211,7 +212,7 @@ def _cmd_equiv(args) -> int:
     data_a = _load_dilation(args.dilation_a, inst)
     data_b = _load_dilation(args.dilation_b, inst)
     witness = build_unitaries(inst, data_a, data_b, tol=args.tol, rank_cutoff=args.cutoff)
-    commutes = verify_diagram(witness, inst, data_a, data_b, tol=args.tol)
+    commutes = witness.commutes(args.tol)
     _print_witness(witness, commutes, args.tol, args.json)
     return EXIT_OK if commutes else EXIT_EQUIV
 
@@ -271,7 +272,7 @@ def _fuzz_trial(base_seed: int, index: int, args) -> dict:
         w_rot = [haar_unitary(rng, k) for k in data.k2i_dims]
         twin = rotate_dilation(data, q1, q2, w_rot)
         witness = build_unitaries(inst, data, twin, tol=args.tol, rank_cutoff=args.cutoff)
-        commutes = verify_diagram(witness, inst, data, twin, tol=args.tol)
+        commutes = witness.commutes(args.tol)
 
         worst = {"compatibility": compat}
         worst.update({name: value for name, value in report.residual_items()})
@@ -291,12 +292,7 @@ def _fuzz_trial(base_seed: int, index: int, args) -> dict:
 
 
 def _cmd_fuzz(args) -> int:
-    worst_raw = args.max_n * 2 * args.max_block**2 * args.max_h
-    if worst_raw > MAX_RAW_GRAM_DIM:
-        raise DimensionTooLargeError(
-            f"bounds admit raw Gram dimension {worst_raw} above the "
-            f"guardrail {MAX_RAW_GRAM_DIM}"
-        )
+    _check_choi_side(args.max_n, [args.max_block], args.max_h, "bounds admit")
     results = [_fuzz_trial(args.seed, t, args) for t in range(args.trials)]
     worst: dict[str, float] = {}
     histogram: dict[str, int] = {}

@@ -35,7 +35,7 @@ import numpy as np
 
 from .algebra import AlgebraDescriptor, ModuleDescriptor
 from .errors import DimensionTooSmallError, HermiticityViolationError, ShapeMismatchError
-from .linalg import DEFAULT_TOL, matrix_norms, max_rel_residual, svd_orthobasis
+from .linalg import DEFAULT_TOL, matrix_norms, max_rel_residual, negative_at_scale, svd_orthobasis
 
 __all__ = [
     "CPBlockMap",
@@ -92,18 +92,22 @@ class CPBlockMap:
         side = self.n * d * self.h1
         return sub.transpose(0, 2, 4, 1, 3, 5).reshape(side, side)
 
-    def is_completely_n_positive(self, tol: float = DEFAULT_TOL) -> bool:
-        """PSD test of every compressed per-block Choi matrix."""
+    def check_hermiticity(self, tol: float = DEFAULT_TOL) -> None:
+        """Raise HermiticityViolationError when ``hermiticity_defect`` exceeds tol."""
         defect = self.hermiticity_defect()
         if defect > tol:
             raise HermiticityViolationError(
                 f"Hermiticity pattern defect {defect:.3e} exceeds tolerance {tol:.1e}: "
                 "phi_ij(a*) != phi_ji(a)*, so the family cannot induce a Hermitian form"
             )
+
+    def is_completely_n_positive(self, tol: float = DEFAULT_TOL) -> bool:
+        """``check_hermiticity``, then a PSD test of every compressed Choi block."""
+        self.check_hermiticity(tol)
         for b in range(self.algebra.nblocks):
             c = self.choi_block(b)
             w = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
-            if w[0] < -tol * max(float(w[-1]), 1.0):
+            if negative_at_scale(float(w[0]), float(w[-1]), tol):
                 return False
         return True
 
@@ -320,14 +324,9 @@ def identity_instance(d: int) -> Instance:
     phi = Phi = id and h1 = h2 = d."""
     desc = AlgebraDescriptor((d,))
     mdesc = ModuleDescriptor(desc, (d,))
-    cp_action = np.zeros((1, 1, desc.dim, d, d), dtype=complex)
-    for alpha, (_, p, q) in enumerate(desc.basis_labels):
-        cp_action[0, 0, alpha, p, q] = 1.0
-    tup_action = np.zeros((1, mdesc.dim, d, d), dtype=complex)
-    for gamma, (_, r, q) in enumerate(mdesc.basis_labels):
-        tup_action[0, gamma, r, q] = 1.0
+    units = amplified_units(desc.basis_labels, (d,), (d,), (1,))  # E_pq; V has A's units
     return Instance(
-        CPBlockMap(desc, 1, d, cp_action),
-        ModuleCPTuple(mdesc, 1, d, d, tup_action),
+        CPBlockMap(desc, 1, d, units[None, None]),
+        ModuleCPTuple(mdesc, 1, d, d, units[None].copy()),
         {"kind": "identity", "d": int(d)},
     )

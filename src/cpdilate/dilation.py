@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cpmaps import CPBlockMap, Instance, ModuleCPTuple, amplified_units
-from .errors import ShapeMismatchError, WellDefinednessError
+from .errors import NotPSDError, ShapeMismatchError, WellDefinednessError
 from .linalg import (
     DEFAULT_CUTOFF,
     DEFAULT_TOL,
@@ -71,6 +71,7 @@ from .linalg import (
     hermitian_eig,
     matrix_norms,
     max_rel_residual,
+    negative_at_scale,
     rank_truncate,
     rel_residual,
     svd_orthobasis,
@@ -89,6 +90,8 @@ __all__ = [
     "verify_dilation",
 ]
 
+NOT_CNP = "map family is not completely n-positive (Choi test failed)"
+
 
 @dataclass(eq=False)
 class GramFactorization:
@@ -96,12 +99,14 @@ class GramFactorization:
 
     ``block_factors[b]`` is ``F_b`` of shape (rank_b, n * d_b * h1) with
     ``F_b* F_b = cp.choi_block(b)`` to cutoff accuracy and orthogonal
-    rows.  The raw Gram matrix is a permuted direct sum of ``d_b``
-    copies of each Choi block (module docstring); it is never assembled.
+    rows, cut from the descending spectrum ``eigenvalues[b]``.  The raw
+    Gram matrix is a permuted direct sum of ``d_b`` copies of each Choi
+    block (module docstring); it is never assembled.
     """
 
     cp: CPBlockMap = field(repr=False)
     block_factors: tuple[np.ndarray, ...] = field(repr=False)
+    eigenvalues: tuple[np.ndarray, ...] = field(repr=False)
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -204,13 +209,18 @@ def build_gram(cp: CPBlockMap, rel_cutoff: float = DEFAULT_CUTOFF) -> GramFactor
 
     Rank decisions are on the scale of the whole raw Gram matrix: kept
     eigenvalues exceed ``rel_cutoff`` times the largest eigenvalue over
-    all blocks.  Raises NotPSDError when some block has a kept-scale
-    negative direction, which is exactly failure of complete
-    n-positivity.
+    all blocks.  Raises NotPSDError, naming the block, when some block
+    has a negative direction at that scale (``negative_at_scale``), which
+    is a failure of complete n-positivity.
     """
     eigs = [hermitian_eig(cp.choi_block(b), tol_herm=1e-10) for b in range(cp.algebra.nblocks)]
     scale = max(float(e.eigenvalues[0]) for e in eigs)
-    return GramFactorization(cp, tuple(rank_truncate(e, rel_cutoff, scale)[1] for e in eigs))
+    for b, e in enumerate(eigs):
+        if negative_at_scale(float(e.eigenvalues[-1]), scale, rel_cutoff):
+            raise NotPSDError(f"map family is not completely n-positive: Choi block {b} has "
+                              f"eigenvalue {e.eigenvalues[-1]:.3e} at scale {scale:.3e}")
+    factors = tuple(rank_truncate(e, rel_cutoff, scale)[1] for e in eigs)
+    return GramFactorization(cp, factors, tuple(e.eigenvalues for e in eigs))
 
 
 def build_pi(g: GramFactorization, cp: CPBlockMap) -> np.ndarray:
@@ -266,14 +276,11 @@ def build_W(tup: ModuleCPTuple, rel_cutoff: float = DEFAULT_CUTOFF) -> tuple[tup
     Row i holds an orthonormal basis of the span of all Phi_i(f) columns;
     a zero map yields a zero-row coisometry.
     """
-    h2 = tup.h2
-    ws, dims = [], []
-    for i in range(tup.n):
-        cols = tup.action[i].transpose(1, 0, 2).reshape(h2, -1)
-        w = svd_orthobasis(cols, rel_cutoff).conj().T
-        ws.append(w)
-        dims.append(w.shape[0])
-    return tuple(ws), tuple(dims)
+    ws = tuple(
+        svd_orthobasis(a.transpose(1, 0, 2).reshape(tup.h2, -1), rel_cutoff).conj().T
+        for a in tup.action
+    )
+    return ws, tuple(len(w) for w in ws)
 
 
 def dilate(
@@ -286,10 +293,13 @@ def dilate(
     The output is minimal by construction: K1 is spanned by the images
     ``pi(e) S_i H1`` (they are exactly the factor columns) and K2 by
     ``Psi(f) S_i H1``.  Raises NotPSDError for inputs that are not
-    completely n-positive and WellDefinednessError when the K2
-    embedding solve fails to close at ``welldef_tol``.
+    completely n-positive (``is_completely_n_positive``'s rule at
+    ``welldef_tol``, on ``build_gram``'s spectra) and WellDefinednessError
+    when the K2 embedding solve fails to close at ``welldef_tol``.
     """
     g = build_gram(inst.cp, cutoff)
+    if any(negative_at_scale(float(w[-1]), float(w[0]), welldef_tol) for w in g.eigenvalues):
+        raise NotPSDError(NOT_CNP)
     pi_action = build_pi(g, inst.cp)
     s_ops = build_S(g, inst.cp)
     psi_action, k2_embed, psi_res = build_psi(g, inst.cp, inst.tup)
@@ -308,7 +318,6 @@ def dilate(
         k2_embed=k2_embed,
         w_ops=w_ops,
         k2i_dims=k2i_dims,
-        pi_welldef=0.0,
         psi_welldef=psi_res,
     )
 

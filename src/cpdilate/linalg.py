@@ -33,6 +33,7 @@ __all__ = [
     "rel_residual",
     "max_rel_residual",
     "hermitian_eig",
+    "negative_at_scale",
     "rank_truncate",
     "direct_sum_rank",
     "solve_lsq",
@@ -103,6 +104,12 @@ def hermitian_eig(m: np.ndarray, tol_herm: float = 1e-12) -> HermEig:
     return HermEig(w[order], v[:, order])
 
 
+def negative_at_scale(lam_min: float, lam_max: float, rel_tol: float) -> bool:
+    """The one PSD rule: a spectrum whose largest eigenvalue is ``lam_max``
+    has a negative direction when ``lam_min < -rel_tol * max(lam_max, 1)``."""
+    return lam_min < -rel_tol * max(lam_max, 1.0)
+
+
 def rank_truncate(
     e: HermEig, rel_cutoff: float = DEFAULT_CUTOFF, scale: float | None = None
 ) -> tuple[int, np.ndarray]:
@@ -114,8 +121,8 @@ def rank_truncate(
     factor's rows are the canonical coordinates of the quotient by the
     numerical null space.
 
-    Raises NotPSDError when a kept-scale negative eigenvalue exists, i.e.
-    ``min(eigenvalue) < -rel_cutoff * max(scale, 1)``.
+    Raises NotPSDError when a kept-scale negative eigenvalue exists
+    (``negative_at_scale`` at ``rel_cutoff`` and ``scale``).
 
     ``scale`` defaults to the largest eigenvalue of ``e``; the diagonal
     blocks of one direct sum pass the largest eigenvalue over all
@@ -125,7 +132,7 @@ def rank_truncate(
     if w.size == 0:
         return 0, np.zeros((0, 0), dtype=complex)
     lam_max = float(w[0]) if scale is None else scale
-    if float(w[-1]) < -rel_cutoff * max(lam_max, 1.0):
+    if negative_at_scale(float(w[-1]), lam_max, rel_cutoff):
         raise NotPSDError(
             f"negative eigenvalue {w[-1]:.3e} at kept scale "
             f"(cutoff {rel_cutoff:.1e} * {max(lam_max, 1.0):.3e})"

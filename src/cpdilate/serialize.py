@@ -69,6 +69,7 @@ __all__ = [
     "emit_dilation",
     "parse_dilation",
     "emit_json",
+    "instance_dims",
 ]
 
 INSTANCE_FORMAT = "cpdilate/instance"
@@ -203,6 +204,10 @@ def _require(payload: dict, key: str, what: str):
     return payload[key]
 
 
+def _tensor_field(payload: dict, key: str, shape: tuple[int, ...], what: str) -> np.ndarray:
+    return _decode_complex(_require(payload, key, what), shape, what)
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -285,15 +290,31 @@ def _load(text: str | bytes, expected_format: str) -> dict:
     return payload
 
 
-def emit_instance(inst: Instance) -> str:
-    fields = {
-        "format": INSTANCE_FORMAT,
-        "version": FORMAT_VERSION,
+def instance_dims(inst: Instance) -> dict:
+    """The dimension header both file formats share, as ``parse_dilation`` returns it."""
+    return {
         "n": inst.n,
         "h1": inst.h1,
         "h2": inst.h2,
         "block_dims": list(inst.algebra.block_dims),
         "mults": list(inst.module.mults),
+    }
+
+
+def _read_dims(payload: dict, what: str) -> tuple[dict, AlgebraDescriptor, ModuleDescriptor]:
+    """The shared header of ``instance_dims``, field by field, plus the
+    algebra and module descriptors it declares."""
+    dims = {key: _int_field(payload, key, what) for key in ("n", "h1", "h2")}
+    dims.update({key: _int_list(payload, key, what) for key in ("block_dims", "mults")})
+    algebra = AlgebraDescriptor(tuple(dims["block_dims"]))
+    return dims, algebra, ModuleDescriptor(algebra, tuple(dims["mults"]))
+
+
+def emit_instance(inst: Instance) -> str:
+    fields = {
+        "format": INSTANCE_FORMAT,
+        "version": FORMAT_VERSION,
+        **instance_dims(inst),
         "meta": inst.meta,
     }
     tensors = {
@@ -308,19 +329,10 @@ def parse_instance(text: str | bytes) -> Instance:
     payload = _load(text, INSTANCE_FORMAT)
     what = "instance"
     try:
-        n = _int_field(payload, "n", what)
-        h1 = _int_field(payload, "h1", what)
-        h2 = _int_field(payload, "h2", what)
-        block_dims = _int_list(payload, "block_dims", what)
-        mults = _int_list(payload, "mults", what)
-        algebra = AlgebraDescriptor(tuple(block_dims))
-        module = ModuleDescriptor(algebra, tuple(mults))
-        cp_action = _decode_complex(
-            _require(payload, "cp_action", what), (n, n, algebra.dim, h1, h1), what
-        )
-        tuple_action = _decode_complex(
-            _require(payload, "tuple_action", what), (n, module.dim, h2, h1), what
-        )
+        dims, algebra, module = _read_dims(payload, what)
+        n, h1, h2 = dims["n"], dims["h1"], dims["h2"]
+        cp_action = _tensor_field(payload, "cp_action", (n, n, algebra.dim, h1, h1), what)
+        tuple_action = _tensor_field(payload, "tuple_action", (n, module.dim, h2, h1), what)
         meta = payload.get("meta") or {}
         if not isinstance(meta, dict):
             raise ParseError(f"{what}: meta must be an object")
@@ -339,11 +351,7 @@ def emit_dilation(inst: Instance, data: DilationData) -> str:
     fields = {
         "format": DILATION_FORMAT,
         "version": FORMAT_VERSION,
-        "n": inst.n,
-        "h1": inst.h1,
-        "h2": inst.h2,
-        "block_dims": list(inst.algebra.block_dims),
-        "mults": list(inst.module.mults),
+        **instance_dims(inst),
         "r1": data.r1,
         "r2": data.r2,
         "k2i_dims": list(data.k2i_dims),
@@ -360,17 +368,12 @@ def emit_dilation(inst: Instance, data: DilationData) -> str:
 
 @_outside_cyclic_gc()
 def parse_dilation(text: str | bytes) -> tuple[DilationData, dict]:
-    """Returns the data plus the context dims recorded in the file."""
+    """Returns the data plus the dimension header recorded in the file."""
     payload = _load(text, DILATION_FORMAT)
     what = "dilation"
     try:
-        n = _int_field(payload, "n", what)
-        h1 = _int_field(payload, "h1", what)
-        h2 = _int_field(payload, "h2", what)
-        block_dims = _int_list(payload, "block_dims", what)
-        mults = _int_list(payload, "mults", what)
-        algebra = AlgebraDescriptor(tuple(block_dims))
-        module = ModuleDescriptor(algebra, tuple(mults))
+        dims, algebra, module = _read_dims(payload, what)
+        n, h1, h2 = dims["n"], dims["h1"], dims["h2"]
         r1 = _int_field(payload, "r1", what)
         r2 = _int_field(payload, "r2", what)
         k2i_dims = _int_list(payload, "k2i_dims", what)
@@ -379,32 +382,18 @@ def parse_dilation(text: str | bytes) -> tuple[DilationData, dict]:
         w_raw = _require(payload, "w_ops", what)
         if not isinstance(w_raw, list) or len(w_raw) != n:
             raise ParseError(f"{what}: expected {n} coisometries")
-        data = DilationData(
+        return DilationData(
             r1=r1,
             r2=r2,
-            pi_action=_decode_complex(
-                _require(payload, "pi_action", what), (algebra.dim, r1, r1), what
-            ),
-            s_ops=_decode_complex(_require(payload, "s_ops", what), (n, r1, h1), what),
-            psi_action=_decode_complex(
-                _require(payload, "psi_action", what), (module.dim, r2, r1), what
-            ),
-            k2_embed=_decode_complex(_require(payload, "k2_embed", what), (h2, r2), what),
-            w_ops=tuple(
-                _decode_complex(w, (k, h2), what) for w, k in zip(w_raw, k2i_dims)
-            ),
+            pi_action=_tensor_field(payload, "pi_action", (algebra.dim, r1, r1), what),
+            s_ops=_tensor_field(payload, "s_ops", (n, r1, h1), what),
+            psi_action=_tensor_field(payload, "psi_action", (module.dim, r2, r1), what),
+            k2_embed=_tensor_field(payload, "k2_embed", (h2, r2), what),
+            w_ops=tuple(_decode_complex(w, (k, h2), what) for w, k in zip(w_raw, k2i_dims)),
             k2i_dims=tuple(k2i_dims),
             pi_welldef=_real_field(payload, "pi_welldef", what),
             psi_welldef=_real_field(payload, "psi_welldef", what),
-        )
-        context = {
-            "n": n,
-            "h1": h1,
-            "h2": h2,
-            "block_dims": block_dims,
-            "mults": mults,
-        }
-        return data, context
+        ), dims
     except ParseError:
         raise
     except Exception as exc:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_dilation import gap_instance
 from test_serialize import (
     DIMENSION_FIELDS,
     GOLDEN_INSTANCE,
@@ -15,10 +16,11 @@ from test_serialize import (
     tensor_entry_replaced,
     tensor_made_ragged,
 )
-from cpdilate import cli
+from cpdilate import cli, dilation, equivalence
 from cpdilate.cpmaps import haar_unitary, random_instance
-from cpdilate.dilation import dilate
+from cpdilate.dilation import build_gram, dilate
 from cpdilate.equivalence import rotate_dilation
+from cpdilate.errors import NotPSDError
 from cpdilate.serialize import emit_dilation, emit_instance, parse_dilation, parse_instance
 
 
@@ -88,13 +90,28 @@ class TestDilate:
         assert report["phi_reconstruction"] <= 1e-9
 
     def test_sign_flip_gives_validity_exit(self, tmp_path, capsys):
+        # The gate before dilate checks compatibility, which a full flip
+        # of phi breaks; positivity is read later, off build_gram's spectra.
         inst, inst_path = write_instance(tmp_path)
         flipped = parse_instance(inst_path.read_text(encoding="utf-8"))
         flipped.cp.action *= -1.0
         inst_path.write_text(emit_instance(flipped), encoding="utf-8")
         rc = cli.main(["dilate", str(inst_path)])
         assert rc == 3
-        assert "not completely n-positive" in capsys.readouterr().err
+        assert "tuple is not compatible with the map family" in capsys.readouterr().err
+
+    def test_sign_flip_of_a_block_without_module_rows(self, tmp_path, capsys):
+        # Inner products of V never land in a block with k_b = 0, so
+        # compatibility cannot see a flip there; build_gram's spectrum does.
+        inst, inst_path = write_instance(tmp_path, n=1, block_dims=[2, 1], mults=[1, 0], h2=4)
+        flipped = parse_instance(inst_path.read_text(encoding="utf-8"))
+        flipped.cp.action[:, :, 4:] *= -1.0
+        assert flipped.compatibility_residual() <= 1e-12
+        inst_path.write_text(emit_instance(flipped), encoding="utf-8")
+        rc = cli.main(["dilate", str(inst_path)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "NotPSDError: map family is not completely n-positive: Choi block 1 " in err
 
     def test_hermiticity_violation_gives_validity_exit(self, tmp_path, capsys):
         inst, inst_path = write_instance(tmp_path)
@@ -125,6 +142,83 @@ class TestDilate:
 
     def test_missing_file_exit(self, tmp_path):
         assert cli.main(["dilate", str(tmp_path / "nope.json")]) == 2
+
+
+class TestOneChoiPass:
+    """``cpdilate dilate`` eigendecomposes each Choi block once, in
+    ``build_gram``, and reads the positivity verdict off that spectrum."""
+
+    def test_one_eigendecomposition_per_block(self, tmp_path, monkeypatch, capsys):
+        inst, inst_path = write_instance(tmp_path, block_dims=[2, 1, 2], mults=[1, 1, 0], h2=6)
+        calls = {"hermitian_eig": 0, "eigh": 0, "eigvalsh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((dilation, "hermitian_eig"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        assert cli.main(["dilate", str(inst_path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert calls == {"hermitian_eig": 3, "eigh": 3, "eigvalsh": 0}
+
+    def test_gap_instance_rejected_by_the_positivity_rule(self, tmp_path, capsys):
+        inst = gap_instance()
+        assert inst.cp.hermiticity_defect() == 0.0
+        assert inst.compatibility_residual() <= 1e-12
+        assert not inst.cp.is_completely_n_positive(1e-9)
+        g = build_gram(inst.cp)  # the cutoff rule alone accepts it
+        assert min(float(w[-1]) for w in g.eigenvalues) == pytest.approx(-5e-9, rel=1e-6)
+        with pytest.raises(NotPSDError, match=r"not completely n-positive \(Choi test failed\)"):
+            dilate(inst)
+        path = tmp_path / "gap.json"
+        path.write_text(emit_instance(inst), encoding="utf-8")
+        assert cli.main(["dilate", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err == ("error: NotPSDError: map family is not completely n-positive "
+                       "(Choi test failed)\n")
+
+
+class TestGuardrail:
+    """The largest Choi block side ``n * d_b * h1`` is bounded wherever an
+    instance is made or read."""
+
+    def test_side_not_raw_dimension(self, tmp_path, capsys):
+        # raw Gram dim 1025 is small, but its one Choi block has side 1025
+        rc = cli.main(["generate", "--seed", "1", "--n", "1", "--blocks", "1", "--mults", "1",
+                       "--h1", "1025", "--h2", "1", "-o", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert "a Choi block of side 1025, above the guardrail 1024" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_fuzz_bounds(self, capsys, monkeypatch):
+        args = ["fuzz", "--trials", "1", "--max-n", "2", "--max-block", "3", "--max-h", "4"]
+        monkeypatch.setattr(cli, "MAX_CHOI_SIDE", 23)  # bounds admit side 2 * 3 * 4 = 24
+        assert cli.main(args) == 2
+        assert "bounds admit a Choi block of side 24" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "MAX_CHOI_SIDE", 24)
+        assert cli.main(args) == 0
+
+    def test_read_side(self, tmp_path, capsys, monkeypatch):
+        # block_dims [2, 1], n = 2, h1 = 2: the largest side is 2 * 2 * 2 = 8
+        inst, inst_path = write_instance(tmp_path, block_dims=[2, 1], mults=[1, 1], h2=5)
+        dil_path = tmp_path / "dil.json"
+        dil_path.write_text(emit_dilation(inst, dilate(inst)), encoding="utf-8")
+        commands = (
+            ["dilate", str(inst_path)],
+            ["verify", str(inst_path), str(dil_path)],
+            ["equiv", str(inst_path), str(dil_path), str(dil_path)],
+        )
+        monkeypatch.setattr(cli, "MAX_CHOI_SIDE", 7)
+        for argv in commands:
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert "DimensionTooLargeError: instance has a Choi block of side 8" in err
+        monkeypatch.setattr(cli, "MAX_CHOI_SIDE", 8)
+        for argv in commands:
+            assert cli.main(argv) == 0
 
 
 class TestVerify:
@@ -268,6 +362,25 @@ class TestEquiv:
         a_path.write_text(emit_dilation(inst, data), encoding="utf-8")
         b_path.write_text(emit_dilation(inst, twin), encoding="utf-8")
         assert cli.main(["equiv", str(inst_path), str(a_path), str(b_path)]) == 0
+
+    def test_diagram_residuals_computed_once(self, tmp_path, monkeypatch, capsys):
+        # equiv and fuzz take the verdict from the witness's residuals
+        calls = []
+        original = equivalence._diagram_residuals
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(equivalence, "_diagram_residuals", counted)
+        inst, inst_path = write_instance(tmp_path)
+        dil_path = tmp_path / "dil.json"
+        dil_path.write_text(emit_dilation(inst, dilate(inst)), encoding="utf-8")
+        assert cli.main(["equiv", str(inst_path), str(dil_path), str(dil_path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["diagram_commutes"] is True
+        assert len(calls) == 1
+        assert cli.main(["fuzz", "--trials", "3", "--seed", "5"]) == 0
+        assert len(calls) == 1 + 3
 
     def test_different_instances_rejected(self, tmp_path, capsys):
         inst_a, path_a = write_instance(tmp_path, seed=7)

@@ -403,6 +403,58 @@ def scaled_two_block():
     return block_scaled(base, [1.0, 1e-3])
 
 
+def gap_instance(lam_min=-5e-9):
+    """Two blocks 100x apart in Choi scale; the small one, without module
+    rows, has eigenvalues 1 and ``lam_min``.  The whole-Gram cutoff
+    (1e-10 * 100) accepts ``lam_min = -5e-9``; the per-block positivity
+    rule at tol 1e-9 rejects it."""
+    inst = random_instance(5, n=1, block_dims=[2, 1], mults=[1, 0], h1=2, h2=4)
+    cp, tup = inst.cp.action.copy(), inst.tup.action.copy()
+    scale = 100.0 / np.linalg.eigvalsh(inst.cp.choi_block(0))[-1]
+    cp[:, :, :4] *= scale
+    tup *= np.sqrt(scale)
+    cp[0, 0, 4] = np.diag([1.0, lam_min])
+    return Instance(CPBlockMap(inst.algebra, 1, 2, cp), ModuleCPTuple(inst.module, 1, 2, 4, tup))
+
+
+class TestPositivityVerdict:
+    """``dilate`` rejects exactly the families ``is_completely_n_positive``
+    rejects, reading the verdict off ``build_gram``'s spectra."""
+
+    @pytest.mark.parametrize("lam_min", [-5e-9, -1.5e-9, -0.9e-9, -5e-10, 0.0, 1e-9])
+    def test_gap_instances(self, lam_min):
+        inst = gap_instance(lam_min)
+        assert inst.compatibility_residual() <= 1e-12
+        g = build_gram(inst.cp)  # the whole-Gram cutoff accepts every one
+        assert float(g.eigenvalues[1][-1]) == pytest.approx(lam_min, abs=1e-15)
+        if inst.cp.is_completely_n_positive(1e-9):
+            assert lam_min > -1e-9
+            dilate(inst, welldef_tol=1e-9)
+        else:
+            assert lam_min < -1e-9
+            with pytest.raises(NotPSDError, match=r"^map family is not completely n-positive "
+                                                  r"\(Choi test failed\)$"):
+                dilate(inst, welldef_tol=1e-9)
+
+    def test_verdicts_on_acceptance_and_flipped_instances(self):
+        for inst in acceptance_instances(30):
+            assert inst.cp.is_completely_n_positive(1e-9)
+            dilate(inst)
+            flipped = CPBlockMap(inst.algebra, inst.n, inst.h1, -inst.cp.action)
+            assert not flipped.is_completely_n_positive(1e-9)
+            with pytest.raises(NotPSDError, match="not completely n-positive: Choi block 0 "):
+                build_gram(flipped)
+
+    def test_spectra_are_kept_descending(self):
+        inst = random_instance(3, n=2, block_dims=[2, 1], mults=[1, 1], h1=2, h2=4)
+        g = build_gram(inst.cp)
+        for b, w in enumerate(g.eigenvalues):
+            assert np.all(np.diff(w) <= 0)
+            lam = np.linalg.eigvalsh(inst.cp.choi_block(b))[::-1]
+            assert np.allclose(w, lam, atol=1e-12)
+            assert g.ranks[b] == np.count_nonzero(w > 1e-10 * max(u[0] for u in g.eigenvalues))
+
+
 class TestBlockwiseConstruction:
     def test_eigendecompositions_are_per_block(self, monkeypatch):
         seen = []

@@ -20,6 +20,7 @@ from cpdilate.cpmaps import (
 )
 from cpdilate.dilation import DilationData, dilate, span_families, verify_dilation
 from cpdilate.equivalence import (
+    _WITNESS_RESIDUALS,
     _diagram_residuals,
     build_unitaries,
     rotate_dilation,
@@ -167,6 +168,22 @@ class TestVerifyDiagram:
             w = build_unitaries(inst, data, twin, tol=1e-9)
             assert verify_diagram(w, inst, data, twin, tol=1e-9)
             assert max(w.u1_unitarity, w.u2_unitarity) <= 1e-10
+
+    def test_witness_verdict_equals_recomputed_one(self):
+        # EquivalenceWitness.commutes reads the residuals build_unitaries
+        # computed; verify_diagram recomputes them from u1 and u2.
+        rng = np.random.default_rng(23)
+        verdicts = set()
+        for inst in acceptance_instances(20):
+            data = dilate(inst)
+            twin, _, _ = rotated_twin(data, rng)
+            w = build_unitaries(inst, data, twin)
+            worst = max(getattr(w, name) for name in _WITNESS_RESIDUALS)
+            for tol in (1e-9, worst, np.nextafter(worst, 0.0), 0.0):
+                verdict = w.commutes(tol)
+                assert verdict == verify_diagram(w, inst, data, twin, tol=tol)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_stacked_residuals_match_per_index_oracle(self):
         # A true witness (residuals near rounding) and a wrong one

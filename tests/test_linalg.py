@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import full_span_defects, k1_span_oracle, k2_span_oracle, numerical_rank
+from conftest import (
+    full_span_defects,
+    k1_span_oracle,
+    k2_span_oracle,
+    numerical_rank,
+    transpose_map,
+)
 from test_acceptance import acceptance_instances
 from test_equivalence import doubled
-from cpdilate import dilation, equivalence
+from cpdilate import cpmaps, dilation, equivalence, linalg
 from cpdilate.cpmaps import haar_unitary
 from cpdilate.errors import NotHermitianError, NotMinimalError, NotPSDError, NotSquareError
 from cpdilate.linalg import (
@@ -12,6 +18,7 @@ from cpdilate.linalg import (
     direct_sum_rank,
     frob,
     hermitian_eig,
+    negative_at_scale,
     rank_truncate,
     solve_lsq,
     svd_orthobasis,
@@ -58,6 +65,29 @@ class TestHermitianEig:
         e1 = hermitian_eig(m)
         e2 = hermitian_eig(q @ m @ q.conj().T, tol_herm=1e-10)
         assert np.allclose(e1.eigenvalues, e2.eigenvalues, atol=1e-10)
+
+
+class TestNegativeAtScale:
+    def test_threshold_is_relative_to_the_largest_eigenvalue_floored_at_one(self):
+        assert not negative_at_scale(-1e-9, 0.5, 1e-9)     # on the threshold
+        assert negative_at_scale(-1.01e-9, 0.5, 1e-9)      # scale floored at 1
+        assert not negative_at_scale(-1.5e-7, 200.0, 1e-9)
+        assert negative_at_scale(-2.01e-7, 200.0, 1e-9)
+        assert not negative_at_scale(0.0, 0.0, 0.0)
+
+    def test_rank_truncate_and_choi_test_share_it(self, monkeypatch):
+        seen = []
+
+        def recording(lam_min, lam_max, rel_tol):
+            seen.append((lam_min, lam_max, rel_tol))
+            return False
+
+        monkeypatch.setattr(linalg, "negative_at_scale", recording)
+        monkeypatch.setattr(cpmaps, "negative_at_scale", recording)
+        rank_truncate(hermitian_eig(np.diag([2.0, -1.0]).astype(complex)), 1e-10, 4.0)
+        assert seen == [(-1.0, 4.0, 1e-10)]
+        assert transpose_map().is_completely_n_positive(1e-9)  # the rule says no
+        assert seen[1] == pytest.approx((-1.0, 1.0, 1e-9))
 
 
 class TestRankTruncate:

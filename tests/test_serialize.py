@@ -425,6 +425,7 @@ class TestReaderOracle:
             for name in ("pi_welldef", "psi_welldef"):
                 assert bitwise_equal(np.float64(getattr(data, name)), np.float64(payload[name]))
             assert context == {key: payload[key] for key in context}
+            assert context == serialize.instance_dims(inst)
 
     @settings(max_examples=300, deadline=None)
     @given(SHAPES.flatmap(lambda shape: arrays(np.float64, shape + (2,), elements=FLOATS)),
@@ -502,6 +503,18 @@ class TestDimensionFields:
         parse = parse_instance if kind == "instance" else parse_dilation
         with pytest.raises(ParseError, match=f"field '{field}'"):
             parse(corrupted_text(kind, field, form))
+
+    @pytest.mark.parametrize("golden", [GOLDEN_INSTANCE, GOLDEN_DILATION])
+    def test_header_fields_are_read_in_order(self, golden):
+        # both readers check n, h1, h2, block_dims, mults in this order
+        parse = parse_instance if golden == GOLDEN_INSTANCE else parse_dilation
+        payload = json.loads(golden.read_text(encoding="utf-8"))
+        header = {field: payload.pop(field) for field in ("n", "h1", "h2", "block_dims", "mults")}
+        for field, value in header.items():
+            with pytest.raises(ParseError, match=f"missing field '{field}'"):
+                parse(json.dumps(payload))
+            payload[field] = value
+        parse(json.dumps(payload))
 
     @pytest.mark.parametrize("field", ["block_dims", "mults", "k2i_dims"])
     def test_list_field_must_be_a_list(self, field):
