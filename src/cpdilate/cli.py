@@ -12,7 +12,8 @@ Exit codes are a stable contract:
 ``dilate`` checks the Hermiticity pattern and compatibility, then reads
 complete n-positivity off the Choi spectra ``build_gram`` factors, once per
 block; ``generate`` checks positivity first.  Every subcommand bounds the
-largest Choi block side ``n * d_b * h1`` by ``MAX_CHOI_SIDE``.
+largest Choi block side ``n * d_b * h1`` by ``MAX_CHOI_SIDE`` and the raw
+dimension ``n * dim A * h1`` by ``MAX_RAW_DIM``.
 
 The only recognized environment variable is ``CPDILATE_TOL``, which
 overrides the default residual tolerance for all subcommands; it is read
@@ -50,6 +51,7 @@ from .errors import (
 from .linalg import DEFAULT_CUTOFF, DEFAULT_TOL
 
 MAX_CHOI_SIDE = 1024
+MAX_RAW_DIM = 10_000
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -89,27 +91,39 @@ def _int_csv(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _read(path: str) -> bytes:
+    return Path(path).read_bytes()  # the reader checks the UTF-8 itself
+
+
 def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _check_choi_side(n: int, block_dims, h1: int, what: str) -> None:
-    """The guardrail on the largest matrix eigendecomposed, a Choi block."""
+def _check_dims(n: int, block_dims, h1: int, what: str) -> int:
+    """The guardrails: the largest Choi block side ``n * d_b * h1`` (the
+    matrix eigendecomposed) and the raw dimension ``n * dim A * h1`` (the
+    representation tensors scale with ``dim A``).  Returns the raw dimension."""
     side = n * max(block_dims, default=0) * h1
     if side > MAX_CHOI_SIDE:
         raise DimensionTooLargeError(
             f"{what} a Choi block of side {side}, above the guardrail {MAX_CHOI_SIDE}"
         )
+    raw = n * sum(d * d for d in block_dims) * h1
+    if raw > MAX_RAW_DIM:
+        raise DimensionTooLargeError(
+            f"{what} raw dimension n * dim A * h1 = {raw}, above the guardrail {MAX_RAW_DIM}"
+        )
+    return raw
 
 
 def _load_instance(path: str) -> Instance:
-    inst = serialize.parse_instance(Path(path).read_bytes())  # the reader checks the UTF-8
-    _check_choi_side(inst.n, inst.algebra.block_dims, inst.h1, "instance has")
+    inst = serialize.parse_instance(_read(path))
+    _check_dims(inst.n, inst.algebra.block_dims, inst.h1, "instance has")
     return inst
 
 
 def _load_dilation(path: str, inst: Instance):
-    data, context = serialize.parse_dilation(Path(path).read_bytes())
+    data, context = serialize.parse_dilation(_read(path))
     expected = serialize.instance_dims(inst)
     if context != expected:
         raise ShapeMismatchError(
@@ -119,8 +133,7 @@ def _load_dilation(path: str, inst: Instance):
 
 
 def _check_compatible(inst: Instance, tol: float) -> float:
-    """Hermiticity pattern and compatibility gates; returns the residual."""
-    inst.cp.check_hermiticity(tol)
+    """The compatibility gate; returns the residual."""
     compat = inst.compatibility_residual()
     if compat > tol:
         raise CPDilateError(
@@ -165,7 +178,7 @@ def _print_witness(witness, commutes: bool, tol: float, json_mode: bool) -> None
 
 def _cmd_generate(args) -> int:
     block_dims, mults = args.blocks, args.mults
-    _check_choi_side(args.n, block_dims, args.h1, "requested dimensions give")
+    raw_dim = _check_dims(args.n, block_dims, args.h1, "requested dimensions give")
     inst = random_instance(
         args.seed, args.n, block_dims, mults, args.h1, args.h2,
         k1_extra=args.k1_extra, k2_extra=args.k2_extra,
@@ -173,7 +186,6 @@ def _cmd_generate(args) -> int:
     if not inst.cp.is_completely_n_positive(args.tol):
         raise NotPSDError(NOT_CNP)
     compat = _check_compatible(inst, args.tol)
-    raw_dim = args.n * sum(d * d for d in block_dims) * args.h1
     _write(args.out, serialize.emit_instance(inst))
     full = "full" if inst.module.is_full else "not full"
     print(
@@ -186,6 +198,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_dilate(args) -> int:
     inst = _load_instance(args.instance)
+    inst.cp.check_hermiticity(args.tol)
     _check_compatible(inst, args.tol)
     data = dilate(inst, cutoff=args.cutoff, welldef_tol=args.tol)
     report = verify_dilation(inst, data, tol=args.tol, rank_cutoff=args.cutoff)
@@ -292,7 +305,8 @@ def _fuzz_trial(base_seed: int, index: int, args) -> dict:
 
 
 def _cmd_fuzz(args) -> int:
-    _check_choi_side(args.max_n, [args.max_block], args.max_h, "bounds admit")
+    # a trial has at most two blocks
+    _check_dims(args.max_n, [args.max_block] * 2, args.max_h, "bounds admit")
     results = [_fuzz_trial(args.seed, t, args) for t in range(args.trials)]
     worst: dict[str, float] = {}
     histogram: dict[str, int] = {}

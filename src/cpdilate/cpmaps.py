@@ -324,9 +324,14 @@ def identity_instance(d: int) -> Instance:
     phi = Phi = id and h1 = h2 = d."""
     desc = AlgebraDescriptor((d,))
     mdesc = ModuleDescriptor(desc, (d,))
-    units = amplified_units(desc.basis_labels, (d,), (d,), (1,))  # E_pq; V has A's units
+    cp_action = np.zeros((1, 1, desc.dim, d, d), dtype=complex)
+    for alpha, (_, p, q) in enumerate(desc.basis_labels):
+        cp_action[0, 0, alpha, p, q] = 1.0
+    tup_action = np.zeros((1, mdesc.dim, d, d), dtype=complex)
+    for gamma, (_, r, q) in enumerate(mdesc.basis_labels):
+        tup_action[0, gamma, r, q] = 1.0
     return Instance(
-        CPBlockMap(desc, 1, d, units[None, None]),
-        ModuleCPTuple(mdesc, 1, d, d, units[None].copy()),
+        CPBlockMap(desc, 1, d, cp_action),
+        ModuleCPTuple(mdesc, 1, d, d, tup_action),
         {"kind": "identity", "d": int(d)},
     )

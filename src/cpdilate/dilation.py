@@ -209,18 +209,21 @@ def build_gram(cp: CPBlockMap, rel_cutoff: float = DEFAULT_CUTOFF) -> GramFactor
 
     Rank decisions are on the scale of the whole raw Gram matrix: kept
     eigenvalues exceed ``rel_cutoff`` times the largest eigenvalue over
-    all blocks.  Raises NotPSDError, naming the block, when some block
-    has a negative direction at that scale (``negative_at_scale``), which
-    is a failure of complete n-positivity.
+    all blocks.  Raises NotPSDError, naming the block, when
+    ``rank_truncate`` finds a negative direction at that scale, which is
+    a failure of complete n-positivity.
     """
     eigs = [hermitian_eig(cp.choi_block(b), tol_herm=1e-10) for b in range(cp.algebra.nblocks)]
     scale = max(float(e.eigenvalues[0]) for e in eigs)
+    factors = []
     for b, e in enumerate(eigs):
-        if negative_at_scale(float(e.eigenvalues[-1]), scale, rel_cutoff):
-            raise NotPSDError(f"map family is not completely n-positive: Choi block {b} has "
-                              f"eigenvalue {e.eigenvalues[-1]:.3e} at scale {scale:.3e}")
-    factors = tuple(rank_truncate(e, rel_cutoff, scale)[1] for e in eigs)
-    return GramFactorization(cp, factors, tuple(e.eigenvalues for e in eigs))
+        try:
+            factors.append(rank_truncate(e, rel_cutoff, scale)[1])
+        except NotPSDError as exc:
+            raise NotPSDError(
+                f"map family is not completely n-positive: Choi block {b} has {exc}"
+            ) from None
+    return GramFactorization(cp, tuple(factors), tuple(e.eigenvalues for e in eigs))
 
 
 def build_pi(g: GramFactorization, cp: CPBlockMap) -> np.ndarray:
@@ -276,11 +279,14 @@ def build_W(tup: ModuleCPTuple, rel_cutoff: float = DEFAULT_CUTOFF) -> tuple[tup
     Row i holds an orthonormal basis of the span of all Phi_i(f) columns;
     a zero map yields a zero-row coisometry.
     """
-    ws = tuple(
-        svd_orthobasis(a.transpose(1, 0, 2).reshape(tup.h2, -1), rel_cutoff).conj().T
-        for a in tup.action
-    )
-    return ws, tuple(len(w) for w in ws)
+    h2 = tup.h2
+    ws, dims = [], []
+    for i in range(tup.n):
+        cols = tup.action[i].transpose(1, 0, 2).reshape(h2, -1)
+        w = svd_orthobasis(cols, rel_cutoff).conj().T
+        ws.append(w)
+        dims.append(w.shape[0])
+    return tuple(ws), tuple(dims)
 
 
 def dilate(
@@ -318,6 +324,7 @@ def dilate(
         k2_embed=k2_embed,
         w_ops=w_ops,
         k2i_dims=k2i_dims,
+        pi_welldef=0.0,
         psi_welldef=psi_res,
     )
 

@@ -107,21 +107,26 @@ def rotate_dilation(
     )
 
 
-def _unitarity(u: np.ndarray) -> float:
-    """The larger of ``|u* u - 1|`` and ``|u u* - 1|``, relative."""
-    return max(
-        rel_residual(u.conj().T @ u, np.eye(u.shape[1], dtype=complex)),
-        rel_residual(u @ u.conj().T, np.eye(u.shape[0], dtype=complex)),
-    )
-
-
 def _diagram_residuals(
     u1: np.ndarray,
     u2: np.ndarray,
     data_a: DilationData,
     data_b: DilationData,
 ) -> dict[str, float]:
-    res = {"u1_unitarity": _unitarity(u1), "u2_unitarity": _unitarity(u2)}
+    eye_a1 = np.eye(data_a.r1, dtype=complex)
+    eye_b1 = np.eye(data_b.r1, dtype=complex)
+    eye_a2 = np.eye(data_a.r2, dtype=complex)
+    eye_b2 = np.eye(data_b.r2, dtype=complex)
+
+    res = {
+        "u1_unitarity": max(
+            rel_residual(u1.conj().T @ u1, eye_a1), rel_residual(u1 @ u1.conj().T, eye_b1)
+        ),
+        "u2_unitarity": max(
+            rel_residual(u2.conj().T @ u2, eye_a2), rel_residual(u2 @ u2.conj().T, eye_b2)
+        ),
+    }
+
     res["u1_S_intertwine"] = max_rel_residual(u1 @ data_a.s_ops, data_b.s_ops)
     res["u1_pi_intertwine"] = max_rel_residual(u1 @ data_a.pi_action, data_b.pi_action @ u1)
     res["u2_psi_intertwine"] = max_rel_residual(u2 @ data_a.psi_action, data_b.psi_action @ u1)

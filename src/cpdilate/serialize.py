@@ -204,10 +204,6 @@ def _require(payload: dict, key: str, what: str):
     return payload[key]
 
 
-def _tensor_field(payload: dict, key: str, shape: tuple[int, ...], what: str) -> np.ndarray:
-    return _decode_complex(_require(payload, key, what), shape, what)
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -331,8 +327,12 @@ def parse_instance(text: str | bytes) -> Instance:
     try:
         dims, algebra, module = _read_dims(payload, what)
         n, h1, h2 = dims["n"], dims["h1"], dims["h2"]
-        cp_action = _tensor_field(payload, "cp_action", (n, n, algebra.dim, h1, h1), what)
-        tuple_action = _tensor_field(payload, "tuple_action", (n, module.dim, h2, h1), what)
+        cp_action = _decode_complex(
+            _require(payload, "cp_action", what), (n, n, algebra.dim, h1, h1), what
+        )
+        tuple_action = _decode_complex(
+            _require(payload, "tuple_action", what), (n, module.dim, h2, h1), what
+        )
         meta = payload.get("meta") or {}
         if not isinstance(meta, dict):
             raise ParseError(f"{what}: meta must be an object")
@@ -382,18 +382,25 @@ def parse_dilation(text: str | bytes) -> tuple[DilationData, dict]:
         w_raw = _require(payload, "w_ops", what)
         if not isinstance(w_raw, list) or len(w_raw) != n:
             raise ParseError(f"{what}: expected {n} coisometries")
-        return DilationData(
+        data = DilationData(
             r1=r1,
             r2=r2,
-            pi_action=_tensor_field(payload, "pi_action", (algebra.dim, r1, r1), what),
-            s_ops=_tensor_field(payload, "s_ops", (n, r1, h1), what),
-            psi_action=_tensor_field(payload, "psi_action", (module.dim, r2, r1), what),
-            k2_embed=_tensor_field(payload, "k2_embed", (h2, r2), what),
-            w_ops=tuple(_decode_complex(w, (k, h2), what) for w, k in zip(w_raw, k2i_dims)),
+            pi_action=_decode_complex(
+                _require(payload, "pi_action", what), (algebra.dim, r1, r1), what
+            ),
+            s_ops=_decode_complex(_require(payload, "s_ops", what), (n, r1, h1), what),
+            psi_action=_decode_complex(
+                _require(payload, "psi_action", what), (module.dim, r2, r1), what
+            ),
+            k2_embed=_decode_complex(_require(payload, "k2_embed", what), (h2, r2), what),
+            w_ops=tuple(
+                _decode_complex(w, (k, h2), what) for w, k in zip(w_raw, k2i_dims)
+            ),
             k2i_dims=tuple(k2i_dims),
             pi_welldef=_real_field(payload, "pi_welldef", what),
             psi_welldef=_real_field(payload, "psi_welldef", what),
-        ), dims
+        )
+        return data, dims
     except ParseError:
         raise
     except Exception as exc:

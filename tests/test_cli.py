@@ -17,7 +17,7 @@ from test_serialize import (
     tensor_made_ragged,
 )
 from cpdilate import cli, dilation, equivalence
-from cpdilate.cpmaps import haar_unitary, random_instance
+from cpdilate.cpmaps import CPBlockMap, haar_unitary, random_instance
 from cpdilate.dilation import build_gram, dilate
 from cpdilate.equivalence import rotate_dilation
 from cpdilate.errors import NotPSDError
@@ -164,6 +164,18 @@ class TestOneChoiPass:
         assert json.loads(capsys.readouterr().out)["passed"] is True
         assert calls == {"hermitian_eig": 3, "eigh": 3, "eigvalsh": 0}
 
+    def test_hermiticity_defect_computed_once(self, tmp_path, monkeypatch):
+        seen = []
+        defect = CPBlockMap.hermiticity_defect
+        monkeypatch.setattr(CPBlockMap, "hermiticity_defect",
+                            lambda self: seen.append(1) or defect(self))
+        inst_path = tmp_path / "inst.json"
+        assert cli.main(["generate", "--seed", "2", "--n", "2", "--blocks", "2,1", "--mults",
+                         "1,1", "--h1", "2", "--h2", "4", "-o", str(inst_path)]) == 0
+        assert len(seen) == 1
+        assert cli.main(["dilate", str(inst_path)]) == 0
+        assert len(seen) == 2
+
     def test_gap_instance_rejected_by_the_positivity_rule(self, tmp_path, capsys):
         inst = gap_instance()
         assert inst.cp.hermiticity_defect() == 0.0
@@ -182,8 +194,8 @@ class TestOneChoiPass:
 
 
 class TestGuardrail:
-    """The largest Choi block side ``n * d_b * h1`` is bounded wherever an
-    instance is made or read."""
+    """The largest Choi block side ``n * d_b * h1`` and the raw dimension
+    ``n * dim A * h1`` are bounded wherever an instance is made or read."""
 
     def test_side_not_raw_dimension(self, tmp_path, capsys):
         # raw Gram dim 1025 is small, but its one Choi block has side 1025
@@ -192,6 +204,23 @@ class TestGuardrail:
         assert rc == 2
         assert "a Choi block of side 1025, above the guardrail 1024" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
+
+    def test_raw_dimension_within_side(self, tmp_path, capsys):
+        # side 1 * 256 * 4 = 1024 passes, but dim A = 65536 gives raw 262,144;
+        # the generator's pi tensor alone would be 65536 x 256 x 256
+        rc = cli.main(["generate", "--seed", "1", "--n", "1", "--blocks", "256", "--mults", "1",
+                       "--h1", "4", "--h2", "256", "-o", str(tmp_path / "x.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "raw dimension n * dim A * h1 = 262144, above the guardrail 10000" in err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_fuzz_raw_dimension_within_side(self, capsys):
+        # side 1 * 64 * 16 = 1024; two blocks of M_64 give raw 1 * 8192 * 16
+        rc = cli.main(["fuzz", "--trials", "1", "--max-n", "1", "--max-block", "64",
+                       "--max-h", "16"])
+        assert rc == 2
+        assert "bounds admit raw dimension n * dim A * h1 = 131072" in capsys.readouterr().err
 
     def test_fuzz_bounds(self, capsys, monkeypatch):
         args = ["fuzz", "--trials", "1", "--max-n", "2", "--max-block", "3", "--max-h", "4"]
@@ -217,6 +246,15 @@ class TestGuardrail:
             err = capsys.readouterr().err
             assert "DimensionTooLargeError: instance has a Choi block of side 8" in err
         monkeypatch.setattr(cli, "MAX_CHOI_SIDE", 8)
+        for argv in commands:
+            assert cli.main(argv) == 0
+        # raw dimension 2 * (4 + 1) * 2 = 20
+        monkeypatch.setattr(cli, "MAX_RAW_DIM", 19)
+        for argv in commands:
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert "instance has raw dimension n * dim A * h1 = 20, above the guardrail" in err
+        monkeypatch.setattr(cli, "MAX_RAW_DIM", 20)
         for argv in commands:
             assert cli.main(argv) == 0
 
