@@ -9,11 +9,16 @@ Exit codes are a stable contract:
 * 4  well-definedness failure of the quotient construction
 * 5  minimality or equivalence failure
 
-``dilate`` checks the Hermiticity pattern and compatibility, then reads
-complete n-positivity off the Choi spectra ``build_gram`` factors, once per
-block; ``generate`` checks positivity first.  Every subcommand bounds the
-largest Choi block side ``n * d_b * h1`` by ``MAX_CHOI_SIDE`` and the raw
-dimension ``n * dim A * h1`` by ``MAX_RAW_DIM``.
+``dilate`` checks compatibility, then runs ``dilation.dilate``, whose
+``build_gram`` judges the Hermiticity pattern and complete n-positivity
+by the rules of ``CPBlockMap.is_completely_n_positive``, on the one
+spectrum per Choi block that it factors; ``generate`` checks positivity
+first.  Every subcommand bounds the largest Choi block side
+``n * d_b * h1`` by ``MAX_CHOI_SIDE`` and the raw dimension
+``n * dim A * h1`` by ``MAX_RAW_DIM``.  ``dilate`` bounds the entries of
+pi by ``dilation.MAX_PI_ENTRIES``, and ``generate`` bounds its
+generator's carrier side and ``h2`` by ``MAX_CHOI_SIDE`` and the
+carrier's entries by ``dilation.MAX_PI_ENTRIES``.
 
 The only recognized environment variable is ``CPDILATE_TOL``, which
 overrides the default residual tolerance for all subcommands; it is read
@@ -26,16 +31,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import serialize
-from .cpmaps import Instance, haar_unitary, random_instance
-from .dilation import NOT_CNP, VerificationReport, dilate, verify_dilation
+from . import dilation, serialize
+from .cpmaps import Instance, carrier_mult, haar_unitary, random_instance
+from .dilation import VerificationReport, dilate, verify_dilation
 from .equivalence import build_unitaries, rotate_dilation
 from .errors import (
     CPDilateError,
@@ -99,20 +103,18 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _bound(what: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise DimensionTooLargeError(f"{what} {value}, above the guardrail {limit}")
+
+
 def _check_dims(n: int, block_dims, h1: int, what: str) -> int:
     """The guardrails: the largest Choi block side ``n * d_b * h1`` (the
     matrix eigendecomposed) and the raw dimension ``n * dim A * h1`` (the
     representation tensors scale with ``dim A``).  Returns the raw dimension."""
-    side = n * max(block_dims, default=0) * h1
-    if side > MAX_CHOI_SIDE:
-        raise DimensionTooLargeError(
-            f"{what} a Choi block of side {side}, above the guardrail {MAX_CHOI_SIDE}"
-        )
+    _bound(f"{what} a Choi block of side", n * max(block_dims, default=0) * h1, MAX_CHOI_SIDE)
     raw = n * sum(d * d for d in block_dims) * h1
-    if raw > MAX_RAW_DIM:
-        raise DimensionTooLargeError(
-            f"{what} raw dimension n * dim A * h1 = {raw}, above the guardrail {MAX_RAW_DIM}"
-        )
+    _bound(f"{what} raw dimension n * dim A * h1 =", raw, MAX_RAW_DIM)
     return raw
 
 
@@ -179,12 +181,18 @@ def _print_witness(witness, commutes: bool, tol: float, json_mode: bool) -> None
 def _cmd_generate(args) -> int:
     block_dims, mults = args.blocks, args.mults
     raw_dim = _check_dims(args.n, block_dims, args.h1, "requested dimensions give")
+    # the generator's carrier representation is dim A x carrier x carrier
+    carrier = sum(block_dims) * carrier_mult(block_dims, args.h1, args.k1_extra)
+    _bound("requested dimensions give a carrier of side", carrier, MAX_CHOI_SIDE)
+    _bound("requested h2 =", args.h2, MAX_CHOI_SIDE)
+    _bound("requested dimensions give dim A * carrier^2 =",
+           sum(d * d for d in block_dims) * carrier**2, dilation.MAX_PI_ENTRIES)
     inst = random_instance(
         args.seed, args.n, block_dims, mults, args.h1, args.h2,
         k1_extra=args.k1_extra, k2_extra=args.k2_extra,
     )
     if not inst.cp.is_completely_n_positive(args.tol):
-        raise NotPSDError(NOT_CNP)
+        raise NotPSDError("map family is not completely n-positive (Choi test failed)")
     compat = _check_compatible(inst, args.tol)
     _write(args.out, serialize.emit_instance(inst))
     full = "full" if inst.module.is_full else "not full"
@@ -198,7 +206,6 @@ def _cmd_generate(args) -> int:
 
 def _cmd_dilate(args) -> int:
     inst = _load_instance(args.instance)
-    inst.cp.check_hermiticity(args.tol)
     _check_compatible(inst, args.tol)
     data = dilate(inst, cutoff=args.cutoff, welldef_tol=args.tol)
     report = verify_dilation(inst, data, tol=args.tol, rank_cutoff=args.cutoff)
@@ -240,13 +247,9 @@ def _fuzz_dims(rng: np.random.Generator, max_n: int, max_block: int, max_h: int)
         mults[int(rng.integers(0, nblocks))] = 1
     h1 = int(rng.integers(1, max_h + 1))
     k1_extra = int(rng.integers(0, 2))
-    sum_d = sum(block_dims)
-
-    def carrier_mult(extra: int) -> int:
-        return max(1 + extra, math.ceil(h1 / sum_d))
 
     # Shrink the module until H2 (bounded by max_h) can host the range.
-    while sum(k * carrier_mult(k1_extra) for k in mults) > max_h:
+    while sum(k * carrier_mult(block_dims, h1, k1_extra) for k in mults) > max_h:
         if k1_extra > 0:
             k1_extra = 0
             continue
@@ -255,7 +258,7 @@ def _fuzz_dims(rng: np.random.Generator, max_n: int, max_block: int, max_h: int)
             mults[big] -= 1
         else:
             break
-    needed = sum(k * carrier_mult(k1_extra) for k in mults)
+    needed = sum(k * carrier_mult(block_dims, h1, k1_extra) for k in mults)
     h2 = int(rng.integers(min(max(needed, 1), max_h), max_h + 1))
     return {
         "n": n,
@@ -275,9 +278,8 @@ def _fuzz_trial(base_seed: int, index: int, args) -> dict:
     try:
         inst = random_instance(seed=int(rng.integers(0, 2**63 - 1)), **dims)
         compat = inst.compatibility_residual()
-        valid = inst.cp.is_completely_n_positive(args.tol) and compat <= args.tol
-
         data = dilate(inst, cutoff=args.cutoff, welldef_tol=args.tol)
+        valid = compat <= args.tol  # dilate has judged Hermiticity and positivity
         report = verify_dilation(inst, data, tol=args.tol, rank_cutoff=args.cutoff)
 
         q1 = haar_unitary(rng, data.r1)

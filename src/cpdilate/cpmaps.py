@@ -42,6 +42,7 @@ __all__ = [
     "ModuleCPTuple",
     "Instance",
     "haar_unitary",
+    "carrier_mult",
     "random_instance",
     "identity_instance",
 ]
@@ -234,6 +235,13 @@ def amplified_units(labels, row_dims, col_dims, copies) -> np.ndarray:
     return out
 
 
+def carrier_mult(block_dims, h1: int, k1_extra: int) -> int:
+    """Multiplicity of every block in ``random_instance``'s carrier
+    representation, of side ``sum(block_dims) * carrier_mult``: ``1 +
+    k1_extra``, raised so that the carrier can host H1."""
+    return max(1 + k1_extra, math.ceil(h1 / max(sum(block_dims), 1)))
+
+
 def random_instance(
     seed: int,
     n: int,
@@ -270,9 +278,7 @@ def random_instance(
         raise ValueError("slack parameters must be >= 0")
 
     rng = np.random.default_rng(seed)
-    sum_d = sum(desc.block_dims)
-    mult = max(1 + k1_extra, math.ceil(h1 / sum_d))
-    copies = [mult] * desc.nblocks
+    copies = [carrier_mult(desc.block_dims, h1, k1_extra)] * desc.nblocks
     pi_t = amplified_units(desc.basis_labels, desc.block_dims, desc.block_dims, copies)
     psi_t = amplified_units(mdesc.basis_labels, mdesc.mults, desc.block_dims, copies)
     dim1, dim2 = pi_t.shape[1], psi_t.shape[1]

@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cpmaps import CPBlockMap, Instance, ModuleCPTuple, amplified_units
-from .errors import NotPSDError, ShapeMismatchError, WellDefinednessError
+from .errors import DimensionTooLargeError, NotPSDError, ShapeMismatchError, WellDefinednessError
 from .linalg import (
     DEFAULT_CUTOFF,
     DEFAULT_TOL,
@@ -90,8 +90,9 @@ __all__ = [
     "verify_dilation",
 ]
 
-NOT_CNP = "map family is not completely n-positive (Choi test failed)"
-
+# Bound on the entries of pi, dim A * r1^2 (16 bytes each); the README
+# backs it with a measured peak RSS.
+MAX_PI_ENTRIES = 2**22
 
 @dataclass(eq=False)
 class GramFactorization:
@@ -99,14 +100,12 @@ class GramFactorization:
 
     ``block_factors[b]`` is ``F_b`` of shape (rank_b, n * d_b * h1) with
     ``F_b* F_b = cp.choi_block(b)`` to cutoff accuracy and orthogonal
-    rows, cut from the descending spectrum ``eigenvalues[b]``.  The raw
-    Gram matrix is a permuted direct sum of ``d_b`` copies of each Choi
-    block (module docstring); it is never assembled.
+    rows.  The raw Gram matrix is a permuted direct sum of ``d_b``
+    copies of each Choi block (module docstring); it is never assembled.
     """
 
     cp: CPBlockMap = field(repr=False)
     block_factors: tuple[np.ndarray, ...] = field(repr=False)
-    eigenvalues: tuple[np.ndarray, ...] = field(repr=False)
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -204,26 +203,28 @@ class VerificationReport:
         }
 
 
-def build_gram(cp: CPBlockMap, rel_cutoff: float = DEFAULT_CUTOFF) -> GramFactorization:
+def build_gram(
+    cp: CPBlockMap, rel_cutoff: float = DEFAULT_CUTOFF, tol: float = DEFAULT_TOL
+) -> GramFactorization:
     """Factor every compressed Choi block ``C_b = F_b* F_b``.
 
-    Rank decisions are on the scale of the whole raw Gram matrix: kept
+    The input is judged first, by ``is_completely_n_positive``'s rules at
+    ``tol``: ``check_hermiticity``, then ``negative_at_scale`` on each
+    block's own spectrum, raising NotPSDError that names the block.  Rank
+    decisions are then on the scale of the whole raw Gram matrix: kept
     eigenvalues exceed ``rel_cutoff`` times the largest eigenvalue over
-    all blocks.  Raises NotPSDError, naming the block, when
-    ``rank_truncate`` finds a negative direction at that scale, which is
-    a failure of complete n-positivity.
+    all blocks.
     """
-    eigs = [hermitian_eig(cp.choi_block(b), tol_herm=1e-10) for b in range(cp.algebra.nblocks)]
-    scale = max(float(e.eigenvalues[0]) for e in eigs)
-    factors = []
-    for b, e in enumerate(eigs):
-        try:
-            factors.append(rank_truncate(e, rel_cutoff, scale)[1])
-        except NotPSDError as exc:
+    cp.check_hermiticity(tol)
+    eigs = [hermitian_eig(cp.choi_block(b)) for b in range(cp.algebra.nblocks)]
+    for b, w in enumerate(e.eigenvalues for e in eigs):
+        if negative_at_scale(float(w[-1]), float(w[0]), tol):
             raise NotPSDError(
-                f"map family is not completely n-positive: Choi block {b} has {exc}"
-            ) from None
-    return GramFactorization(cp, tuple(factors), tuple(e.eigenvalues for e in eigs))
+                f"map family is not completely n-positive: Choi block {b} has eigenvalue "
+                f"{w[-1]:.3e} below -{tol:.1e} * {max(float(w[0]), 1.0):.3e}"
+            )
+    scale = max(float(e.eigenvalues[0]) for e in eigs)
+    return GramFactorization(cp, tuple(rank_truncate(e, rel_cutoff, scale)[1] for e in eigs))
 
 
 def build_pi(g: GramFactorization, cp: CPBlockMap) -> np.ndarray:
@@ -298,14 +299,18 @@ def dilate(
 
     The output is minimal by construction: K1 is spanned by the images
     ``pi(e) S_i H1`` (they are exactly the factor columns) and K2 by
-    ``Psi(f) S_i H1``.  Raises NotPSDError for inputs that are not
-    completely n-positive (``is_completely_n_positive``'s rule at
-    ``welldef_tol``, on ``build_gram``'s spectra) and WellDefinednessError
-    when the K2 embedding solve fails to close at ``welldef_tol``.
+    ``Psi(f) S_i H1``.  Raises what ``build_gram`` raises at ``welldef_tol``
+    for inputs that are not completely n-positive, DimensionTooLargeError
+    when pi would have more than ``MAX_PI_ENTRIES`` entries, and
+    WellDefinednessError when the K2 embedding solve fails to close at
+    ``welldef_tol``.
     """
-    g = build_gram(inst.cp, cutoff)
-    if any(negative_at_scale(float(w[-1]), float(w[0]), welldef_tol) for w in g.eigenvalues):
-        raise NotPSDError(NOT_CNP)
+    g = build_gram(inst.cp, cutoff, welldef_tol)
+    entries = inst.algebra.dim * g.r1**2
+    if entries > MAX_PI_ENTRIES:
+        raise DimensionTooLargeError(
+            f"pi would have dim A * r1^2 = {entries} entries, above the guardrail {MAX_PI_ENTRIES}"
+        )
     pi_action = build_pi(g, inst.cp)
     s_ops = build_S(g, inst.cp)
     psi_action, k2_embed, psi_res = build_psi(g, inst.cp, inst.tup)
@@ -437,13 +442,15 @@ def verify_dilation(
     pi_unital = rel_residual(pi_one, np.eye(r1, dtype=complex))
 
     # Psi(f)* Psi(g) = pi(<f, g>), certified on the generators as
-    # Psi(f^b_r0)* Psi(f^c_s0) = delta_bc delta_rs pi(e^b_00) (module docstring)
-    g = len(gens)
-    gen_cols = psi[gens].transpose(1, 0, 2).reshape(r2, g * r1)
-    lhs = (gen_cols.conj().T @ gen_cols).reshape(g, r1, g, r1)
-    expected = np.zeros((g, g, r1, r1), dtype=complex)
-    expected[range(g), range(g)] = pi[gen_units]
-    psi_rep = max_rel_residual(lhs.transpose(0, 2, 1, 3), expected)
+    # Psi(f^b_r0)* Psi(f^c_s0) = delta_bc delta_rs pi(e^b_00) (module
+    # docstring), one generator row at a time
+    gen_cols = psi[gens].transpose(1, 0, 2).reshape(r2, len(gens) * r1)
+    psi_rep = 0.0
+    for a, (gen, unit) in enumerate(zip(gens, gen_units)):
+        row = (psi[gen].conj().T @ gen_cols).reshape(r1, len(gens), r1).transpose(1, 0, 2)
+        expected = np.zeros((len(gens), r1, r1), dtype=complex)
+        expected[a] = pi[unit]
+        psi_rep = max(psi_rep, max_rel_residual(row, expected))
 
     # Phi_i(f) = W_i* Psi(f) S_i, read both directly through the K2
     # embedding and through the range projector; the two must agree.

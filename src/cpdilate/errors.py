@@ -19,10 +19,6 @@ class NotSquareError(CPDilateError):
     """A square matrix was required."""
 
 
-class NotHermitianError(CPDilateError):
-    """Symmetry defect of a matrix exceeds the stated tolerance."""
-
-
 class NotPSDError(CPDilateError):
     """A matrix that must be positive semidefinite has a negative
     eigenvalue at kept scale.  For Gram matrices this signals that the

@@ -6,6 +6,10 @@ matrices are ``numpy.ndarray`` with dtype complex128; all comparisons
 are relative Frobenius residuals with denominator ``max(norm, 1)`` so
 zero inputs never divide by zero.
 
+Validity is the callers' verdict: ``hermitian_eig`` only symmetrizes
+and ``rank_truncate`` only truncates.  ``negative_at_scale`` states the
+one positivity rule, which the callers apply to each Choi block's spectrum.
+
 Determinism: LAPACK eigendecompositions are deterministic on a fixed
 platform, but eigenvector phase and ordering inside degenerate clusters
 may differ across platforms.  Callers must therefore compare only
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitianError, NotPSDError, NotSquareError
+from .errors import NotSquareError
 
 DEFAULT_CUTOFF = 1e-10
 DEFAULT_TOL = 1e-9
@@ -81,22 +85,13 @@ class HermEig:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(m: np.ndarray, tol_herm: float = 1e-12) -> HermEig:
-    """Eigendecomposition of a (numerically) Hermitian matrix.
-
-    Raises NotSquareError for non-square input and NotHermitianError when
-    the symmetry defect ``|m - m*|`` exceeds ``tol_herm * |m|``.  The input
-    is symmetrized before factorization so the defect never leaks into the
-    eigenvalues.
-    """
+def hermitian_eig(m: np.ndarray) -> HermEig:
+    """Eigendecomposition of the Hermitian part ``(m + m*) / 2`` of a
+    square matrix; raises NotSquareError for non-square input.  Whether
+    ``m`` is Hermitian enough is the caller's verdict, not this one's."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
-    defect = frob(m - m.conj().T)
-    if defect > tol_herm * frob(m):
-        raise NotHermitianError(
-            f"symmetry defect {defect:.3e} exceeds {tol_herm:.1e} * |m|"
-        )
     if m.shape[0] == 0:
         return HermEig(np.zeros(0), np.zeros((0, 0), dtype=complex))
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
@@ -113,16 +108,15 @@ def negative_at_scale(lam_min: float, lam_max: float, rel_tol: float) -> bool:
 def rank_truncate(
     e: HermEig, rel_cutoff: float = DEFAULT_CUTOFF, scale: float | None = None
 ) -> tuple[int, np.ndarray]:
-    """Rank-reveal a PSD eigendecomposition and return its square-root factor.
+    """Rank-reveal an eigendecomposition and return its square-root factor.
 
     Keeps eigenvalues above ``rel_cutoff * scale`` and returns
-    ``(rank, F)`` with ``F = diag(sqrt(kept)) @ V_kept*`` so that
-    ``F* F`` reconstructs the original matrix to cutoff accuracy.  The
-    factor's rows are the canonical coordinates of the quotient by the
-    numerical null space.
-
-    Raises NotPSDError when a kept-scale negative eigenvalue exists
-    (``negative_at_scale`` at ``rel_cutoff`` and ``scale``).
+    ``(rank, F)`` with ``F = diag(sqrt(kept)) @ V_kept*``, so that
+    ``F* F`` is the PSD part of the original matrix to cutoff accuracy.
+    The factor's rows are the canonical coordinates of the quotient by
+    the numerical null space.  Negative eigenvalues are dropped, never
+    judged: the positivity verdict is ``negative_at_scale``, applied by
+    the caller.
 
     ``scale`` defaults to the largest eigenvalue of ``e``; the diagonal
     blocks of one direct sum pass the largest eigenvalue over all
@@ -132,11 +126,6 @@ def rank_truncate(
     if w.size == 0:
         return 0, np.zeros((0, 0), dtype=complex)
     lam_max = float(w[0]) if scale is None else scale
-    if negative_at_scale(float(w[-1]), lam_max, rel_cutoff):
-        raise NotPSDError(
-            f"negative eigenvalue {w[-1]:.3e} at kept scale "
-            f"(cutoff {rel_cutoff:.1e} * {max(lam_max, 1.0):.3e})"
-        )
     keep = w > rel_cutoff * max(lam_max, 0.0)
     rank = int(np.count_nonzero(keep))
     factor = np.sqrt(w[keep])[:, None] * e.eigenvectors[:, keep].conj().T

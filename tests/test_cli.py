@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_dilation import gap_instance
+from test_dilation import gap_instance, hermiticity_perturbed
 from test_serialize import (
     DIMENSION_FIELDS,
     GOLDEN_INSTANCE,
@@ -17,7 +18,8 @@ from test_serialize import (
     tensor_made_ragged,
 )
 from cpdilate import cli, dilation, equivalence
-from cpdilate.cpmaps import CPBlockMap, haar_unitary, random_instance
+from cpdilate.algebra import AlgebraDescriptor, ModuleDescriptor
+from cpdilate.cpmaps import CPBlockMap, Instance, ModuleCPTuple, haar_unitary, random_instance
 from cpdilate.dilation import build_gram, dilate
 from cpdilate.equivalence import rotate_dilation
 from cpdilate.errors import NotPSDError
@@ -114,9 +116,19 @@ class TestDilate:
         assert "NotPSDError: map family is not completely n-positive: Choi block 1 " in err
 
     def test_hermiticity_violation_gives_validity_exit(self, tmp_path, capsys):
+        # A break that compatibility sees is reported as incompatible ...
         inst, inst_path = write_instance(tmp_path)
         broken = parse_instance(inst_path.read_text(encoding="utf-8"))
         broken.cp.action[0, 1] += 0.5  # phi_01 is no longer phi_10*
+        inst_path.write_text(emit_instance(broken), encoding="utf-8")
+        rc = cli.main(["dilate", str(inst_path)])
+        assert rc == 3
+        assert "tuple is not compatible with the map family" in capsys.readouterr().err
+        # ... and one in a block without module rows by build_gram's check.
+        inst, inst_path = write_instance(tmp_path, block_dims=[2, 1], mults=[1, 0], h2=4)
+        broken = parse_instance(inst_path.read_text(encoding="utf-8"))
+        broken.cp.action[0, 1, 4] += 0.5
+        assert broken.compatibility_residual() <= 1e-12
         inst_path.write_text(emit_instance(broken), encoding="utf-8")
         defect = broken.cp.hermiticity_defect()
         rc = cli.main(["dilate", str(inst_path)])
@@ -148,21 +160,32 @@ class TestOneChoiPass:
     """``cpdilate dilate`` eigendecomposes each Choi block once, in
     ``build_gram``, and reads the positivity verdict off that spectrum."""
 
+    @staticmethod
+    def counted(monkeypatch, targets) -> dict:
+        """Count the calls of each ``(module, name)`` by name."""
+        calls = dict.fromkeys((name for _, name in targets), 0)
+        for module, name in targets:
+            def wrapper(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+        return calls
+
     def test_one_eigendecomposition_per_block(self, tmp_path, monkeypatch, capsys):
         inst, inst_path = write_instance(tmp_path, block_dims=[2, 1, 2], mults=[1, 1, 0], h2=6)
-        calls = {"hermitian_eig": 0, "eigh": 0, "eigvalsh": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for module, name in ((dilation, "hermitian_eig"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        calls = self.counted(monkeypatch, ((dilation, "hermitian_eig"), (np.linalg, "eigh"),
+                                           (np.linalg, "eigvalsh")))
         assert cli.main(["dilate", str(inst_path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
         assert calls == {"hermitian_eig": 3, "eigh": 3, "eigvalsh": 0}
+
+    def test_fuzz_takes_validity_from_dilate(self, monkeypatch, capsys):
+        calls = self.counted(monkeypatch, ((np.linalg, "eigh"), (np.linalg, "eigvalsh")))
+        assert cli.main(["fuzz", "--trials", "20", "--seed", "1", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert all(res["valid"] for res in report["results"])
+        blocks = sum(len(res["block_dims"]) for res in report["results"])
+        assert calls == {"eigh": blocks, "eigvalsh": 0}
 
     def test_hermiticity_defect_computed_once(self, tmp_path, monkeypatch):
         seen = []
@@ -181,21 +204,30 @@ class TestOneChoiPass:
         assert inst.cp.hermiticity_defect() == 0.0
         assert inst.compatibility_residual() <= 1e-12
         assert not inst.cp.is_completely_n_positive(1e-9)
-        g = build_gram(inst.cp)  # the cutoff rule alone accepts it
-        assert min(float(w[-1]) for w in g.eigenvalues) == pytest.approx(-5e-9, rel=1e-6)
-        with pytest.raises(NotPSDError, match=r"not completely n-positive \(Choi test failed\)"):
-            dilate(inst)
+        message = ("map family is not completely n-positive: Choi block 1 has eigenvalue "
+                   "-5.000e-09 below -1.0e-09 * 1.000e+00")
+        with pytest.raises(NotPSDError, match=f"^{re.escape(message)}$"):
+            build_gram(inst.cp)
         path = tmp_path / "gap.json"
         path.write_text(emit_instance(inst), encoding="utf-8")
         assert cli.main(["dilate", str(path)]) == 3
-        err = capsys.readouterr().err
-        assert err == ("error: NotPSDError: map family is not completely n-positive "
-                       "(Choi test failed)\n")
+        assert capsys.readouterr().err == f"error: NotPSDError: {message}\n"
+
+    @pytest.mark.parametrize("inst", [gap_instance(-5e-10, scale=1.0), hermiticity_perturbed(5e-10)],
+                             ids=["positivity", "hermiticity"])
+    def test_valid_input_near_a_verdict_dilates(self, inst, tmp_path, capsys):
+        # Each verdict has one rule, so is_valid true means dilate succeeds.
+        assert inst.is_valid()
+        path = tmp_path / "inst.json"
+        path.write_text(emit_instance(inst), encoding="utf-8")
+        assert cli.main(["dilate", str(path)]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
 
 
 class TestGuardrail:
     """The largest Choi block side ``n * d_b * h1`` and the raw dimension
-    ``n * dim A * h1`` are bounded wherever an instance is made or read."""
+    ``n * dim A * h1`` are bounded wherever an instance is made or read;
+    ``dilate`` bounds the entries of pi, and ``generate`` its carrier."""
 
     def test_side_not_raw_dimension(self, tmp_path, capsys):
         # raw Gram dim 1025 is small, but its one Choi block has side 1025
@@ -257,6 +289,53 @@ class TestGuardrail:
         monkeypatch.setattr(cli, "MAX_RAW_DIM", 20)
         for argv in commands:
             assert cli.main(argv) == 0
+
+    def test_pi_entries_within_side_and_raw_dimension(self, tmp_path, capsys):
+        # A = C^1000 with n = h1 = 1: side 1, raw 1000, and every Choi block
+        # is [1], so r1 = 1000 and pi would be 1000 x 1000 x 1000 (16 GB).
+        alg = AlgebraDescriptor((1,) * 1000)
+        mod = ModuleDescriptor(alg, (1,) + (0,) * 999)
+        inst = Instance(CPBlockMap(alg, 1, 1, np.ones((1, 1, 1000, 1, 1))),
+                        ModuleCPTuple(mod, 1, 1, 1, np.ones((1, 1, 1, 1))))
+        assert inst.is_valid()
+        path = tmp_path / "inst.json"
+        path.write_text(emit_instance(inst), encoding="utf-8")
+        assert cli.main(["dilate", str(path)]) == 2
+        assert ("DimensionTooLargeError: pi would have dim A * r1^2 = 1000000000 entries, "
+                "above the guardrail 4194304") in capsys.readouterr().err
+
+    def test_pi_entries_bound_is_inclusive(self, tmp_path, monkeypatch):
+        inst, inst_path = write_instance(tmp_path)
+        entries = inst.algebra.dim * dilate(inst).r1 ** 2
+        monkeypatch.setattr(dilation, "MAX_PI_ENTRIES", entries - 1)
+        assert cli.main(["dilate", str(inst_path)]) == 2
+        monkeypatch.setattr(dilation, "MAX_PI_ENTRIES", entries)
+        assert cli.main(["dilate", str(inst_path)]) == 0
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--blocks", "2", "--h1", "1", "--h2", "4", "--k1-extra", "600"],
+         "requested dimensions give a carrier of side 1202, above the guardrail 1024"),
+        (["--blocks", "1", "--h1", "1", "--h2", "1025"],
+         "requested h2 = 1025, above the guardrail 1024"),
+        (["--blocks", "16", "--h1", "4", "--h2", "16", "--k1-extra", "8"],
+         "requested dimensions give dim A * carrier^2 = 5308416, above the guardrail 4194304"),
+    ])
+    def test_generate_bounds_what_it_builds(self, tmp_path, capsys, flags, message):
+        # carrier side = sum d_b * max(1 + k1_extra, ceil(h1 / sum d_b))
+        out = tmp_path / "x.json"
+        rc = cli.main(["generate", "--seed", "1", "--n", "1", "--mults", "1", *flags, "-o", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_generate_carrier_bound_is_inclusive(self, tmp_path, monkeypatch):
+        # carrier side 2 * 2 = 4 on A = M_2: dim A * carrier^2 = 64
+        argv = ["generate", "--seed", "1", "--n", "1", "--blocks", "2", "--mults", "1",
+                "--h1", "1", "--h2", "4", "--k1-extra", "1", "-o", str(tmp_path / "x.json")]
+        monkeypatch.setattr(dilation, "MAX_PI_ENTRIES", 63)
+        assert cli.main(argv) == 2
+        monkeypatch.setattr(dilation, "MAX_PI_ENTRIES", 64)
+        assert cli.main(argv) == 0
 
 
 class TestVerify:

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_force_gram,
@@ -33,7 +37,7 @@ from cpdilate.dilation import (
     verify_dilation,
 )
 from cpdilate.equivalence import rotate_dilation
-from cpdilate.errors import NotPSDError, WellDefinednessError
+from cpdilate.errors import HermiticityViolationError, NotPSDError, WellDefinednessError
 from cpdilate.linalg import frob
 
 
@@ -302,6 +306,21 @@ class TestVerifyDilation:
         assert report.minimality_k1_defect == 0.0
         assert report.minimality_k2_defect == 0.0
 
+    def test_memory_of_many_blocks(self):
+        # 40 one-dimensional blocks: the generator Gram of psi_representation
+        # has side 40 * r1 = 1,600, so forming it whole takes 160 MB; a row
+        # at a time stays within a few pi-sized arrays.
+        inst = random_instance(1, n=1, block_dims=[1] * 40, mults=[1] * 40, h1=1, h2=40)
+        data = dilate(inst)
+        tracemalloc.start()
+        try:
+            report = verify_dilation(inst, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak <= 8 * data.pi_action.nbytes
+
 
 class TestGeneratorCertificate:
     """verify_dilation checks pi and Psi on the generators e^b_p0 only;
@@ -403,38 +422,71 @@ def scaled_two_block():
     return block_scaled(base, [1.0, 1e-3])
 
 
-def gap_instance(lam_min=-5e-9):
-    """Two blocks 100x apart in Choi scale; the small one, without module
-    rows, has eigenvalues 1 and ``lam_min``.  The whole-Gram cutoff
-    (1e-10 * 100) accepts ``lam_min = -5e-9``; the per-block positivity
-    rule at tol 1e-9 rejects it."""
+def gap_instance(lam_min=-5e-9, scale=100.0):
+    """Two blocks: block 0 at Choi scale ``scale`` and block 1, without
+    module rows, with eigenvalues 1 and ``lam_min``.  Compatibility holds
+    for every ``lam_min``; the positivity rule at tol 1e-9 on block 1
+    alone decides validity, whatever the whole-Gram scale."""
     inst = random_instance(5, n=1, block_dims=[2, 1], mults=[1, 0], h1=2, h2=4)
     cp, tup = inst.cp.action.copy(), inst.tup.action.copy()
-    scale = 100.0 / np.linalg.eigvalsh(inst.cp.choi_block(0))[-1]
+    scale = scale / np.linalg.eigvalsh(inst.cp.choi_block(0))[-1]
     cp[:, :, :4] *= scale
     tup *= np.sqrt(scale)
     cp[0, 0, 4] = np.diag([1.0, lam_min])
     return Instance(CPBlockMap(inst.algebra, 1, 2, cp), ModuleCPTuple(inst.module, 1, 2, 4, tup))
 
 
+def hermiticity_perturbed(eps, seed=5):
+    """phi_01 of the unit of block 1, which has no module rows, moved by
+    ``eps`` in one entry: compatibility cannot see it, and the
+    Hermiticity defect is at most ``eps``."""
+    inst = random_instance(seed, n=2, block_dims=[2, 1], mults=[1, 0], h1=2, h2=4)
+    cp = inst.cp.action.copy()
+    cp[0, 1, 4, 0, 1] += eps
+    return Instance(CPBlockMap(inst.algebra, 2, 2, cp), inst.tup)
+
+
+def assert_dilates_iff_valid(inst):
+    # is_valid raises, rather than returns False, on a Hermiticity defect
+    if inst.cp.hermiticity_defect() <= 1e-9 and inst.is_valid():
+        assert verify_dilation(inst, dilate(inst)).passed
+    else:
+        with pytest.raises((NotPSDError, HermiticityViolationError)):
+            dilate(inst)
+
+
 class TestPositivityVerdict:
-    """``dilate`` rejects exactly the families ``is_completely_n_positive``
-    rejects, reading the verdict off ``build_gram``'s spectra."""
+    """``build_gram``, and so ``dilate``, rejects exactly the families
+    ``is_completely_n_positive`` rejects, by the same rules."""
 
     @pytest.mark.parametrize("lam_min", [-5e-9, -1.5e-9, -0.9e-9, -5e-10, 0.0, 1e-9])
     def test_gap_instances(self, lam_min):
         inst = gap_instance(lam_min)
         assert inst.compatibility_residual() <= 1e-12
-        g = build_gram(inst.cp)  # the whole-Gram cutoff accepts every one
-        assert float(g.eigenvalues[1][-1]) == pytest.approx(lam_min, abs=1e-15)
+        lam = np.linalg.eigvalsh(inst.cp.choi_block(1))
+        assert float(lam[0]) == pytest.approx(lam_min, abs=1e-15)
         if inst.cp.is_completely_n_positive(1e-9):
             assert lam_min > -1e-9
-            dilate(inst, welldef_tol=1e-9)
+            assert verify_dilation(inst, dilate(inst, welldef_tol=1e-9)).passed
         else:
             assert lam_min < -1e-9
-            with pytest.raises(NotPSDError, match=r"^map family is not completely n-positive "
-                                                  r"\(Choi test failed\)$"):
+            with pytest.raises(NotPSDError, match=r"^map family is not completely n-positive: "
+                                                  r"Choi block 1 has eigenvalue "):
                 dilate(inst, welldef_tol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-10.0, 1.0), st.floats(-3.0, 4.0))
+    def test_gap_family(self, lam_over_tol, decades):
+        inst = gap_instance(lam_over_tol * 1e-9, 10.0**decades)
+        assert inst.compatibility_residual() <= 1e-9
+        assert_dilates_iff_valid(inst)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(-11.0, -8.0), st.integers(0, 5))
+    def test_hermiticity_family(self, decades, seed):
+        inst = hermiticity_perturbed(10.0**decades, seed)
+        assert inst.compatibility_residual() <= 1e-9
+        assert_dilates_iff_valid(inst)
 
     def test_verdicts_on_acceptance_and_flipped_instances(self):
         for inst in acceptance_instances(30):
@@ -446,13 +498,16 @@ class TestPositivityVerdict:
                 build_gram(flipped)
 
     def test_spectra_are_kept_descending(self):
+        # F_b F_b* is the diagonal of the kept eigenvalues, in descending order.
         inst = random_instance(3, n=2, block_dims=[2, 1], mults=[1, 1], h1=2, h2=4)
         g = build_gram(inst.cp)
-        for b, w in enumerate(g.eigenvalues):
-            assert np.all(np.diff(w) <= 0)
-            lam = np.linalg.eigvalsh(inst.cp.choi_block(b))[::-1]
-            assert np.allclose(w, lam, atol=1e-12)
-            assert g.ranks[b] == np.count_nonzero(w > 1e-10 * max(u[0] for u in g.eigenvalues))
+        spectra = [np.linalg.eigvalsh(inst.cp.choi_block(b))[::-1] for b in range(2)]
+        top = max(lam[0] for lam in spectra)
+        for b, (f, lam) in enumerate(zip(g.block_factors, spectra)):
+            kept = np.einsum("kx,kx->k", f, f.conj()).real
+            assert np.all(np.diff(kept) <= 0)
+            assert np.allclose(kept, lam[: len(kept)], atol=1e-12)
+            assert g.ranks[b] == np.count_nonzero(lam > 1e-10 * top)
 
 
 class TestBlockwiseConstruction:

@@ -12,7 +12,7 @@ from test_acceptance import acceptance_instances
 from test_equivalence import doubled
 from cpdilate import cpmaps, dilation, equivalence, linalg
 from cpdilate.cpmaps import haar_unitary
-from cpdilate.errors import NotHermitianError, NotMinimalError, NotPSDError, NotSquareError
+from cpdilate.errors import NotMinimalError, NotPSDError, NotSquareError
 from cpdilate.linalg import (
     HermEig,
     direct_sum_rank,
@@ -49,10 +49,6 @@ class TestHermitianEig:
         assert frob(recon - m) <= 1e-12 * frob(m)
         assert np.all(np.diff(e.eigenvalues) <= 1e-14)
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
     def test_rejects_non_square(self):
         with pytest.raises(NotSquareError):
             hermitian_eig(np.zeros((2, 3)))
@@ -63,7 +59,7 @@ class TestHermitianEig:
         m = b + b.conj().T
         q, _ = np.linalg.qr(random_complex(rng, 6, 6))
         e1 = hermitian_eig(m)
-        e2 = hermitian_eig(q @ m @ q.conj().T, tol_herm=1e-10)
+        e2 = hermitian_eig(q @ m @ q.conj().T)
         assert np.allclose(e1.eigenvalues, e2.eigenvalues, atol=1e-10)
 
 
@@ -75,19 +71,26 @@ class TestNegativeAtScale:
         assert negative_at_scale(-2.01e-7, 200.0, 1e-9)
         assert not negative_at_scale(0.0, 0.0, 0.0)
 
-    def test_rank_truncate_and_choi_test_share_it(self, monkeypatch):
+    def test_build_gram_and_choi_test_share_it(self, monkeypatch):
+        # Both apply it to each block's own spectrum at the same tol, so the
+        # transpose map (eigenvalues 1, 1, 1, -1) is judged by one call each.
         seen = []
 
         def recording(lam_min, lam_max, rel_tol):
             seen.append((lam_min, lam_max, rel_tol))
             return False
 
-        monkeypatch.setattr(linalg, "negative_at_scale", recording)
+        monkeypatch.setattr(dilation, "negative_at_scale", recording)
         monkeypatch.setattr(cpmaps, "negative_at_scale", recording)
-        rank_truncate(hermitian_eig(np.diag([2.0, -1.0]).astype(complex)), 1e-10, 4.0)
-        assert seen == [(-1.0, 4.0, 1e-10)]
-        assert transpose_map().is_completely_n_positive(1e-9)  # the rule says no
-        assert seen[1] == pytest.approx((-1.0, 1.0, 1e-9))
+        g = dilation.build_gram(transpose_map(), 1e-10, 1e-9)  # the rule says no
+        assert seen == [pytest.approx((-1.0, 1.0, 1e-9))]
+        assert g.ranks == (3,)
+        assert transpose_map().is_completely_n_positive(1e-9)
+        assert seen[1] == pytest.approx(seen[0])
+        monkeypatch.undo()
+        with pytest.raises(NotPSDError, match="Choi block 0 has eigenvalue -1.000e"):
+            dilation.build_gram(transpose_map())
+        assert not transpose_map().is_completely_n_positive(1e-9)
 
 
 class TestRankTruncate:
@@ -108,9 +111,11 @@ class TestRankTruncate:
         assert rank == 1
         assert factor.shape == (1, 2)
 
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPSDError):
-            rank_truncate(hermitian_eig(np.diag([1.0, -1.0]).astype(complex)))
+    def test_drops_negative_eigenvalues(self):
+        # Truncation only: the positivity verdict is the caller's.
+        rank, factor = rank_truncate(hermitian_eig(np.diag([1.0, -1.0]).astype(complex)))
+        assert rank == 1
+        assert np.allclose(factor.conj().T @ factor, np.diag([1.0, 0.0]))
 
     def test_reconstruction_bound_on_random_psd(self):
         rng = np.random.default_rng(17)
@@ -118,7 +123,7 @@ class TestRankTruncate:
             k = int(rng.integers(1, 7))
             b = random_complex(rng, 8, k)
             g = b @ b.conj().T
-            rank, factor = rank_truncate(hermitian_eig(g, tol_herm=1e-12))
+            rank, factor = rank_truncate(hermitian_eig(g))
             lam_max = float(np.linalg.eigvalsh(g).max())
             assert frob(factor.conj().T @ factor - g) <= 10 * 1e-10 * lam_max
             assert rank == np.linalg.matrix_rank(g, tol=1e-8)
