@@ -90,9 +90,9 @@ __all__ = [
     "verify_dilation",
 ]
 
-# Bound on the entries of pi, dim A * r1^2 (16 bytes each); the README
-# backs it with a measured peak RSS.
+# Bound on dim A * r1^2, the entries of pi; the README backs it with peak RSS.
 MAX_PI_ENTRIES = 2**22
+
 
 @dataclass(eq=False)
 class GramFactorization:
