@@ -17,8 +17,9 @@ first.  Every subcommand bounds the largest Choi block side
 ``n * d_b * h1`` by ``MAX_CHOI_SIDE`` and the raw dimension
 ``n * dim A * h1`` by ``MAX_RAW_DIM``.  ``dilate`` bounds the entries of
 pi by ``dilation.MAX_PI_ENTRIES``, and ``generate`` bounds its
-generator's carrier side and ``h2`` by ``MAX_CHOI_SIDE`` and the
-carrier's entries by ``dilation.MAX_PI_ENTRIES``.
+generator's carrier side and ``h2`` by ``MAX_CHOI_SIDE`` and the entries
+of what it builds on the carrier (pi, psi, the slot unitaries) by
+``dilation.MAX_PI_ENTRIES``.
 
 The only recognized environment variable is ``CPDILATE_TOL``, which
 overrides the default residual tolerance for all subcommands; it is read
@@ -181,12 +182,18 @@ def _print_witness(witness, commutes: bool, tol: float, json_mode: bool) -> None
 def _cmd_generate(args) -> int:
     block_dims, mults = args.blocks, args.mults
     raw_dim = _check_dims(args.n, block_dims, args.h1, "requested dimensions give")
-    # the generator's carrier representation is dim A x carrier x carrier
-    carrier = sum(block_dims) * carrier_mult(block_dims, args.h1, args.k1_extra)
+    # the generator builds pi (dim A x carrier x carrier), psi (dim V x
+    # sum k_b * copies x carrier) and n Haar unitaries of the carrier side
+    copies = carrier_mult(block_dims, args.h1, args.k1_extra)
+    carrier = sum(block_dims) * copies
+    dim_a = sum(d * d for d in block_dims)
+    dim_v, k2_side = sum(k * d for k, d in zip(mults, block_dims)), sum(mults) * copies
     _bound("requested dimensions give a carrier of side", carrier, MAX_CHOI_SIDE)
     _bound("requested h2 =", args.h2, MAX_CHOI_SIDE)
-    _bound("requested dimensions give dim A * carrier^2 =",
-           sum(d * d for d in block_dims) * carrier**2, dilation.MAX_PI_ENTRIES)
+    for what, entries in (("dim A * carrier^2", dim_a * carrier**2),
+                          ("dim V * sum k_b * copies * carrier", dim_v * k2_side * carrier),
+                          ("n * carrier^2", args.n * carrier**2)):
+        _bound(f"requested dimensions give {what} =", entries, dilation.MAX_PI_ENTRIES)
     inst = random_instance(
         args.seed, args.n, block_dims, mults, args.h1, args.h2,
         k1_extra=args.k1_extra, k2_extra=args.k2_extra,
@@ -369,7 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"residual tolerance (default $CPDILATE_TOL, else {DEFAULT_TOL:g})")
         if cutoff:
             p.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF,
-                           help=f"relative rank cutoff (default {DEFAULT_CUTOFF:g})")
+                           help="relative cutoff of the one rank rule, on slot-equilibrated "
+                           f"spectra (default {DEFAULT_CUTOFF:g})")
         p.add_argument("--json", action="store_true",
                        help="machine-readable report on stdout")
 

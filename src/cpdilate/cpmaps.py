@@ -35,7 +35,8 @@ import numpy as np
 
 from .algebra import AlgebraDescriptor, ModuleDescriptor
 from .errors import DimensionTooSmallError, HermiticityViolationError, ShapeMismatchError
-from .linalg import DEFAULT_TOL, matrix_norms, max_rel_residual, negative_at_scale, svd_orthobasis
+from .linalg import DEFAULT_TOL, exact_scale, matrix_norms, max_rel_residual, negative_at_scale
+from .linalg import svd_orthobasis
 
 __all__ = [
     "CPBlockMap",
@@ -75,13 +76,14 @@ class CPBlockMap:
         denom = np.maximum(matrix_norms(rhs), 1.0)
         return float((matrix_norms(lhs - rhs) / denom).max())
 
-    def choi_block(self, b: int) -> np.ndarray:
+    def choi_block(self, b: int, scales=None) -> np.ndarray:
         """Compressed Choi matrix of the family on algebra block b.
 
         Size ``n * d_b * h1`` with row index (slot, block-row, H1) and
         entry block ``[(i, p), (j, q)] = phi_ij(e_pq)``.  Hermitian
         whenever the Hermiticity pattern holds; PSD for every block iff
-        the family is completely n-positive.
+        the family is completely n-positive.  With ``scales``, slot i
+        divided by ``scales[i]``: the equilibrated block ``D^-1 C_b D^-1``.
         """
         if not 0 <= b < self.algebra.nblocks:
             raise IndexError(f"block {b} outside 0..{self.algebra.nblocks - 1}")
@@ -91,7 +93,24 @@ class CPBlockMap:
             self.n, self.n, d, d, self.h1, self.h1
         )
         side = self.n * d * self.h1
-        return sub.transpose(0, 2, 4, 1, 3, 5).reshape(side, side)
+        choi = sub.transpose(0, 2, 4, 1, 3, 5).reshape(side, side)
+        if scales is None:
+            return choi
+        inv = np.repeat(1.0 / scales, d * self.h1)
+        return exact_scale(choi, inv[:, None] * inv)
+
+    def slot_scales(self) -> np.ndarray:
+        """Per slot i, the power of two nearest (in log2) to
+        ``sqrt(max diag phi_ii / max over slots)``, or 1 for a zero slot.
+        Rescaling slot i by ``c_i`` is the congruence ``D C_b D``, which no
+        rank decision should see; powers of two rescale exactly, and slots
+        within sqrt(2) of the largest get 1."""
+        n, h1 = self.n, self.h1
+        diag = self.action.reshape(n * n, -1, h1 * h1)[:: n + 1, self.algebra.identity_indices]
+        peaks = diag[:, :, :: h1 + 1].real.max(axis=(1, 2)).tolist()  # of phi_ii(e^b_qq)
+        top = max(peaks)
+        exps = [round(0.5 * (math.log2(p) - math.log2(top))) if p > 0 else 0 for p in peaks]
+        return np.array([2.0**e for e in exps])
 
     def check_hermiticity(self, tol: float = DEFAULT_TOL) -> None:
         """Raise HermiticityViolationError when ``hermiticity_defect`` exceeds tol."""
@@ -103,10 +122,11 @@ class CPBlockMap:
             )
 
     def is_completely_n_positive(self, tol: float = DEFAULT_TOL) -> bool:
-        """``check_hermiticity``, then a PSD test of every compressed Choi block."""
+        """``check_hermiticity``, then a PSD test of every equilibrated Choi block."""
         self.check_hermiticity(tol)
+        scales = self.slot_scales()
         for b in range(self.algebra.nblocks):
-            c = self.choi_block(b)
+            c = self.choi_block(b, scales)
             w = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
             if negative_at_scale(float(w[0]), float(w[-1]), tol):
                 return False

@@ -153,15 +153,17 @@ def build_unitaries(
     closed form (module docstring).  The solve residuals are
     ``|U X - X'|_F / max(|X'|_F, 1)`` over the full families
     ``X = [pi(e_alpha) S_i e_beta]`` for U1 and ``[Psi(f_gamma) S_i e_beta]``
-    for U2.  Raises NotMinimalError when either input fails the span
-    conditions and InconsistentSpansError when a solve residual exceeds
-    ``tol`` (the two data do not dilate the same instance).
+    for U2, slot i divided by ``c_i`` as in ``span_families``.  Raises
+    NotMinimalError when either input fails the span conditions and
+    InconsistentSpansError when a solve residual exceeds ``tol`` (the two
+    data do not dilate the same instance).
     """
     check_shapes(inst, data_a)
     check_shapes(inst, data_b)
 
-    _, pi_s_a, psi_s_a, spans_a = span_families(inst, data_a)
-    _, pi_s_b, psi_s_b, spans_b = span_families(inst, data_b)
+    scales = inst.cp.slot_scales()
+    _, pi_s_a, psi_s_a, spans_a = span_families(inst, data_a, scales)
+    _, pi_s_b, psi_s_b, spans_b = span_families(inst, data_b, scales)
     for label, data, spans in (("first", data_a, spans_a), ("second", data_b, spans_b)):
         defects = minimality_defects(inst, data, spans, rank_cutoff)
         if any(defects):

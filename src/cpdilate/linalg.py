@@ -6,9 +6,10 @@ matrices are ``numpy.ndarray`` with dtype complex128; all comparisons
 are relative Frobenius residuals with denominator ``max(norm, 1)`` so
 zero inputs never divide by zero.
 
-Validity is the callers' verdict: ``hermitian_eig`` only symmetrizes
-and ``rank_truncate`` only truncates.  ``negative_at_scale`` states the
-one positivity rule, which the callers apply to each Choi block's spectrum.
+Every rank decision is ``kept_ranks``.  Validity is the callers'
+verdict: ``hermitian_eig`` only symmetrizes and ``kept_ranks`` only
+counts.  ``negative_at_scale`` states the one positivity rule, which the
+callers apply to each Choi block's spectrum.
 
 Determinism: LAPACK eigendecompositions are deterministic on a fixed
 platform, but eigenvector phase and ordering inside degenerate clusters
@@ -18,8 +19,6 @@ platforms; within one platform all outputs are reproducible.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,14 +30,14 @@ DEFAULT_TOL = 1e-9
 __all__ = [
     "DEFAULT_CUTOFF",
     "DEFAULT_TOL",
-    "HermEig",
     "frob",
     "matrix_norms",
     "rel_residual",
     "max_rel_residual",
     "hermitian_eig",
     "negative_at_scale",
-    "rank_truncate",
+    "exact_scale",
+    "kept_ranks",
     "direct_sum_rank",
     "solve_lsq",
     "svd_orthobasis",
@@ -73,30 +72,17 @@ def max_rel_residual(actual: np.ndarray, expected: np.ndarray) -> float:
     return float((matrix_norms(actual - expected) / denom).max())
 
 
-@dataclass(frozen=True)
-class HermEig:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and sorted descending; ``eigenvectors``
-    holds the matching orthonormal columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(m: np.ndarray) -> HermEig:
-    """Eigendecomposition of the Hermitian part ``(m + m*) / 2`` of a
-    square matrix; raises NotSquareError for non-square input.  Whether
-    ``m`` is Hermitian enough is the caller's verdict, not this one's."""
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(w, v)`` of the Hermitian part ``(m + m*) / 2``
+    of a square matrix: real eigenvalues sorted descending and the matching
+    orthonormal columns.  Raises NotSquareError for non-square input.
+    Whether ``m`` is Hermitian enough is the caller's verdict, not this one's."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] == 0:
-        return HermEig(np.zeros(0), np.zeros((0, 0), dtype=complex))
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
     order = np.argsort(w)[::-1]
-    return HermEig(w[order], v[:, order])
+    return w[order], v[:, order]
 
 
 def negative_at_scale(lam_min: float, lam_max: float, rel_tol: float) -> bool:
@@ -105,46 +91,30 @@ def negative_at_scale(lam_min: float, lam_max: float, rel_tol: float) -> bool:
     return lam_min < -rel_tol * max(lam_max, 1.0)
 
 
-def rank_truncate(
-    e: HermEig, rel_cutoff: float = DEFAULT_CUTOFF, scale: float | None = None
-) -> tuple[int, np.ndarray]:
-    """Rank-reveal an eigendecomposition and return its square-root factor.
+def exact_scale(m: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """``m * factors``, or ``m`` itself when every factor is 1: a complex
+    product by ``1 + 0j`` can flip the sign of a zero."""
+    return m if (factors == 1.0).all() else m * factors
 
-    Keeps eigenvalues above ``rel_cutoff * scale`` and returns
-    ``(rank, F)`` with ``F = diag(sqrt(kept)) @ V_kept*``, so that
-    ``F* F`` is the PSD part of the original matrix to cutoff accuracy.
-    The factor's rows are the canonical coordinates of the quotient by
-    the numerical null space.  Negative eigenvalues are dropped, never
-    judged: the positivity verdict is ``negative_at_scale``, applied by
-    the caller.
 
-    ``scale`` defaults to the largest eigenvalue of ``e``; the diagonal
-    blocks of one direct sum pass the largest eigenvalue over all
-    blocks, so their rank decisions match those on the whole sum.
-    """
-    w = e.eigenvalues
-    if w.size == 0:
-        return 0, np.zeros((0, 0), dtype=complex)
-    lam_max = float(w[0]) if scale is None else scale
-    keep = w > rel_cutoff * max(lam_max, 0.0)
-    rank = int(np.count_nonzero(keep))
-    factor = np.sqrt(w[keep])[:, None] * e.eigenvectors[:, keep].conj().T
-    return rank, factor
+def kept_ranks(spectra, rel_cutoff: float = DEFAULT_CUTOFF) -> list[int]:
+    """The one rank rule: the number of values each block keeps, given the
+    descending spectra of the diagonal blocks of one direct sum, as
+    computed (eigenvalues of a PSD sum, or singular values).  Kept values
+    exceed ``rel_cutoff`` times the largest over all blocks, the decision
+    on the whole sum; negative values are dropped, not judged."""
+    cut = rel_cutoff * max([0.0] + [float(w[0]) for w in spectra if w.size])
+    return [int(np.count_nonzero(w > cut)) for w in spectra]
 
 
 def direct_sum_rank(spectra, copies, rel_cutoff: float = DEFAULT_CUTOFF) -> int:
     """Rank of the direct sum holding ``copies[b]`` copies of a block
-    whose descending singular values are ``spectra[b]``.
-
-    The sum's singular values are the blocks', each repeated ``copies[b]``
-    times, so every block is cut at ``rel_cutoff`` times the largest
-    singular value over the blocks with copies (as ``rank_truncate``'s
-    ``scale`` does for eigenvalues): the decision an SVD of the whole
-    sum makes.  Blocks without copies enter neither count nor scale.
-    """
-    kept = [(c, s) for s, c in zip(spectra, copies) if c and s.size]
-    scale = max((float(s[0]) for _, s in kept), default=0.0)
-    return sum(c * int(np.count_nonzero(s > rel_cutoff * scale)) for c, s in kept)
+    whose descending singular values are ``spectra[b]``, by ``kept_ranks``
+    over the blocks with copies: blocks without copies are not in the
+    sum, so they enter neither count nor scale."""
+    kept = [(c, w) for w, c in zip(spectra, copies) if c]
+    ranks = kept_ranks([w for _, w in kept], rel_cutoff)
+    return sum(c * r for (c, _), r in zip(kept, ranks))
 
 
 def solve_lsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -170,13 +140,11 @@ def svd_orthobasis(columns: np.ndarray, rel_cutoff: float = DEFAULT_CUTOFF) -> n
     """Orthonormal basis of the column space at the given relative cutoff.
 
     Returns a matrix whose columns are orthonormal and span the input's
-    column space; singular directions at or below ``rel_cutoff * s_max``
-    are dropped.  Zero or empty input yields a zero-column result.
+    column space, as many as ``kept_ranks`` keeps of the singular values.
+    Zero or empty input yields a zero-column result.
     """
     columns = np.asarray(columns, dtype=complex)
     if columns.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {columns.shape}")
-    if columns.size == 0:
-        return np.zeros((columns.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    return u[:, : int(np.count_nonzero(s > rel_cutoff * s[0]))]
+    return u[:, : kept_ranks([s], rel_cutoff)[0]]

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_dilation import gap_instance, hermiticity_perturbed
+from test_dilation import GRADED, gap_instance, hermiticity_perturbed
 from test_serialize import (
     DIMENSION_FIELDS,
     GOLDEN_INSTANCE,
@@ -17,7 +17,7 @@ from test_serialize import (
     tensor_entry_replaced,
     tensor_made_ragged,
 )
-from cpdilate import cli, dilation, equivalence
+from cpdilate import cli, dilation, equivalence, linalg
 from cpdilate.algebra import AlgebraDescriptor, ModuleDescriptor
 from cpdilate.cpmaps import CPBlockMap, Instance, ModuleCPTuple, haar_unitary, random_instance
 from cpdilate.dilation import build_gram, dilate
@@ -224,6 +224,40 @@ class TestOneChoiPass:
         assert "overall: PASS" in capsys.readouterr().out
 
 
+class TestOneRankRule:
+    """Every rank decision is ``linalg.kept_ranks``: the Gram truncation and
+    the W ranges in ``dilate``, the minimality counts in ``verify`` and both
+    minimality checks in ``equiv``."""
+
+    STAGES = ("build_gram", "build_W", "verify_dilation", "build_unitaries")
+
+    def test_every_rank_decision_reaches_the_rule(self, tmp_path, monkeypatch, capsys):
+        stages = []
+        rule = linalg.kept_ranks
+
+        def recording(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame and frame.f_code.co_name not in self.STAGES:
+                frame = frame.f_back
+            stages.append(frame and frame.f_code.co_name)
+            return rule(*args, **kwargs)
+
+        inst, inst_path = write_instance(tmp_path, n=3, block_dims=[2, 1], mults=[1, 1], h2=6)
+        for module in (linalg, dilation):  # wherever the name is looked up
+            monkeypatch.setattr(module, "kept_ranks", recording)
+        dil_path = tmp_path / "dil.json"
+        runs = (
+            (["dilate", str(inst_path), "-o", str(dil_path)],
+             ["build_gram"] + ["build_W"] * inst.n + ["verify_dilation"] * 2),
+            (["verify", str(inst_path), str(dil_path)], ["verify_dilation"] * 2),
+            (["equiv", str(inst_path), str(dil_path), str(dil_path)], ["build_unitaries"] * 4),
+        )
+        for argv, want in runs:
+            stages.clear()
+            assert cli.main(argv) == 0
+            assert stages == want
+
+
 class TestGuardrail:
     """The largest Choi block side ``n * d_b * h1`` and the raw dimension
     ``n * dim A * h1`` are bounded wherever an instance is made or read;
@@ -319,9 +353,19 @@ class TestGuardrail:
          "requested h2 = 1025, above the guardrail 1024"),
         (["--blocks", "16", "--h1", "4", "--h2", "16", "--k1-extra", "8"],
          "requested dimensions give dim A * carrier^2 = 5308416, above the guardrail 4194304"),
+        (["--blocks", "1", "--mults", "100000", "--h1", "1", "--h2", "4"],
+         "requested dimensions give dim V * sum k_b * copies * carrier = 10000000000, "
+         "above the guardrail 4194304"),
+        (["--n", "1024", "--blocks", "1", "--h1", "1", "--h2", "4", "--k1-extra", "1023"],
+         "requested dimensions give n * carrier^2 = 1073741824, above the guardrail 4194304"),
     ])
-    def test_generate_bounds_what_it_builds(self, tmp_path, capsys, flags, message):
-        # carrier side = sum d_b * max(1 + k1_extra, ceil(h1 / sum d_b))
+    def test_generate_bounds_what_it_builds(self, tmp_path, capsys, monkeypatch, flags, message):
+        # carrier side = sum d_b * max(1 + k1_extra, ceil(h1 / sum d_b)), with
+        # copies = max(1 + k1_extra, ceil(h1 / sum d_b)); later flags win
+        def unbounded(*args, **kwargs):
+            raise AssertionError("random_instance called before the bounds")
+
+        monkeypatch.setattr(cli, "random_instance", unbounded)
         out = tmp_path / "x.json"
         rc = cli.main(["generate", "--seed", "1", "--n", "1", "--mults", "1", *flags, "-o", str(out)])
         assert rc == 2
@@ -356,6 +400,26 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is False
         assert report["phi_reconstruction"] >= 0.1
+
+    def test_unequilibrated_dilation_fails(self, tmp_path, monkeypatch, capsys):
+        # The graded instance dilated with every slot scale c_i = 1, as the
+        # construction did before it equilibrated the slots: the cutoff on
+        # the whole Gram drops slot 2's directions (r1 = 4, not 6), and the
+        # reconstruction is off at slot 2's own scale.
+        inst = random_instance(3, **GRADED, slot_scales=[1.0, 1e-9])
+        with monkeypatch.context() as m:
+            m.setattr(CPBlockMap, "slot_scales", lambda self: np.ones(self.n))
+            data = dilate(inst)
+        assert (data.r1, data.r2) == (4, 2)
+        inst_path, dil_path = tmp_path / "inst.json", tmp_path / "dil.json"
+        inst_path.write_text(emit_instance(inst), encoding="utf-8")
+        dil_path.write_text(emit_dilation(inst, data), encoding="utf-8")
+        assert cli.main(["verify", str(inst_path), str(dil_path), "--json"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["phi_reconstruction"] > 1e-2 and report["Phi_reconstruction"] > 1e-2
+        assert cli.main(["dilate", str(inst_path), "-o", str(dil_path)]) == 0
+        assert "dilated: r1=6 r2=3" in capsys.readouterr().out
+        assert cli.main(["verify", str(inst_path), str(dil_path)]) == 0
 
     def test_mismatched_files(self, tmp_path):
         inst, inst_path = write_instance(tmp_path)

@@ -197,6 +197,25 @@ class TestRandomInstance:
         assert inst.is_valid(1e-9)
 
 
+class TestSlotScales:
+    def test_powers_of_two_relative_to_the_largest_slot(self):
+        # A = C, h1 = 1: the largest diagonal entry of phi_ii is entries[i][i].
+        # sqrt(p / 4) is 1, 1/sqrt(2) (on the boundary, kept at 1), 0.433,
+        # 0.25 and 1.58e-5; a zero slot gets 1.
+        cp = scalar_family(6, np.diag([4.0, 2.0, 0.75, 0.25, 1e-9, 0.0]))
+        assert cp.slot_scales().tolist() == [1.0, 1.0, 0.5, 0.25, 2.0**-16, 1.0]
+        assert scalar_family(2, np.zeros((2, 2))).slot_scales().tolist() == [1.0, 1.0]
+
+    def test_equilibrated_block_is_exact(self):
+        inst = random_instance(3, n=2, block_dims=[2], mults=[1], h1=1, h2=4, k1_extra=2,
+                               slot_scales=[1.0, 1e-9])
+        scales = inst.cp.slot_scales()
+        assert scales[0] == 1.0 and scales[1] == 2.0**-30
+        inv = np.repeat(1.0 / scales, 2)
+        assert np.array_equal(inst.cp.choi_block(0, scales),
+                              inst.cp.choi_block(0) * np.outer(inv, inv))
+
+
 class TestAmplifiedUnits:
     """The vectorized scatter equals the former per-label loop."""
 

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -234,6 +234,22 @@ class TestBuildW:
             k = w.shape[0]
             assert frob(w @ w.conj().T - np.eye(k)) <= 1e-12
 
+    def test_range_keeps_a_direction_the_reading_needs(self):
+        # Slot 0's two columns e1 and e1 + 1e-6 e2 span a direction of
+        # squared singular value 5e-13, far below the Gram cutoff but
+        # worth 5e-7 in Phi_0; the Choi spectrum (2, 1, 0, 0) has no
+        # value near a cutoff.
+        x = np.array([[1, 1, 0, 0], [0, 1e-6, 1, 0]], dtype=complex)  # columns (i, beta)
+        alg = AlgebraDescriptor((1,))
+        gram = (x.conj().T @ x).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+        tup = (np.eye(3)[:, :2] @ x).reshape(3, 2, 2).transpose(1, 0, 2)[:, None]
+        inst = Instance(CPBlockMap(alg, 2, 2, gram[:, :, None]),
+                        ModuleCPTuple(ModuleDescriptor(alg, (1,)), 2, 2, 3, tup))
+        assert inst.is_valid()
+        data = dilate(inst)
+        assert data.k2i_dims == (2, 1)
+        assert verify_dilation(inst, data).passed
+
 
 class TestDilate:
     def test_scalar_instance(self):
@@ -393,33 +409,53 @@ class TestGeneratorCertificate:
         assert verify_dilation(inst, dilate(inst)).passed
 
 
+def equilibrated_choi(cp):
+    """The Choi blocks with slot i divided by c_i on both sides, where
+    c_i is the power of two nearest (in log2) the square root of slot i's
+    largest Choi diagonal entry over the largest slot's, or 1 for a zero
+    slot: the blocks ``build_gram`` factors."""
+    blocks = [cp.choi_block(b) for b in range(cp.algebra.nblocks)]
+    peaks = np.zeros(cp.n)
+    for c, d in zip(blocks, cp.algebra.block_dims):
+        diag = np.diagonal(c).real.reshape(cp.n, d * cp.h1)
+        peaks = np.maximum(peaks, diag.max(axis=1))
+    scales = [2.0 ** np.round(0.5 * np.log2(p / peaks.max())) if p > 0 else 1.0 for p in peaks]
+    out = []
+    for c, d in zip(blocks, cp.algebra.block_dims):
+        dv = np.repeat(scales, d * cp.h1)
+        out.append(c / np.outer(dv, dv))
+    return out
+
+
 def choi_ranks(cp, shared_scale=True):
-    """Rank of each compressed Choi block, by eigvalsh, at the default
+    """Rank of each equilibrated Choi block, by eigvalsh, at the default
     cutoff 1e-10 relative to the largest eigenvalue over all blocks (or,
     with ``shared_scale=False``, over that block alone)."""
-    spectra = [np.linalg.eigvalsh(cp.choi_block(b)) for b in range(cp.algebra.nblocks)]
+    spectra = [np.linalg.eigvalsh(c) for c in equilibrated_choi(cp)]
     top = max(float(w[-1]) for w in spectra)
     return [int((w > 1e-10 * (top if shared_scale else w[-1])).sum()) for w in spectra]
 
 
-def block_scaled(inst, scales):
-    """The instance composed with the central element z = sum_b scales[b] 1_b:
-    phi_ij(a) -> phi_ij(z a z) and Phi_i(x) -> Phi_i(x z), which stays valid."""
-    alg = np.array([scales[b] for b, _, _ in inst.algebra.basis_labels])
-    mod = np.array([scales[b] for b, _, _ in inst.module.basis_labels])
-    cp = CPBlockMap(inst.algebra, inst.n, inst.h1, inst.cp.action * (alg**2)[:, None, None])
+def unit_scaled(inst, z):
+    """The instance composed with the diagonal element
+    ``z = sum_b sum_q z[b][q] e^b_qq``: ``phi_ij(a) -> phi_ij(z a z)`` and
+    ``Phi_i(x) -> Phi_i(x z)``, which stays valid.  Slot scales cannot
+    undo it."""
+    alg = np.array([z[b][p] * z[b][q] for b, p, q in inst.algebra.basis_labels])
+    mod = np.array([z[b][q] for b, _, q in inst.module.basis_labels])
+    cp = CPBlockMap(inst.algebra, inst.n, inst.h1, inst.cp.action * alg[:, None, None])
     tup = ModuleCPTuple(inst.module, inst.n, inst.h1, inst.h2, inst.tup.action * mod[:, None, None])
     return Instance(cp, tup)
 
 
 def scaled_two_block():
-    # Block 1 sits 1e6 below block 0 in Choi scale, and its smallest
-    # nonzero eigenvalue is below the cutoff on the whole-Gram scale
-    # but above it on the block's own scale; mults [1, 0] keep that
-    # direction out of the K2 solve.
-    base = random_instance(0, n=2, block_dims=[2, 2], mults=[1, 0], h1=1, h2=4,
-                           k1_extra=2, slot_scales=[1.0, 1e-3])
-    return block_scaled(base, [1.0, 1e-3])
+    # Block 1 sits 1e6 below block 0 in Choi scale, and inside it the
+    # row e^1_11 sits 1e3 below e^1_00, so its smallest nonzero eigenvalue
+    # is below the cutoff on the whole-Gram scale but above it on the
+    # block's own scale; mults [1, 0] keep that direction out of the K2
+    # solve.
+    base = random_instance(0, n=2, block_dims=[2, 2], mults=[1, 0], h1=1, h2=4, k1_extra=2)
+    return unit_scaled(base, [[1.0, 1.0], [1e-3, 1e-6]])
 
 
 def gap_instance(lam_min=-5e-9, scale=100.0):
@@ -476,6 +512,7 @@ class TestPositivityVerdict:
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(-10.0, 1.0), st.floats(-3.0, 4.0))
+    @example(0.9999999999999999, 0.9999999999999999)  # lambda_min on the Gram cutoff
     def test_gap_family(self, lam_over_tol, decades):
         inst = gap_instance(lam_over_tol * 1e-9, 10.0**decades)
         assert inst.compatibility_residual() <= 1e-9
@@ -512,27 +549,30 @@ class TestPositivityVerdict:
 
 class TestBlockwiseConstruction:
     def test_eigendecompositions_are_per_block(self, monkeypatch):
+        # Every matrix handed to hermitian_eig is one equilibrated Choi
+        # block D^-1 C_b D^-1, and r1, r2 count its ranks.
         seen = []
         original = dilation.hermitian_eig
 
         def recording(m, *args, **kwargs):
-            seen.append(m.shape)
+            seen.append(m)
             return original(m, *args, **kwargs)
 
         monkeypatch.setattr(dilation, "hermitian_eig", recording)
-        for inst in acceptance_instances(100) + [scaled_two_block()]:
+        graded = random_instance(3, **GRADED, slot_scales=[1.0, 1e-9])
+        for inst in acceptance_instances(100) + [scaled_two_block(), graded]:
             seen.clear()
             data = dilate(inst)
-            largest = max(inst.n * d * inst.h1 for d in inst.algebra.block_dims)
             assert len(seen) == inst.algebra.nblocks
-            assert max(max(shape) for shape in seen) <= largest
+            assert all(np.array_equal(m, c) for m, c in zip(seen, equilibrated_choi(inst.cp)))
             ranks = choi_ranks(inst.cp)
             assert data.r1 == sum(d * r for d, r in zip(inst.algebra.block_dims, ranks))
             assert data.r2 == sum(k * r for k, r in zip(inst.module.mults, ranks))
+        assert not np.array_equal(seen[0], graded.cp.choi_block(0))
 
     def test_rank_cutoff_is_on_the_whole_gram_scale(self):
         inst = scaled_two_block()
-        tops = [np.linalg.eigvalsh(inst.cp.choi_block(b))[-1] for b in range(2)]
+        tops = [np.linalg.eigvalsh(c)[-1] for c in equilibrated_choi(inst.cp)]
         assert tops[0] >= 1e6 * tops[1]
         assert inst.is_valid()
         assert choi_ranks(inst.cp) != choi_ranks(inst.cp, shared_scale=False)
@@ -567,20 +607,90 @@ class TestBlockwiseConstruction:
 GRADED = dict(n=2, block_dims=[2], mults=[1], h1=1, h2=4, k1_extra=2)
 
 
-@pytest.mark.parametrize("scale", [1e-4, 1e-9])
+@pytest.mark.parametrize("scale", [1e-4, 1e-9, 1e-12, 1e-14])
 def test_graded_slot_scales_dilate_and_verify(scale):
     inst = random_instance(3, **GRADED, slot_scales=[1.0, scale])
     assert inst.is_valid()
-    report = verify_dilation(inst, dilate(inst))
+    data = dilate(inst)
+    assert (data.r1, data.r2) == (6, 3)
+    report = verify_dilation(inst, data)
     assert report.passed, report.to_dict()
     assert report.minimality_k2_defect == 0.0
 
 
-@pytest.mark.xfail(strict=True, raises=WellDefinednessError,
-                   reason="ROADMAP item 3: the K2 solve meets slot-2 directions "
-                          "dropped at the whole-Gram cutoff")
 @pytest.mark.parametrize("scale", [1e-5, 1e-6, 1e-7])
 def test_graded_slot_scales_k2_solve(scale):
+    # A cutoff on the unequilibrated whole Gram drops slot 2's directions
+    # here, and the K2 solve then fails on valid input.
     inst = random_instance(3, **GRADED, slot_scales=[1.0, scale])
     assert inst.is_valid()
-    assert verify_dilation(inst, dilate(inst)).passed
+    data = dilate(inst)
+    assert (data.r1, data.r2) == (6, 3)
+    assert verify_dilation(inst, data).passed
+
+
+def planted_instance(seed, spectrum, scales, x_noise=0.0, tup_noise=0.0):
+    """Valid instance on A = M_2 with n = len(scales) slots, h1 = 1 and V
+    the first row.  Its Choi block is ``X* X`` for a k x 2n matrix ``X``
+    with squared singular values ``spectrum``, moved by ``x_noise`` times a
+    unit perturbation (validity stays exact), and slot i scaled by
+    ``scales[i]``.  The tuple gets ``tup_noise`` times a unit perturbation
+    at each slot's scale, which moves compatibility by about that much."""
+    rng = np.random.default_rng(seed)
+    n, k = len(scales), len(spectrum)
+    alg = AlgebraDescriptor((2,))
+    mod = ModuleDescriptor(alg, (1,))
+
+    def unit(shape):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return z / frob(z)
+
+    v = haar_unitary(rng, 2 * n)[:, :k]
+    x = haar_unitary(rng, k) @ (np.sqrt(spectrum)[:, None] * v.conj().T)  # columns (i, q)
+    x = (x + x_noise * unit(x.shape)).reshape(k, n, 2) * np.asarray(scales)[:, None]
+    choi = np.einsum("xiq,xjr->ijqr", x.conj(), x)
+    cp = np.zeros((n, n, alg.dim, 1, 1), dtype=complex)
+    for alpha, (_, q, r) in enumerate(alg.basis_labels):
+        cp[:, :, alpha, 0, 0] = choi[:, :, q, r]
+    embed = haar_unitary(rng, k + 1)[:, :k]
+    tup = np.zeros((n, mod.dim, k + 1, 1), dtype=complex)
+    for gamma, (_, _, q) in enumerate(mod.basis_labels):
+        tup[:, gamma, :, 0] = (embed @ x[:, :, q]).T
+    for i, c in enumerate(scales):
+        tup[i] += tup_noise * c * unit(tup[i].shape)
+    return Instance(CPBlockMap(alg, n, 1, cp), ModuleCPTuple(mod, n, 1, k + 1, tup))
+
+
+class TestSlotScaleInvariance:
+    """Slot scales over 12 decades (one slot possibly zero), near-degenerate
+    Choi spectra and noise at the tolerance: ``dilate`` and ``verify``
+    pass, with the ranks of the instance whose nonzero slot scales are 1."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        decades=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=3),
+        split=st.floats(-14.0, -6.0),
+        exponents=st.lists(st.floats(-12.0, 0.0), min_size=2, max_size=3),
+        zero_slot=st.booleans(),
+        noise=st.floats(-1.0, 1.0),
+    )
+    def test_ranks_of_the_unscaled_instance(self, seed, decades, split, exponents,
+                                            zero_slot, noise):
+        spectrum = [10.0**-d for d in decades]
+        spectrum = np.array([spectrum[0] * (1 + 10.0**split), *spectrum])  # a near-pair
+        scales = [10.0**e for e in exponents]
+        if zero_slot:
+            scales[-1] = 0.0
+        noisy = dict(x_noise=noise * 1e-9, tup_noise=noise * 2.5e-10)
+        inst = planted_instance(seed, spectrum, scales, **noisy)
+        ref = planted_instance(seed, spectrum, [float(c > 0) for c in scales], **noisy)
+        # rank decisions within the slack of a power-of-two scale (a factor
+        # 16 on relative eigenvalues) are not scale invariant
+        lam = np.linalg.eigvalsh(ref.cp.choi_block(0, ref.cp.slot_scales()))
+        assume(not np.any((lam > 1e-12 * lam[-1]) & (lam < 1e-8 * lam[-1])))
+        assert inst.is_valid() and ref.is_valid()
+        data, ref_data = dilate(inst), dilate(ref)
+        assert (data.r1, data.r2) == (ref_data.r1, ref_data.r2)
+        assert verify_dilation(inst, data).passed
+        assert verify_dilation(ref, ref_data).passed

@@ -11,15 +11,15 @@ from conftest import (
 from test_acceptance import acceptance_instances
 from test_equivalence import doubled
 from cpdilate import cpmaps, dilation, equivalence, linalg
-from cpdilate.cpmaps import haar_unitary
+from cpdilate.algebra import AlgebraDescriptor
+from cpdilate.cpmaps import CPBlockMap, haar_unitary
 from cpdilate.errors import NotMinimalError, NotPSDError, NotSquareError
 from cpdilate.linalg import (
-    HermEig,
     direct_sum_rank,
     frob,
     hermitian_eig,
+    kept_ranks,
     negative_at_scale,
-    rank_truncate,
     solve_lsq,
     svd_orthobasis,
 )
@@ -31,23 +31,22 @@ def random_complex(rng, rows, cols):
 
 class TestHermitianEig:
     def test_identity(self):
-        e = hermitian_eig(np.eye(2, dtype=complex))
-        assert np.allclose(e.eigenvalues, [1.0, 1.0])
-        v = e.eigenvectors
+        w, v = hermitian_eig(np.eye(2, dtype=complex))
+        assert np.allclose(w, [1.0, 1.0])
         assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
 
     def test_pauli_x_spectrum(self):
-        e = hermitian_eig(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert np.allclose(e.eigenvalues, [1.0, -1.0], atol=1e-14)
+        w, _ = hermitian_eig(np.array([[0, 1], [1, 0]], dtype=complex))
+        assert np.allclose(w, [1.0, -1.0], atol=1e-14)
 
     def test_reconstruction_of_random_hermitian(self):
         rng = np.random.default_rng(11)
         b = random_complex(rng, 8, 8)
         m = b + b.conj().T
-        e = hermitian_eig(m)
-        recon = e.eigenvectors @ np.diag(e.eigenvalues) @ e.eigenvectors.conj().T
+        w, v = hermitian_eig(m)
+        recon = v @ np.diag(w) @ v.conj().T
         assert frob(recon - m) <= 1e-12 * frob(m)
-        assert np.all(np.diff(e.eigenvalues) <= 1e-14)
+        assert np.all(np.diff(w) <= 1e-14)
 
     def test_rejects_non_square(self):
         with pytest.raises(NotSquareError):
@@ -58,9 +57,9 @@ class TestHermitianEig:
         b = random_complex(rng, 6, 6)
         m = b + b.conj().T
         q, _ = np.linalg.qr(random_complex(rng, 6, 6))
-        e1 = hermitian_eig(m)
-        e2 = hermitian_eig(q @ m @ q.conj().T)
-        assert np.allclose(e1.eigenvalues, e2.eigenvalues, atol=1e-10)
+        w1, _ = hermitian_eig(m)
+        w2, _ = hermitian_eig(q @ m @ q.conj().T)
+        assert np.allclose(w1, w2, atol=1e-10)
 
 
 class TestNegativeAtScale:
@@ -93,29 +92,41 @@ class TestNegativeAtScale:
         assert not transpose_map().is_completely_n_positive(1e-9)
 
 
+def truncate(g):
+    """``build_gram`` on the one-slot family ``phi(1) = g`` (A = C,
+    h1 = len(g)), whose one Choi block is ``g``; a single slot has scale 1,
+    so the block is factored as it is.  Returns ``(rank, F)``."""
+    side = len(g)
+    f = dilation.build_gram(CPBlockMap(AlgebraDescriptor((1,)), 1, side,
+                                       g.reshape(1, 1, 1, side, side))).block_factors[0]
+    return len(f), f
+
+
 class TestRankTruncate:
+    """Truncation of one PSD block: ``kept_ranks`` decides, ``build_gram``
+    keeps that many leading eigenpairs as ``diag(sqrt(kept)) V_kept*``."""
+
     def test_rank_one_ones_matrix(self):
         g = np.ones((2, 2), dtype=complex)
-        rank, factor = rank_truncate(hermitian_eig(g))
+        rank, factor = truncate(g)
         assert rank == 1
         assert factor.shape == (1, 2)
         assert frob(factor.conj().T @ factor - g) <= 1e-12
 
     def test_identity_full_rank(self):
-        rank, _ = rank_truncate(hermitian_eig(np.eye(3, dtype=complex)))
+        rank, _ = truncate(np.eye(3, dtype=complex))
         assert rank == 3
 
     def test_cutoff_forces_truncation(self):
-        e = HermEig(np.array([1.0, 1e-14]), np.eye(2, dtype=complex))
-        rank, factor = rank_truncate(e, rel_cutoff=1e-10)
+        assert kept_ranks([np.array([1.0, 1e-14])], rel_cutoff=1e-10) == [1]
+        rank, factor = truncate(np.diag([1.0, 1e-14]).astype(complex))
         assert rank == 1
         assert factor.shape == (1, 2)
 
     def test_drops_negative_eigenvalues(self):
-        # Truncation only: the positivity verdict is the caller's.
-        rank, factor = rank_truncate(hermitian_eig(np.diag([1.0, -1.0]).astype(complex)))
-        assert rank == 1
-        assert np.allclose(factor.conj().T @ factor, np.diag([1.0, 0.0]))
+        # Counting only: the positivity verdict is the caller's.
+        assert kept_ranks([np.array([1.0, -1.0])]) == [1]
+        assert kept_ranks([np.array([-1.0]), np.array([-2.0])]) == [0, 0]
 
     def test_reconstruction_bound_on_random_psd(self):
         rng = np.random.default_rng(17)
@@ -123,13 +134,13 @@ class TestRankTruncate:
             k = int(rng.integers(1, 7))
             b = random_complex(rng, 8, k)
             g = b @ b.conj().T
-            rank, factor = rank_truncate(hermitian_eig(g))
+            rank, factor = truncate(g)
             lam_max = float(np.linalg.eigvalsh(g).max())
             assert frob(factor.conj().T @ factor - g) <= 10 * 1e-10 * lam_max
             assert rank == np.linalg.matrix_rank(g, tol=1e-8)
 
     def test_zero_matrix(self):
-        rank, factor = rank_truncate(hermitian_eig(np.zeros((3, 3), dtype=complex)))
+        rank, factor = truncate(np.zeros((3, 3), dtype=complex))
         assert rank == 0
         assert factor.shape == (0, 3)
 
