@@ -9,6 +9,7 @@ Exit codes are a stable contract:
 * 4  well-definedness failure of the quotient construction
 * 5  minimality or equivalence failure
 
+Verdicts are taken on ``Instance.equilibrated``, as in ``is_valid``.
 ``dilate`` checks compatibility, then runs ``dilation.dilate``, whose
 ``build_gram`` judges the Hermiticity pattern and complete n-positivity
 by the rules of ``CPBlockMap.is_completely_n_positive``, on the one
@@ -16,10 +17,9 @@ spectrum per Choi block that it factors; ``generate`` checks positivity
 first.  Every subcommand bounds the largest Choi block side
 ``n * d_b * h1`` by ``MAX_CHOI_SIDE`` and the raw dimension
 ``n * dim A * h1`` by ``MAX_RAW_DIM``.  ``dilate`` bounds the entries of
-pi by ``dilation.MAX_PI_ENTRIES``, and ``generate`` bounds its
-generator's carrier side and ``h2`` by ``MAX_CHOI_SIDE`` and the entries
-of what it builds on the carrier (pi, psi, the slot unitaries) by
-``dilation.MAX_PI_ENTRIES``.
+pi by ``dilation.MAX_PI_ENTRIES``, and ``generate`` bounds its generator's
+carrier side and ``h2`` by ``MAX_CHOI_SIDE`` and the entries of what it
+builds on the carrier (pi, psi, slot unitaries) by ``MAX_PI_ENTRIES``.
 
 The only recognized environment variable is ``CPDILATE_TOL``, which
 overrides the default residual tolerance for all subcommands; it is read
@@ -136,7 +136,7 @@ def _load_dilation(path: str, inst: Instance):
 
 
 def _check_compatible(inst: Instance, tol: float) -> float:
-    """The compatibility gate; returns the residual."""
+    """The compatibility gate on an equilibrated instance; returns the residual."""
     compat = inst.compatibility_residual()
     if compat > tol:
         raise CPDilateError(
@@ -185,9 +185,8 @@ def _cmd_generate(args) -> int:
     # the generator builds pi (dim A x carrier x carrier), psi (dim V x
     # sum k_b * copies x carrier) and n Haar unitaries of the carrier side
     copies = carrier_mult(block_dims, args.h1, args.k1_extra)
-    carrier = sum(block_dims) * copies
-    dim_a = sum(d * d for d in block_dims)
-    dim_v, k2_side = sum(k * d for k, d in zip(mults, block_dims)), sum(mults) * copies
+    carrier, k2_side = sum(block_dims) * copies, sum(mults) * copies
+    dim_a, dim_v = sum(d * d for d in block_dims), sum(k * d for k, d in zip(mults, block_dims))
     _bound("requested dimensions give a carrier of side", carrier, MAX_CHOI_SIDE)
     _bound("requested h2 =", args.h2, MAX_CHOI_SIDE)
     for what, entries in (("dim A * carrier^2", dim_a * carrier**2),
@@ -198,9 +197,10 @@ def _cmd_generate(args) -> int:
         args.seed, args.n, block_dims, mults, args.h1, args.h2,
         k1_extra=args.k1_extra, k2_extra=args.k2_extra,
     )
-    if not inst.cp.is_completely_n_positive(args.tol):
+    eq, _ = inst.equilibrated()
+    if not eq.cp.is_completely_n_positive(args.tol):
         raise NotPSDError("map family is not completely n-positive (Choi test failed)")
-    compat = _check_compatible(inst, args.tol)
+    compat = _check_compatible(eq, args.tol)
     _write(args.out, serialize.emit_instance(inst))
     full = "full" if inst.module.is_full else "not full"
     print(
@@ -213,7 +213,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_dilate(args) -> int:
     inst = _load_instance(args.instance)
-    _check_compatible(inst, args.tol)
+    _check_compatible(inst.equilibrated()[0], args.tol)
     data = dilate(inst, cutoff=args.cutoff, welldef_tol=args.tol)
     report = verify_dilation(inst, data, tol=args.tol, rank_cutoff=args.cutoff)
     if args.out:
@@ -284,7 +284,7 @@ def _fuzz_trial(base_seed: int, index: int, args) -> dict:
     result = {"trial": index, **dims, "error": None, "passed": False, "worst": {}}
     try:
         inst = random_instance(seed=int(rng.integers(0, 2**63 - 1)), **dims)
-        compat = inst.compatibility_residual()
+        compat = inst.equilibrated()[0].compatibility_residual()
         data = dilate(inst, cutoff=args.cutoff, welldef_tol=args.tol)
         valid = compat <= args.tol  # dilate has judged Hermiticity and positivity
         report = verify_dilation(inst, data, tol=args.tol, rank_cutoff=args.cutoff)

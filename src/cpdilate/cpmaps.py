@@ -35,8 +35,7 @@ import numpy as np
 
 from .algebra import AlgebraDescriptor, ModuleDescriptor
 from .errors import DimensionTooSmallError, HermiticityViolationError, ShapeMismatchError
-from .linalg import DEFAULT_TOL, exact_scale, matrix_norms, max_rel_residual, negative_at_scale
-from .linalg import svd_orthobasis
+from .linalg import DEFAULT_TOL, matrix_norms, max_rel_residual, negative_at_scale, svd_orthobasis
 
 __all__ = [
     "CPBlockMap",
@@ -76,14 +75,13 @@ class CPBlockMap:
         denom = np.maximum(matrix_norms(rhs), 1.0)
         return float((matrix_norms(lhs - rhs) / denom).max())
 
-    def choi_block(self, b: int, scales=None) -> np.ndarray:
+    def choi_block(self, b: int) -> np.ndarray:
         """Compressed Choi matrix of the family on algebra block b.
 
         Size ``n * d_b * h1`` with row index (slot, block-row, H1) and
         entry block ``[(i, p), (j, q)] = phi_ij(e_pq)``.  Hermitian
         whenever the Hermiticity pattern holds; PSD for every block iff
-        the family is completely n-positive.  With ``scales``, slot i
-        divided by ``scales[i]``: the equilibrated block ``D^-1 C_b D^-1``.
+        the family is completely n-positive.
         """
         if not 0 <= b < self.algebra.nblocks:
             raise IndexError(f"block {b} outside 0..{self.algebra.nblocks - 1}")
@@ -93,18 +91,12 @@ class CPBlockMap:
             self.n, self.n, d, d, self.h1, self.h1
         )
         side = self.n * d * self.h1
-        choi = sub.transpose(0, 2, 4, 1, 3, 5).reshape(side, side)
-        if scales is None:
-            return choi
-        inv = np.repeat(1.0 / scales, d * self.h1)
-        return exact_scale(choi, inv[:, None] * inv)
+        return sub.transpose(0, 2, 4, 1, 3, 5).reshape(side, side)
 
     def slot_scales(self) -> np.ndarray:
-        """Per slot i, the power of two nearest (in log2) to
-        ``sqrt(max diag phi_ii / max over slots)``, or 1 for a zero slot.
-        Rescaling slot i by ``c_i`` is the congruence ``D C_b D``, which no
-        rank decision should see; powers of two rescale exactly, and slots
-        within sqrt(2) of the largest get 1."""
+        """Per slot i, the power of two nearest (in log2) to ``sqrt(max
+        diag phi_ii / max over slots)``, or 1 for a zero slot: exact to
+        rescale by, and 1 for slots within sqrt(2) of the largest."""
         n, h1 = self.n, self.h1
         diag = self.action.reshape(n * n, -1, h1 * h1)[:: n + 1, self.algebra.identity_indices]
         peaks = diag[:, :, :: h1 + 1].real.max(axis=(1, 2)).tolist()  # of phi_ii(e^b_qq)
@@ -122,11 +114,10 @@ class CPBlockMap:
             )
 
     def is_completely_n_positive(self, tol: float = DEFAULT_TOL) -> bool:
-        """``check_hermiticity``, then a PSD test of every equilibrated Choi block."""
+        """``check_hermiticity``, then a PSD test of every compressed Choi block."""
         self.check_hermiticity(tol)
-        scales = self.slot_scales()
         for b in range(self.algebra.nblocks):
-            c = self.choi_block(b, scales)
+            c = self.choi_block(b)
             w = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
             if negative_at_scale(float(w[0]), float(w[-1]), tol):
                 return False
@@ -212,8 +203,28 @@ class Instance:
         exp[:, :, mask] = self.cp.action[:, :, inner[mask]]
         return max_rel_residual(lhs.transpose(0, 3, 1, 4, 2, 5), exp)
 
+    def slots_scaled(self, factors) -> Instance:
+        """Slot i scaled by ``factors[i]``: ``phi_ij -> f_i f_j phi_ij`` and
+        ``Phi_i -> f_i Phi_i``, which keeps validity."""
+        f = np.asarray(factors, dtype=float)
+        if f.shape != (self.n,):
+            raise ValueError(f"slot scales must have length {self.n}")
+        cp = self.cp.action * f[:, None, None, None, None] * f[None, :, None, None, None]
+        tup = self.tup.action * f[:, None, None, None]
+        return Instance(CPBlockMap(self.algebra, self.n, self.h1, cp),
+                        ModuleCPTuple(self.module, self.n, self.h1, self.h2, tup), self.meta)
+
+    def equilibrated(self) -> tuple[Instance, np.ndarray]:
+        """Slot i divided by ``c_i = cp.slot_scales()[i]``, and c; itself when
+        every ``c_i`` is 1.  Slot scaling is the congruence ``D C_b D``, which
+        no rank decision or verdict should see: all are taken on this."""
+        c = self.cp.slot_scales()
+        return (self if (c == 1.0).all() else self.slots_scaled(1.0 / c)), c
+
     def is_valid(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.cp.is_completely_n_positive(tol) and self.compatibility_residual() <= tol
+        """Positivity and compatibility at ``tol``, judged as ``dilate`` judges them."""
+        eq, _ = self.equilibrated()
+        return eq.cp.is_completely_n_positive(tol) and eq.compatibility_residual() <= tol
 
 
 def haar_unitary(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -323,13 +334,6 @@ def random_instance(
 
     tup_action = np.einsum("yz,gzx,ixh->igyh", embed, psi_t, s_ops)
 
-    if slot_scales is not None:
-        scales = np.asarray(slot_scales, dtype=float)
-        if scales.shape != (n,):
-            raise ValueError(f"slot_scales must have length {n}")
-        cp_action = cp_action * scales[:, None, None, None, None] * scales[None, :, None, None, None]
-        tup_action = tup_action * scales[:, None, None, None]
-
     meta = {
         "seed": int(seed),
         "n": int(n),
@@ -340,9 +344,9 @@ def random_instance(
         "k1_extra": int(k1_extra),
         "k2_extra": int(k2_extra),
     }
-    cp = CPBlockMap(desc, n, h1, cp_action)
-    tup = ModuleCPTuple(mdesc, n, h1, h2, tup_action)
-    return Instance(cp, tup, meta)
+    inst = Instance(CPBlockMap(desc, n, h1, cp_action),
+                    ModuleCPTuple(mdesc, n, h1, h2, tup_action), meta)
+    return inst if slot_scales is None else inst.slots_scaled(slot_scales)
 
 
 def identity_instance(d: int) -> Instance:

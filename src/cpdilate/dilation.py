@@ -13,12 +13,9 @@ form into a direct sum, so nothing is ever factored on the raw space:
     for every row p.  The raw Gram matrix is therefore a permuted direct
     sum of d_b copies of each C_b; it is PSD exactly when the family is
     completely n-positive.
-2.  Scaling slot i by c_i is the congruence ``D C_b D``, which changes
-    no rank, so each block is factored on the equilibrated scale
-    (``CPBlockMap.slot_scales``): ``D^-1 C_b D^-1 = F'_b* F'_b`` by
-    eigenvalue truncation (``linalg.kept_ranks`` over all blocks, i.e. on
-    the whole equilibrated Gram), and ``C_b = F_b* F_b`` with
-    ``F_b = F'_b D``.  The quotient is
+2.  Each C_b is factored once, ``C_b = F_b* F_b``, by eigenvalue
+    truncation (``linalg.kept_ranks`` over all blocks, i.e. on the scale
+    of the whole Gram).  The quotient is
     ``K1 = sum_b C^{d_b} (x) C^{rank_b}`` (dimension r1 = sum_b d_b rank_b),
     and the raw vector ``e^b_pq (x) e_beta`` in slot i maps to
     ``e_p (x) F_b[:, (i, q, beta)]``.
@@ -29,10 +26,13 @@ form into a direct sum, so nothing is ever factored on the raw space:
     ``K2 = sum_b C^{k_b} (x) C^{rank_b}`` the module map is
     ``Psi(f^b_rq) = E_rq (x) 1``.  The embedding of K2 into H2 must send
     ``e_r (x) F_b[:, (i, q, beta)]`` to ``Phi_i(f^b_rq) e_beta``; it is one
-    small least-squares solve per (b, r) against F'_b, which compatibility
+    small least-squares solve per (b, r) against F_b, which compatibility
     makes consistent and isometric.  A large solve residual means the
     input was not a valid instance and is reported as a well-definedness
     failure.  The W_i are coisometries onto the per-slot ranges.
+
+``dilate`` runs this on ``Instance.equilibrated`` (slot i divided by c_i)
+and multiplies S_i by c_i at the end; the checks divide S_i by c_i again.
 
 Linear identities are verified on canonical bases.  Multiplicative and
 sesquilinear ones are verified on the generators ``e^b_p0`` and
@@ -55,14 +55,13 @@ Minimality is read off the same generators.  With the block spans
 ``X_b = [pi(e^b_0q) S_i e_beta]`` over (q, i, beta), the K1 family
 ``pi(e^b_p0) X_b`` has Gram blocks ``delta_bc delta_pp' X_b* X_b``, so its
 singular values are the X_b's, each d_b times; the K2 family
-``Psi(f^b_r0) X_b`` has them k_b times.  Both ranks are counted on the
-equilibrated ``X_b D^-1`` (whose Gram matrices are the ``D^-1 C_b D^-1``
-on dilate's own output), by the one rule (``linalg.direct_sum_rank``).
+``Psi(f^b_r0) X_b`` has them k_b times.  Both ranks are counted by the
+one rule (``linalg.direct_sum_rank``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,7 +71,6 @@ from .linalg import (
     DEFAULT_CUTOFF,
     DEFAULT_TOL,
     direct_sum_rank,
-    exact_scale,
     hermitian_eig,
     kept_ranks,
     matrix_norms,
@@ -103,15 +101,14 @@ MAX_PI_ENTRIES = 2**22
 class GramFactorization:
     """Blockwise factorization of the raw-space Gram matrix.
 
-    ``block_factors[b]`` is ``F_b = F'_b D`` of shape (rank_b, n * d_b * h1),
-    where ``F'_b``, with orthogonal rows, factors ``cp.choi_block(b, scales)``
-    to cutoff accuracy.  The raw Gram matrix is a permuted direct sum of ``d_b``
+    ``block_factors[b]`` is ``F_b`` of shape (rank_b, n * d_b * h1) with
+    ``F_b* F_b = cp.choi_block(b)`` to cutoff accuracy and orthogonal
+    rows.  The raw Gram matrix is a permuted direct sum of ``d_b``
     copies of each Choi block (module docstring); it is never assembled.
     """
 
     cp: CPBlockMap = field(repr=False)
     block_factors: tuple[np.ndarray, ...] = field(repr=False)
-    scales: np.ndarray = field(repr=False)
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -151,6 +148,13 @@ class DilationData:
     def range_projectors(self) -> np.ndarray:
         """Per-slot range projectors ``W_i* W_i`` on H2, shape (n, h2, h2)."""
         return np.stack([w.conj().T @ w for w in self.w_ops])
+
+    def slots_scaled(self, factors: np.ndarray) -> DilationData:
+        """S_i multiplied by ``factors[i]``: a dilation of the instance with
+        slot i scaled likewise.  Itself when every factor is 1."""
+        if (factors == 1.0).all():
+            return self
+        return replace(self, s_ops=self.s_ops * factors[:, None, None])
 
 
 _RESIDUAL_NAMES = (
@@ -214,15 +218,14 @@ def build_gram(
 ) -> GramFactorization:
     """Factor every compressed Choi block ``C_b = F_b* F_b``.
 
-    Each equilibrated block ``D^-1 C_b D^-1`` is eigendecomposed once.  The
-    input is judged first, by ``is_completely_n_positive``'s rules at
-    ``tol``: ``check_hermiticity``, then ``negative_at_scale`` on each
-    block's own spectrum, raising NotPSDError that names the block.  Ranks
-    are then ``kept_ranks`` over all blocks.
+    Each block is eigendecomposed once.  The input is judged first, by
+    ``is_completely_n_positive``'s rules at ``tol``: ``check_hermiticity``,
+    then ``negative_at_scale`` on each block's own spectrum, raising
+    NotPSDError that names the block.  Ranks are then ``kept_ranks`` over
+    all blocks, on the scale of the whole Gram.
     """
     cp.check_hermiticity(tol)
-    scales = cp.slot_scales()
-    eigs = [hermitian_eig(cp.choi_block(b, scales)) for b in range(cp.algebra.nblocks)]
+    eigs = [hermitian_eig(cp.choi_block(b)) for b in range(cp.algebra.nblocks)]
     for b, (w, _) in enumerate(eigs):
         if negative_at_scale(float(w[-1]), float(w[0]), tol):
             raise NotPSDError(
@@ -230,11 +233,8 @@ def build_gram(
                 f"{w[-1]:.3e} below -{tol:.1e} * {max(float(w[0]), 1.0):.3e}"
             )
     ranks = kept_ranks([w for w, _ in eigs], rel_cutoff)
-    factors = []
-    for (w, v), r, d in zip(eigs, ranks, cp.algebra.block_dims):
-        f = np.sqrt(w[:r])[:, None] * v[:, :r].conj().T
-        factors.append(exact_scale(f, np.repeat(scales, d * cp.h1)))
-    return GramFactorization(cp, tuple(factors), scales)
+    factors = (np.sqrt(w[:r])[:, None] * v[:, :r].conj().T for (w, v), r in zip(eigs, ranks))
+    return GramFactorization(cp, tuple(factors))
 
 
 def build_pi(g: GramFactorization, cp: CPBlockMap) -> np.ndarray:
@@ -263,9 +263,9 @@ def build_psi(
 
     ``Psi(f^b_rq) = E_rq (x) 1_{rank_b}`` in closed form.  The embedding
     columns over ``e_r (x) C^{rank_b}`` are the solution X of
-    ``X F'_b = T D^-1`` with ``T[:, (i, q, beta)] = Phi_i(f^b_rq) e_beta``;
-    since ``F'_b F'_b*`` is the diagonal of kept eigenvalues, the
-    least-squares solution is ``T D^-1 F'_b* (F'_b F'_b*)^-1``.  Returns
+    ``X F_b = T`` with ``T[:, (i, q, beta)] = Phi_i(f^b_rq) e_beta``;
+    since ``F_b F_b*`` is the diagonal of kept eigenvalues, the
+    least-squares solution is ``T F_b* (F_b F_b*)^-1``.  Returns
     (psi_action, k2_embed, worst relative solve residual).
     """
     n, h1, h2 = cp.n, cp.h1, tup.h2
@@ -277,8 +277,6 @@ def build_psi(
         t = tup.action[:, start : start + k * d].reshape(n, k, d, h2, h1)
         t = t.transpose(1, 3, 0, 2, 4).reshape(k, h2, n * d * h1)
         start += k * d
-        inv = np.repeat(1.0 / g.scales, d * h1)
-        f, t = exact_scale(f, inv), exact_scale(t, inv)
         x = (t @ f.conj().T) / np.einsum("kx,kx->k", f, f.conj()).real
         res = matrix_norms(x @ f - t) / np.maximum(matrix_norms(t), 1.0)
         worst = max(worst, float(res.max(initial=0.0)))
@@ -307,7 +305,7 @@ def dilate(
     cutoff: float = DEFAULT_CUTOFF,
     welldef_tol: float = DEFAULT_TOL,
 ) -> DilationData:
-    """Run the full construction on a valid instance.
+    """Run the full construction on a valid instance (module docstring).
 
     The output is minimal by construction: K1 is spanned by the images
     ``pi(e) S_i H1`` (they are exactly the factor columns) and K2 by
@@ -317,15 +315,16 @@ def dilate(
     WellDefinednessError when the K2 embedding solve fails to close at
     ``welldef_tol``.
     """
-    g = build_gram(inst.cp, cutoff, welldef_tol)
+    eq, c = inst.equilibrated()
+    g = build_gram(eq.cp, cutoff, welldef_tol)
     entries = inst.algebra.dim * g.r1**2
     if entries > MAX_PI_ENTRIES:
         raise DimensionTooLargeError(
             f"pi would have dim A * r1^2 = {entries} entries, above the guardrail {MAX_PI_ENTRIES}"
         )
-    pi_action = build_pi(g, inst.cp)
-    s_ops = build_S(g, inst.cp)
-    psi_action, k2_embed, psi_res = build_psi(g, inst.cp, inst.tup)
+    pi_action = build_pi(g, eq.cp)
+    s_ops = build_S(g, eq.cp)
+    psi_action, k2_embed, psi_res = build_psi(g, eq.cp, eq.tup)
     if psi_res > welldef_tol:
         raise WellDefinednessError(
             f"module map is inconsistent on the spanning family "
@@ -341,9 +340,8 @@ def dilate(
         k2_embed=k2_embed,
         w_ops=w_ops,
         k2i_dims=k2i_dims,
-        pi_welldef=0.0,
         psi_welldef=psi_res,
-    )
+    ).slots_scaled(c)
 
 
 def check_shapes(inst: Instance, data: DilationData) -> None:
@@ -363,17 +361,15 @@ def check_shapes(inst: Instance, data: DilationData) -> None:
 
 
 def span_families(
-    inst: Instance, data: DilationData, scales: np.ndarray
+    inst: Instance, data: DilationData
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]]:
-    """On the equilibrated scale of ``scales = inst.cp.slot_scales()``: the
-    slot maps stacked as ``S[y, (j, k)] = S_j[y, k] / c_j`` (r1, n h1), the K1
-    and K2 families ``pi(e_alpha) S`` (dim_A, r1, n h1) and ``Psi(f_gamma) S``
+    """The slot maps stacked as ``S[y, (j, k)] = S_j[y, k]`` (r1, n h1), the
+    K1 and K2 families ``pi(e_alpha) S`` (dim_A, r1, n h1) and ``Psi(f_gamma) S``
     (dim_V, r2, n h1), and per algebra block b the block span
-    ``X_b D^-1 = [pi(e^b_0q) S_i e_beta / c_i]`` over (q, i, beta), (r1, d_b n h1)."""
+    ``X_b = [pi(e^b_0q) S_i e_beta]`` over (q, i, beta), (r1, d_b n h1)."""
     n, r1, h1 = data.s_ops.shape
     dim_a, dim_v, r2 = len(data.pi_action), len(data.psi_action), data.r2
     s_cols = data.s_ops.transpose(1, 0, 2).reshape(r1, n * h1)
-    s_cols = exact_scale(s_cols, np.repeat(1.0 / scales, h1))
     pi_s = (data.pi_action.reshape(dim_a * r1, r1) @ s_cols).reshape(dim_a, r1, n * h1)
     psi_s = (data.psi_action.reshape(dim_v * r2, r1) @ s_cols).reshape(dim_v, r2, n * h1)
     spans, off = [], 0
@@ -389,7 +385,6 @@ def minimality_defects(
     """``r1`` and ``r2`` minus the ranks of the K1 and K2 families, ``d_b``
     and ``k_b`` copies of each block span ``X_b`` (module docstring).
 
-    Ranks are ``direct_sum_rank`` of the equilibrated spans' singular values.
     This equals the full-family defect only when pi and Psi are
     *-representations; on other data it can differ, and be negative."""
     spectra = [np.linalg.svd(x, compute_uv=False) for x in spans]
@@ -414,30 +409,30 @@ def verify_dilation(
     basis-pair tables are never read.
 
     All quantities are relative residuals with denominator
-    ``max(|expected|_F, 1)``; the reconstructions divide slot i by its
-    scale ``c_i`` on both sides, so each slot is held to its own scale.
-    The slot-isometry defect
+    ``max(|expected|_F, 1)``, on the equilibrated instance (module
+    docstring).  The slot-isometry defect
     ``|S_i* S_i - 1|`` equals the unitality defect of phi_ii exactly, so
     it only participates in the pass verdict when every phi_ii is unital
     at the tolerance; it is always reported.
     """
     check_shapes(inst, data)
+    # The slot-isometry defects are read on the instance's own scale.
+    s_defect = tuple(float(np.linalg.norm(s.conj().T @ s - np.eye(inst.h1), 2)) for s in data.s_ops)
+    unital_defects = tuple(float(v) for v in inst.cp.diag_unital_defects())
+    inst, c = inst.equilibrated()
+    data = data.slots_scaled(1.0 / c)
     cp, tup = inst.cp, inst.tup
     alg, mod = inst.algebra, inst.module
     dim_a, dim_v = alg.dim, mod.dim
     n, h1, r1, r2 = inst.n, inst.h1, data.r1, data.r2
-    pi, s, psi = data.pi_action, data.s_ops, data.psi_action
+    pi, psi = data.pi_action, data.psi_action
 
     # The reconstruction and minimality checks share pi(e) S and Psi(f) S.
-    scales = cp.slot_scales()
-    s_cols, pi_s, psi_s, spans = span_families(inst, data, scales)
-    inv = 1.0 / scales
-    cp_eq = exact_scale(cp.action, (inv[:, None] * inv)[:, :, None, None, None])
-    tup_eq = exact_scale(tup.action, inv[:, None, None, None])
+    s_cols, pi_s, psi_s, spans = span_families(inst, data)
 
     # phi_ij(e) = S_i* pi(e) S_j
     recon = (s_cols.conj().T @ pi_s).reshape(dim_a, n, h1, n, h1)
-    phi_rec = max_rel_residual(recon.transpose(1, 3, 0, 2, 4), cp_eq)
+    phi_rec = max_rel_residual(recon.transpose(1, 3, 0, 2, 4), cp.action)
 
     # pi is a unital *-homomorphism and Psi(f . e) = Psi(f) pi(e), both
     # certified on the generators e^b_p0 of each block (module docstring).
@@ -478,24 +473,17 @@ def verify_dilation(
     emb = (data.k2_embed @ psi_s).reshape(dim_v, inst.h2, n, h1).transpose(2, 0, 1, 3)
     proj_emb = data.range_projectors()[:, None] @ emb
     phi_tuple_rec = max(
-        max_rel_residual(emb, tup_eq), max_rel_residual(proj_emb, tup_eq)
+        max_rel_residual(emb, tup.action), max_rel_residual(proj_emb, tup.action)
     )
-    denom = np.maximum(matrix_norms(tup_eq), 1.0)
+    denom = np.maximum(matrix_norms(tup.action), 1.0)
     agreement = float((matrix_norms(emb - proj_emb) / denom).max())
 
-    # Slot-isometry and coisometry defects
-    s_defect = tuple(
-        float(np.linalg.norm(s[i].conj().T @ s[i] - np.eye(h1), 2)) for i in range(n)
-    )
-    w_coiso = 0.0
-    for w in data.w_ops:
-        k = w.shape[0]
-        w_coiso = max(w_coiso, rel_residual(w @ w.conj().T, np.eye(k, dtype=complex)))
+    w_coiso = max([rel_residual(w @ w.conj().T, np.eye(len(w), dtype=complex))
+                   for w in data.w_ops], default=0.0)
 
     # Minimality: the span families must exhaust K1 and K2
     k1_defect, k2_defect = minimality_defects(inst, data, spans, rank_cutoff)
 
-    unital_defects = tuple(float(v) for v in cp.diag_unital_defects())
     s_in_pass = all(v <= tol for v in unital_defects)
 
     named = {

@@ -14,12 +14,13 @@ least-squares solve ``V_b X_b = X_b'`` per block fixes
 K2, so ``U2 = sum_{b,r} Psi'(f^b_r0) U1 Psi(f^b_r0)*`` with no solve.  A
 large residual of U1 or U2 on the full spanning families certifies that
 the two data do not dilate the same instance.  W-intertwining is checked
-in H2 coordinates through the recorded K2 embeddings.
+in H2 coordinates through the recorded K2 embeddings.  All of it is
+judged on the equilibrated instance, as in ``dilation.verify_dilation``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,21 +90,14 @@ def rotate_dilation(
     q2 = np.asarray(q2, dtype=complex)
     if q1.shape != (data.r1, data.r1) or q2.shape != (data.r2, data.r2):
         raise ValueError("rotation shapes must match (r1, r1) and (r2, r2)")
-    if w_rotations is None:
-        w_ops = data.w_ops
-    else:
-        w_ops = tuple(r @ w for r, w in zip(w_rotations, data.w_ops))
-    return DilationData(
-        r1=data.r1,
-        r2=data.r2,
+    if w_rotations is not None:
+        data = replace(data, w_ops=tuple(r @ w for r, w in zip(w_rotations, data.w_ops)))
+    return replace(
+        data,
         pi_action=q1 @ data.pi_action @ q1.conj().T,
         s_ops=q1 @ data.s_ops,
         psi_action=q2 @ data.psi_action @ q1.conj().T,
         k2_embed=data.k2_embed @ q2.conj().T,
-        w_ops=w_ops,
-        k2i_dims=data.k2i_dims,
-        pi_welldef=data.pi_welldef,
-        psi_welldef=data.psi_welldef,
     )
 
 
@@ -153,17 +147,17 @@ def build_unitaries(
     closed form (module docstring).  The solve residuals are
     ``|U X - X'|_F / max(|X'|_F, 1)`` over the full families
     ``X = [pi(e_alpha) S_i e_beta]`` for U1 and ``[Psi(f_gamma) S_i e_beta]``
-    for U2, slot i divided by ``c_i`` as in ``span_families``.  Raises
-    NotMinimalError when either input fails the span conditions and
-    InconsistentSpansError when a solve residual exceeds ``tol`` (the two
-    data do not dilate the same instance).
+    for U2.  Raises NotMinimalError when either input fails the span
+    conditions and InconsistentSpansError when a solve residual exceeds
+    ``tol`` (the two data do not dilate the same instance).
     """
     check_shapes(inst, data_a)
     check_shapes(inst, data_b)
+    inst, c = inst.equilibrated()
+    data_a, data_b = data_a.slots_scaled(1.0 / c), data_b.slots_scaled(1.0 / c)
 
-    scales = inst.cp.slot_scales()
-    _, pi_s_a, psi_s_a, spans_a = span_families(inst, data_a, scales)
-    _, pi_s_b, psi_s_b, spans_b = span_families(inst, data_b, scales)
+    _, pi_s_a, psi_s_a, spans_a = span_families(inst, data_a)
+    _, pi_s_b, psi_s_b, spans_b = span_families(inst, data_b)
     for label, data, spans in (("first", data_a, spans_a), ("second", data_b, spans_b)):
         defects = minimality_defects(inst, data, spans, rank_cutoff)
         if any(defects):
@@ -215,5 +209,7 @@ def verify_diagram(
     and return whether every one is within ``tol``."""
     check_shapes(inst, data_a)
     check_shapes(inst, data_b)
+    c = inst.cp.slot_scales()
+    data_a, data_b = data_a.slots_scaled(1.0 / c), data_b.slots_scaled(1.0 / c)
     res = _diagram_residuals(witness.u1, witness.u2, data_a, data_b)
     return all(v <= tol for v in res.values())

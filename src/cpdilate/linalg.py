@@ -36,7 +36,6 @@ __all__ = [
     "max_rel_residual",
     "hermitian_eig",
     "negative_at_scale",
-    "exact_scale",
     "kept_ranks",
     "direct_sum_rank",
     "solve_lsq",
@@ -89,12 +88,6 @@ def negative_at_scale(lam_min: float, lam_max: float, rel_tol: float) -> bool:
     """The one PSD rule: a spectrum whose largest eigenvalue is ``lam_max``
     has a negative direction when ``lam_min < -rel_tol * max(lam_max, 1)``."""
     return lam_min < -rel_tol * max(lam_max, 1.0)
-
-
-def exact_scale(m: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """``m * factors``, or ``m`` itself when every factor is 1: a complex
-    product by ``1 + 0j`` can flip the sign of a zero."""
-    return m if (factors == 1.0).all() else m * factors
 
 
 def kept_ranks(spectra, rel_cutoff: float = DEFAULT_CUTOFF) -> list[int]:

@@ -147,6 +147,19 @@ class TestDilate:
         assert rc == 0
         assert "r1=2 r2=2" in out
 
+    @pytest.mark.parametrize("eps, code", [(3e-10, 3), (1e-16, 0)])
+    def test_absolute_noise_on_a_small_slot(self, tmp_path, capsys, eps, code):
+        # Slot 2 at scale 1e-4 with tuple noise eps: 3e-10 is within tol
+        # absolutely but about 1e-6 at the slot's own scale, where is_valid
+        # and the dilate command both judge it.
+        inst = random_instance(3, **GRADED, slot_scales=[1.0, 1e-4])
+        z = np.random.default_rng(0).standard_normal(inst.tup.action[1].shape)
+        inst.tup.action[1] += eps * z / np.linalg.norm(z)
+        assert inst.is_valid() == (code == 0)
+        path = tmp_path / "inst.json"
+        path.write_text(emit_instance(inst), encoding="utf-8")
+        assert cli.main(["dilate", str(path)]) == code
+
     def test_parse_error_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{", encoding="utf-8")

@@ -206,14 +206,16 @@ class TestSlotScales:
         assert cp.slot_scales().tolist() == [1.0, 1.0, 0.5, 0.25, 2.0**-16, 1.0]
         assert scalar_family(2, np.zeros((2, 2))).slot_scales().tolist() == [1.0, 1.0]
 
-    def test_equilibrated_block_is_exact(self):
+    def test_equilibrated_instance_is_exact(self):
         inst = random_instance(3, n=2, block_dims=[2], mults=[1], h1=1, h2=4, k1_extra=2,
                                slot_scales=[1.0, 1e-9])
-        scales = inst.cp.slot_scales()
-        assert scales[0] == 1.0 and scales[1] == 2.0**-30
+        eq, scales = inst.equilibrated()
+        assert scales.tolist() == [1.0, 2.0**-30]
         inv = np.repeat(1.0 / scales, 2)
-        assert np.array_equal(inst.cp.choi_block(0, scales),
-                              inst.cp.choi_block(0) * np.outer(inv, inv))
+        assert np.array_equal(eq.cp.choi_block(0), inst.cp.choi_block(0) * np.outer(inv, inv))
+        assert np.array_equal(eq.tup.action, inst.tup.action / scales[:, None, None, None])
+        unscaled = random_instance(3, n=2, block_dims=[2], mults=[1], h1=1, h2=4, k1_extra=2)
+        assert unscaled.equilibrated()[0] is unscaled
 
 
 class TestAmplifiedUnits:

@@ -17,7 +17,7 @@ from conftest import (
     transpose_map,
 )
 from test_acceptance import acceptance_instances
-from cpdilate import dilation
+from cpdilate import cli, dilation
 from cpdilate.algebra import AlgebraDescriptor, ModuleDescriptor
 from cpdilate.cpmaps import (
     CPBlockMap,
@@ -37,7 +37,12 @@ from cpdilate.dilation import (
     verify_dilation,
 )
 from cpdilate.equivalence import rotate_dilation
-from cpdilate.errors import HermiticityViolationError, NotPSDError, WellDefinednessError
+from cpdilate.errors import (
+    CPDilateError,
+    HermiticityViolationError,
+    NotPSDError,
+    WellDefinednessError,
+)
 from cpdilate.linalg import frob
 
 
@@ -534,6 +539,22 @@ class TestPositivityVerdict:
             with pytest.raises(NotPSDError, match="not completely n-positive: Choi block 0 "):
                 build_gram(flipped)
 
+    @pytest.mark.parametrize("lam, valid", [(-1e-11, False), (-1e-19, True)])
+    def test_each_slot_is_judged_at_its_own_scale(self, lam, valid):
+        # Slot 1 has phi_11 = diag(1e-8, lam), scale c_1 = 2^-13.  An
+        # eigenvalue of -1e-11 is within tol on the family's own scale but
+        # -7e-4 at the slot's, so it is refused; -1e-19 is -7e-12 there.
+        alg = AlgebraDescriptor((1,))
+        cp = np.zeros((2, 2, 1, 2, 2), dtype=complex)
+        cp[0, 0, 0], cp[1, 1, 0] = np.eye(2), np.diag([1e-8, lam])
+        tup = np.zeros((2, 1, 4, 2), dtype=complex)
+        tup[0, 0, :2], tup[1, 0, 2:] = np.eye(2), np.diag([1e-4, 0.0])
+        inst = Instance(CPBlockMap(alg, 2, 2, cp), ModuleCPTuple(ModuleDescriptor(alg, (1,)),
+                                                                 2, 2, 4, tup))
+        assert inst.cp.is_completely_n_positive(1e-9)
+        assert inst.is_valid() == valid
+        assert_dilates_iff_valid(inst)
+
     def test_spectra_are_kept_descending(self):
         # F_b F_b* is the diagonal of the kept eigenvalues, in descending order.
         inst = random_instance(3, n=2, block_dims=[2, 1], mults=[1, 1], h1=2, h2=4)
@@ -661,6 +682,16 @@ def planted_instance(seed, spectrum, scales, x_noise=0.0, tup_noise=0.0):
     return Instance(CPBlockMap(alg, n, 1, cp), ModuleCPTuple(mod, n, 1, k + 1, tup))
 
 
+def dilate_command_passes(inst, tol=1e-9):
+    """What ``cpdilate dilate`` decides: the compatibility gate, ``dilate``
+    and the verification report."""
+    try:
+        cli._check_compatible(inst.equilibrated()[0], tol)
+        return verify_dilation(inst, dilate(inst, welldef_tol=tol), tol).passed
+    except CPDilateError:
+        return False
+
+
 class TestSlotScaleInvariance:
     """Slot scales over 12 decades (one slot possibly zero), near-degenerate
     Choi spectra and noise at the tolerance: ``dilate`` and ``verify``
@@ -687,10 +718,30 @@ class TestSlotScaleInvariance:
         ref = planted_instance(seed, spectrum, [float(c > 0) for c in scales], **noisy)
         # rank decisions within the slack of a power-of-two scale (a factor
         # 16 on relative eigenvalues) are not scale invariant
-        lam = np.linalg.eigvalsh(ref.cp.choi_block(0, ref.cp.slot_scales()))
+        lam = np.linalg.eigvalsh(ref.equilibrated()[0].cp.choi_block(0))
         assume(not np.any((lam > 1e-12 * lam[-1]) & (lam < 1e-8 * lam[-1])))
         assert inst.is_valid() and ref.is_valid()
         data, ref_data = dilate(inst), dilate(ref)
         assert (data.r1, data.r2) == (ref_data.r1, ref_data.r2)
         assert verify_dilation(inst, data).passed
         assert verify_dilation(ref, ref_data).passed
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**16), exponent=st.floats(-12.0, 0.0),
+           noise=st.floats(-1.0, 1.0))
+    @example(seed=0, exponent=-4.0, noise=0.3)
+    @example(seed=57, exponent=-0.75, noise=0.5)  # valid at tol, not at tol / 10
+    def test_absolute_noise_on_a_small_slot(self, seed, exponent, noise):
+        # Tuple noise up to +-tol, absolute rather than at the slot's
+        # scale, is large at a small slot's own scale.  The dilate command
+        # and is_valid judge it on that one scale: the command refuses
+        # what is_valid rejects, and passes what is_valid accepts at a
+        # tenth of tol.  In between, the K2 solve residual and the
+        # compatibility residual differ by a small factor (up to about 4
+        # here), as they do on a slot of scale 1.
+        inst = planted_instance(seed, np.array([1.0, 0.5, 0.25]), [1.0, 10.0**exponent])
+        z = np.random.default_rng(seed).standard_normal(inst.tup.action[1].shape)
+        inst.tup.action[1] += noise * 1e-9 * z / frob(z)
+        passes = dilate_command_passes(inst)
+        assert inst.is_valid() or not passes
+        assert passes or not inst.is_valid(1e-10)

@@ -256,8 +256,7 @@ class TestFullSpanOracle:
         report = verify_dilation(inst, data)
         got = (report.minimality_k1_defect, report.minimality_k2_defect)
         assert got == full_span_defects(data) == (1.0, 1.0)
-        spans = span_families(inst, data, inst.cp.slot_scales())[3]
-        spectra = [np.linalg.svd(x, compute_uv=False) for x in spans]
+        spectra = [np.linalg.svd(x, compute_uv=False) for x in span_families(inst, data)[3]]
         per_block = sum(direct_sum_rank([sv], [1]) for sv in spectra)
         assert per_block == data.r1  # each block's own scale finds no defect
         with pytest.raises(NotMinimalError):
