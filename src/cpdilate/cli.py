@@ -18,8 +18,9 @@ first.  Every subcommand bounds the largest Choi block side
 ``n * d_b * h1`` by ``MAX_CHOI_SIDE`` and the raw dimension
 ``n * dim A * h1`` by ``MAX_RAW_DIM``.  ``dilate`` bounds the entries of
 pi by ``dilation.MAX_PI_ENTRIES``, and ``generate`` bounds its generator's
-carrier side and ``h2`` by ``MAX_CHOI_SIDE`` and the entries of what it
-builds on the carrier (pi, psi, slot unitaries) by ``MAX_PI_ENTRIES``.
+carrier side and ``h2`` by ``MAX_CHOI_SIDE`` and, by ``MAX_PI_ENTRIES``,
+the entries of pi and psi on the carrier (which bound those of the
+generated instance's dilation) and of the slot unitaries it draws.
 
 The only recognized environment variable is ``CPDILATE_TOL``, which
 overrides the default residual tolerance for all subcommands; it is read
@@ -182,8 +183,9 @@ def _print_witness(witness, commutes: bool, tol: float, json_mode: bool) -> None
 def _cmd_generate(args) -> int:
     block_dims, mults = args.blocks, args.mults
     raw_dim = _check_dims(args.n, block_dims, args.h1, "requested dimensions give")
-    # the generator builds pi (dim A x carrier x carrier), psi (dim V x
-    # sum k_b * copies x carrier) and n Haar unitaries of the carrier side
+    # r1 <= carrier and r2 <= sum k_b * copies, so the first two bound the
+    # pi and psi of the generated instance's dilation; the third bounds
+    # the n Haar unitaries of the carrier side that the generator draws
     copies = carrier_mult(block_dims, args.h1, args.k1_extra)
     carrier, k2_side = sum(block_dims) * copies, sum(mults) * copies
     dim_a, dim_v = sum(d * d for d in block_dims), sum(k * d for k, d in zip(mults, block_dims))

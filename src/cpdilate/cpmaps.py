@@ -19,11 +19,11 @@ it suffices to check all basis pairs, which is what
 ``compatibility_residual`` does.
 
 ``random_instance`` generates valid instances by reverse construction:
-it first builds dilation-shaped data (a blockwise representation with
-multiplicity, truncated Haar isometries, and an isometric embedding of
-the generated range into H2) and then reads the map family off that
-data, so validity is exact by construction rather than enforced by
-rejection sampling.
+it draws dilation-shaped data (truncated Haar isometries S_i into a
+carrier with a blockwise representation ``pi``, and an isometric
+embedding of the generated range into H2) and then reads the map family
+off that data, block by block, so validity is exact by construction
+rather than enforced by rejection sampling.
 """
 
 from __future__ import annotations
@@ -239,33 +239,6 @@ def haar_unitary(rng: np.random.Generator, size: int) -> np.ndarray:
     return q * ph.conj()
 
 
-def amplified_units(labels, row_dims, col_dims, copies) -> np.ndarray:
-    """Matrix units amplified by a per-block number of copies.
-
-    For each label (b, r, q) the stack holds ``E_rq (x) 1_{copies[b]}``,
-    mapping ``sum_b C^{col_dims[b]} (x) C^{copies[b]}`` into
-    ``sum_b C^{row_dims[b]} (x) C^{copies[b]}``; coordinates run over
-    (block, row, copy) with the block slowest.  With the algebra's labels
-    and ``row_dims = col_dims = block_dims`` this is the blockwise
-    representation ``pi`` with multiplicity; with the module's labels and
-    ``row_dims = mults of the module`` it is the matching module map
-    ``psi``, and the pair satisfies ``psi(f)* psi(g) = pi(<f, g>)``
-    exactly.
-    """
-    copies = np.asarray(copies, dtype=np.intp)
-    row_off = np.concatenate([[0], np.cumsum(np.asarray(row_dims, dtype=np.intp) * copies)])
-    col_off = np.concatenate([[0], np.cumsum(np.asarray(col_dims, dtype=np.intp) * copies)])
-    out = np.zeros((len(labels), row_off[-1], col_off[-1]), dtype=complex)
-    b, r, q = np.asarray(labels, dtype=np.intp).reshape(-1, 3).T
-    # one entry per (label, copy): the label repeated, the copy counted up
-    reps = copies[b]
-    index = np.repeat(np.arange(len(b)), reps)
-    copy = np.arange(len(index)) - np.repeat(np.cumsum(reps) - reps, reps)
-    b, r, q, reps = b[index], r[index], q[index], reps[index]
-    out[index, row_off[b] + r * reps + copy, col_off[b] + q * reps + copy] = 1.0
-    return out
-
-
 def carrier_mult(block_dims, h1: int, k1_extra: int) -> int:
     """Multiplicity of every block in ``random_instance``'s carrier
     representation, of side ``sum(block_dims) * carrier_mult``: ``1 +
@@ -286,12 +259,14 @@ def random_instance(
 ) -> Instance:
     """Seeded valid instance by reverse construction.
 
-    Builds a blockwise representation ``pi`` with uniform multiplicity
-    ``1 + k1_extra`` (raised further if needed so the carrier space can
-    host H1), truncated Haar unitaries as the slot isometries, the
-    matching module representation, and an isometric embedding of the
-    generated range into H2 (padded by up to ``k2_extra`` Haar
-    directions).  The returned maps are read off that data, so the
+    Draws truncated Haar unitaries as the slot isometries S_i into a
+    carrier with a blockwise representation ``pi(e^b_pq) = E_pq (x) 1``
+    of uniform multiplicity ``1 + k1_extra`` (raised further if needed so
+    the carrier can host H1), and an isometric embedding of the range of
+    the matching module map ``psi`` into H2 (padded by up to ``k2_extra``
+    Haar directions).  ``phi_ij(a) = S_i* pi(a) S_j`` and ``Phi_i(x) =
+    embed psi(x) S_i`` are products of the carrier blocks of the S_i, one
+    algebra block at a time (``pi`` and ``psi`` are never built), so the
     instance is completely n-positive and compatible up to rounding.
 
     ``slot_scales`` optionally scales slot i by ``c_i`` (phi_ij picks up
@@ -309,19 +284,29 @@ def random_instance(
         raise ValueError("slack parameters must be >= 0")
 
     rng = np.random.default_rng(seed)
-    copies = [carrier_mult(desc.block_dims, h1, k1_extra)] * desc.nblocks
-    pi_t = amplified_units(desc.basis_labels, desc.block_dims, desc.block_dims, copies)
-    psi_t = amplified_units(mdesc.basis_labels, mdesc.mults, desc.block_dims, copies)
-    dim1, dim2 = pi_t.shape[1], psi_t.shape[1]
+    dims, ks = desc.block_dims, mdesc.mults
+    copies = carrier_mult(dims, h1, k1_extra)
+    s_ops = np.stack([haar_unitary(rng, sum(dims) * copies)[:, :h1] for _ in range(n)])
+    # carrier block b: X_b[i, p, copy, beta] = S_i[(b, p, copy), beta]
+    xs = [x.reshape(n, d, copies, h1)
+          for x, d in zip(np.split(s_ops, np.cumsum(dims[:-1]) * copies, axis=1), dims)]
+    k_off = np.cumsum([0, *ks]) * copies  # rows (b, r, copy) of psi's range
+    g_off = np.cumsum([0, *(k * d for k, d in zip(ks, dims))])  # module labels
 
-    s_ops = np.stack([haar_unitary(rng, dim1)[:, :h1] for _ in range(n)])
-
-    cp_action = np.einsum("ixh,axy,jyk->ijahk", s_ops.conj(), pi_t, s_ops)
+    # phi_ij(e^b_pq) = S_i* pi(e^b_pq) S_j = sum_copy X_b[i, p]* X_b[j, q];
+    # einsum adds the copies in order, as the dense product did (BLAS would not)
+    cp_action = np.concatenate(
+        [np.einsum("ipch,jqck->ijpqhk", x.conj(), x, order="C").reshape(n, n, d * d, h1, h1)
+         for x, d in zip(xs, dims)], axis=2)
 
     # Range of the generated module representation composed with the
-    # slot isometries; only this subspace must fit inside H2.
-    span = np.einsum("gyx,ixh->ygih", psi_t, s_ops).reshape(dim2, -1)
-    basis = svd_orthobasis(span, 1e-12)
+    # slot isometries; only this subspace must fit inside H2.  Column
+    # (f^b_rq, i, beta) is X_b[i, q, :, beta] on the rows (b, r, :).
+    span = np.zeros((k_off[-1], mdesc.dim, n, h1), dtype=complex)
+    for b, (x, d, k) in enumerate(zip(xs, dims, ks)):
+        rows, diag = span[k_off[b] : k_off[b + 1], g_off[b] : g_off[b + 1]], np.arange(k)
+        rows.reshape(k, copies, k, d, n, h1)[diag, :, diag] = x.transpose(2, 1, 0, 3)
+    basis = svd_orthobasis(span.reshape(k_off[-1], -1), 1e-12)
     needed = basis.shape[1]
     if needed > h2:
         raise DimensionTooSmallError(
@@ -330,9 +315,13 @@ def random_instance(
     pad = min(h2, needed + k2_extra)
     inner_iso = haar_unitary(rng, pad)[:, :needed]
     outer_iso = haar_unitary(rng, h2)[:, :pad]
-    embed = outer_iso @ inner_iso @ basis.conj().T  # (h2, dim2)
+    embed = outer_iso @ inner_iso @ basis.conj().T  # (h2, sum k_b * copies)
 
-    tup_action = np.einsum("yz,gzx,ixh->igyh", embed, psi_t, s_ops)
+    # Phi_i(f^b_rq) = embed psi(f^b_rq) S_i = sum_copy embed[:, (b, r, copy)] X_b[i, q]
+    tup_action = np.concatenate(
+        [np.einsum("yrc,iqch->irqyh", embed[:, k_off[b] : k_off[b + 1]].reshape(h2, k, copies),
+                   x, order="C").reshape(n, k * d, h2, h1)
+         for b, (x, d, k) in enumerate(zip(xs, dims, ks))], axis=1)
 
     meta = {
         "seed": int(seed),

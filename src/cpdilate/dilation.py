@@ -65,7 +65,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cpmaps import CPBlockMap, Instance, ModuleCPTuple, amplified_units
+from .cpmaps import CPBlockMap, Instance, ModuleCPTuple
 from .errors import DimensionTooLargeError, NotPSDError, ShapeMismatchError, WellDefinednessError
 from .linalg import (
     DEFAULT_CUTOFF,
@@ -235,6 +235,33 @@ def build_gram(
     ranks = kept_ranks([w for w, _ in eigs], rel_cutoff)
     factors = (np.sqrt(w[:r])[:, None] * v[:, :r].conj().T for (w, v), r in zip(eigs, ranks))
     return GramFactorization(cp, tuple(factors))
+
+
+def amplified_units(labels, row_dims, col_dims, copies) -> np.ndarray:
+    """Matrix units amplified by a per-block number of copies.
+
+    For each label (b, r, q) the stack holds ``E_rq (x) 1_{copies[b]}``,
+    mapping ``sum_b C^{col_dims[b]} (x) C^{copies[b]}`` into
+    ``sum_b C^{row_dims[b]} (x) C^{copies[b]}``; coordinates run over
+    (block, row, copy) with the block slowest.  With the algebra's labels
+    and ``row_dims = col_dims = block_dims`` this is the blockwise
+    representation ``pi`` with multiplicity; with the module's labels and
+    ``row_dims = mults of the module`` it is the matching module map
+    ``psi``, and the pair satisfies ``psi(f)* psi(g) = pi(<f, g>)``
+    exactly.
+    """
+    copies = np.asarray(copies, dtype=np.intp)
+    row_off = np.concatenate([[0], np.cumsum(np.asarray(row_dims, dtype=np.intp) * copies)])
+    col_off = np.concatenate([[0], np.cumsum(np.asarray(col_dims, dtype=np.intp) * copies)])
+    out = np.zeros((len(labels), row_off[-1], col_off[-1]), dtype=complex)
+    b, r, q = np.asarray(labels, dtype=np.intp).reshape(-1, 3).T
+    # one entry per (label, copy): the label repeated, the copy counted up
+    reps = copies[b]
+    index = np.repeat(np.arange(len(b)), reps)
+    copy = np.arange(len(index)) - np.repeat(np.cumsum(reps) - reps, reps)
+    b, r, q, reps = b[index], r[index], q[index], reps[index]
+    out[index, row_off[b] + r * reps + copy, col_off[b] + q * reps + copy] = 1.0
+    return out
 
 
 def build_pi(g: GramFactorization, cp: CPBlockMap) -> np.ndarray:

@@ -8,10 +8,11 @@ the full basis-pair sweeps and per-index loops that the library replaced
 with generator checks and stacked products, the dense raw-space Gram
 matrix and factor that the blockwise construction never forms, the
 full-span rank checks and least-squares solves that the block spans
-replaced in minimality and equivalence, the ``json.dumps`` encoder that
-the version-1 writers replaced with an array encoder, and the
-``json.loads`` reader that orjson replaced.  All of them serve as
-independent references.
+replaced in minimality and equivalence, the dense reverse construction
+over amplified units that the generator's per-block products replaced,
+the ``json.dumps`` encoder that the version-1 writers replaced with an
+array encoder, and the ``json.loads`` reader that orjson replaced.  All
+of them serve as independent references.
 """
 
 from __future__ import annotations
@@ -20,10 +21,13 @@ import json
 
 import numpy as np
 
-from cpdilate.cpmaps import CPBlockMap
-from cpdilate.dilation import DilationData, GramFactorization, check_shapes
+from cpdilate.algebra import AlgebraDescriptor, ModuleDescriptor
+from cpdilate.cpmaps import CPBlockMap, Instance, ModuleCPTuple, carrier_mult, haar_unitary
+from cpdilate.dilation import DilationData, GramFactorization, amplified_units, check_shapes
 from cpdilate.errors import InconsistentSpansError, NotMinimalError
-from cpdilate.linalg import DEFAULT_CUTOFF, DEFAULT_TOL, max_rel_residual, rel_residual, solve_lsq
+from cpdilate.linalg import (
+    DEFAULT_CUTOFF, DEFAULT_TOL, max_rel_residual, rel_residual, solve_lsq, svd_orthobasis,
+)
 
 
 def _dense_units(labels, row_dims, col_dims) -> np.ndarray:
@@ -35,7 +39,7 @@ def _dense_units(labels, row_dims, col_dims) -> np.ndarray:
 
 
 def amplified_units_oracle(labels, row_dims, col_dims, copies) -> np.ndarray:
-    """``cpmaps.amplified_units`` as the per-label loop it replaced:
+    """``dilation.amplified_units`` as the per-label loop it replaced:
     ``E_rq (x) 1_{copies[b]}`` set copy by copy for each label."""
     row_off = np.concatenate([[0], np.cumsum([d * c for d, c in zip(row_dims, copies)])])
     col_off = np.concatenate([[0], np.cumsum([d * c for d, c in zip(col_dims, copies)])])
@@ -44,6 +48,34 @@ def amplified_units_oracle(labels, row_dims, col_dims, copies) -> np.ndarray:
         copy = np.arange(copies[b])
         out[index, row_off[b] + r * copies[b] + copy, col_off[b] + q * copies[b] + copy] = 1.0
     return out
+
+
+def random_instance_oracle(seed, n, block_dims, mults, h1, h2, k1_extra=0, k2_extra=0,
+                           slot_scales=None) -> Instance:
+    """``cpmaps.random_instance`` as the dense reverse construction it
+    replaced: ``phi_ij(a) = S_i* pi(a) S_j`` and ``Phi_i(x) = embed
+    psi(x) S_i`` as three-operand einsums over the amplified units
+    ``pi`` and ``psi`` of the whole carrier, with the same draws."""
+    desc = AlgebraDescriptor(tuple(block_dims))
+    mdesc = ModuleDescriptor(desc, tuple(mults))
+    rng = np.random.default_rng(seed)
+    copies = [carrier_mult(desc.block_dims, h1, k1_extra)] * desc.nblocks
+    pi_t = amplified_units(desc.basis_labels, desc.block_dims, desc.block_dims, copies)
+    psi_t = amplified_units(mdesc.basis_labels, mdesc.mults, desc.block_dims, copies)
+    dim1, dim2 = pi_t.shape[1], psi_t.shape[1]
+    s_ops = np.stack([haar_unitary(rng, dim1)[:, :h1] for _ in range(n)])
+    cp_action = np.einsum("ixh,axy,jyk->ijahk", s_ops.conj(), pi_t, s_ops)
+    span = np.einsum("gyx,ixh->ygih", psi_t, s_ops).reshape(dim2, -1)
+    basis = svd_orthobasis(span, 1e-12)
+    needed = basis.shape[1]
+    pad = min(h2, needed + k2_extra)
+    inner_iso = haar_unitary(rng, pad)[:, :needed]
+    outer_iso = haar_unitary(rng, h2)[:, :pad]
+    embed = outer_iso @ inner_iso @ basis.conj().T
+    tup_action = np.einsum("yz,gzx,ixh->igyh", embed, psi_t, s_ops)
+    inst = Instance(CPBlockMap(desc, n, h1, cp_action),
+                    ModuleCPTuple(mdesc, n, h1, h2, tup_action))
+    return inst if slot_scales is None else inst.slots_scaled(slot_scales)
 
 
 def algebra_units(alg) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,20 +10,22 @@ from conftest import (
     apply_phi_oracle,
     compatibility_oracle,
     module_units,
+    random_instance_oracle,
     scalar_family,
     transpose_map,
 )
 from test_acceptance import acceptance_instances
+from cpdilate import cli
 from cpdilate.algebra import AlgebraDescriptor, ModuleDescriptor
 from cpdilate.cpmaps import (
     CPBlockMap,
     Instance,
     ModuleCPTuple,
-    amplified_units,
     haar_unitary,
     identity_instance,
     random_instance,
 )
+from cpdilate.dilation import amplified_units
 from cpdilate.errors import DimensionTooSmallError, HermiticityViolationError
 from cpdilate.serialize import emit_instance
 
@@ -195,6 +199,74 @@ class TestRandomInstance:
         # up to h1; the construction must still embed into h2 = dim V_range.
         inst = random_instance(4, n=1, block_dims=[1], mults=[1], h1=3, h2=3)
         assert inst.is_valid(1e-9)
+
+
+GENERATOR_SHAPES = [
+    dict(n=2, block_dims=[2, 1], mults=[1, 2], h1=2, h2=12),
+    dict(n=3, block_dims=[3, 1, 2], mults=[2, 1, 1], h1=2, h2=40, k1_extra=1),
+    dict(n=2, block_dims=[2, 3], mults=[0, 1], h1=3, h2=12),
+    dict(n=2, block_dims=[2, 1], mults=[1, 0], h1=2, h2=4, k2_extra=1),
+    dict(n=3, block_dims=[3, 3], mults=[1, 1], h1=4, h2=30, k1_extra=1, k2_extra=3),
+    dict(n=2, block_dims=[1, 2], mults=[1, 1], h1=7, h2=40),
+    dict(n=1, block_dims=[3], mults=[2], h1=2, h2=6),
+    dict(n=3, block_dims=[2, 1], mults=[1, 1], h1=2, h2=18, k1_extra=2,
+         slot_scales=[1.0, 1e-6, 0.3]),
+    dict(n=3, block_dims=[8], mults=[2], h1=4, h2=12, k1_extra=1),
+    dict(n=3, block_dims=[4, 4, 3], mults=[2, 1, 1], h1=4, h2=40, k1_extra=4),
+    dict(n=4, block_dims=[16], mults=[2], h1=4, h2=24, k1_extra=1),
+]
+
+
+class TestGeneratorOracle:
+    """The per-block products equal the dense reverse construction bit
+    for bit, strides included: mixed blocks, a zero-multiplicity block,
+    both pads, a carrier raised by h1, one slot, slot scales, the
+    benchmark shapes and fuzz draws.  Not at h1 = 1 with about 31 copies
+    or more, where the dense einsum regroups its sum over the copies."""
+
+    @staticmethod
+    def assert_same_instance(seed, shape):
+        got, want = random_instance(seed, **shape), random_instance_oracle(seed, **shape)
+        for a, b in ((got.cp.action, want.cp.action), (got.tup.action, want.tup.action)):
+            assert a.shape == b.shape and a.strides == b.strides
+            assert a.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("shape", GENERATOR_SHAPES)
+    def test_bitwise_equal_to_the_dense_construction(self, shape):
+        self.assert_same_instance(11, shape)
+
+    def test_bitwise_equal_on_fuzz_shapes(self):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            shape = cli._fuzz_dims(rng, max_n=3, max_block=3, max_h=4)
+            self.assert_same_instance(int(rng.integers(0, 2**31)), shape)
+
+    def test_copies_are_summed_in_order(self):
+        # h1 = 1 with 32 copies is where the dense einsum regroups its sum
+        # (last-bit differences); the per-block products keep copy order
+        inst = random_instance(0, n=1, block_dims=[1, 2], mults=[1, 1], h1=1, h2=66,
+                               k1_extra=31)
+        x = haar_unitary(np.random.default_rng(0), 96)[:, 0].reshape(3, 32)  # rows (b, p)
+        re, im = np.zeros((3, 3)), np.zeros((3, 3))
+        for c in range(32):
+            u, v = x[:, c, None].conj(), x[None, :, c]
+            re = re + (u.real * v.real - u.imag * v.imag)
+            im = im + (u.real * v.imag + u.imag * v.real)
+        rows = [(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)]  # e^0_00, then e^1_pq
+        want = np.array([complex(re[r], im[r]) for r in rows])
+        assert inst.cp.action[0, 0, :, 0, 0].tobytes() == want.tobytes()
+
+    def test_builds_no_dense_units(self):
+        # the amplified pi of this shape alone is dim A * carrier^2 = 2^22
+        # entries (67 MB)
+        tracemalloc.start()
+        try:
+            random_instance(1, n=2, block_dims=[16], mults=[1], h1=4, h2=16, k1_extra=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestSlotScales:

@@ -19,6 +19,7 @@ from cpdilate.linalg import (
     frob,
     hermitian_eig,
     kept_ranks,
+    matrix_norms,
     negative_at_scale,
     solve_lsq,
     svd_orthobasis,
@@ -175,6 +176,25 @@ class TestSolveLsq:
         x, res = solve_lsq(np.zeros((3, 0), dtype=complex), np.zeros((3, 2), dtype=complex))
         assert x.shape == (0, 2)
         assert res == 0.0
+
+
+class TestMatrixNorms:
+    """Bit for bit ``np.linalg.norm(stack, axis=(-2, -1))``, whose
+    summation order the residual reports depend on."""
+
+    @pytest.mark.parametrize("shape", [(3, 4, 4), (64, 16, 16), (2, 3, 5, 7), (1, 1), (9, 1, 40)])
+    def test_bitwise_equal_to_numpy(self, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for stack in (z, np.swapaxes(z, -2, -1), z[..., ::2, :], z.real, z.real.T):
+            want = np.linalg.norm(stack, axis=(-2, -1))
+            got = matrix_norms(stack)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 3), (4, 2, 0), (0, 0)])
+    def test_empty_stacks(self, shape):
+        got = matrix_norms(np.zeros(shape, dtype=complex))
+        assert got.shape == shape[:-2] and not got.any()
 
 
 class TestSvdOrthobasis:

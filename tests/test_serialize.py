@@ -452,6 +452,12 @@ class TestGoldenFiles:
         assert emit_instance(inst) == inst_text
         assert emit_dilation(inst, data) == dil_text
 
+    def test_generator_reproduces_the_instance_file(self):
+        inst_text = GOLDEN_INSTANCE.read_text(encoding="utf-8")
+        meta = dict(parse_instance(inst_text).meta)
+        seed = meta.pop("seed")
+        assert emit_instance(random_instance(seed, **meta)) == inst_text
+
     def test_parsing_round_trips_bit_exactly(self):
         inst = parse_instance(GOLDEN_INSTANCE.read_text(encoding="utf-8"))
         data, _ = parse_dilation(GOLDEN_DILATION.read_text(encoding="utf-8"))
