@@ -152,9 +152,7 @@ def _print_report(report: VerificationReport, json_mode: bool) -> None:
         sys.stdout.write(serialize.emit_json(payload))
         return
     print(f"{'residual':34s} {'value':>12s}   (tolerance {report.tolerance:.1e})")
-    for name, value in report.residual_items():
-        counted = report.s_isometry_in_pass or not name.startswith("s_isometry")
-        status = "ok" if value <= report.tolerance else ("FAIL" if counted else "reported")
+    for name, value, status in report.rows():
         print(f"{name:34s} {value:12.3e}   {status}")
     if not report.s_isometry_in_pass:
         defects = ", ".join(f"{v:.3e}" for v in report.diag_unital_defects)
@@ -175,8 +173,8 @@ def _print_witness(witness, commutes: bool, tol: float, json_mode: bool) -> None
         sys.stdout.write(serialize.emit_json(payload))
         return
     print(f"{'residual':24s} {'value':>12s}   (tolerance {tol:.1e})")
-    for name, value in witness.residual_items():
-        print(f"{name:24s} {value:12.3e}   {'ok' if value <= tol else 'FAIL'}")
+    for name, value, status in witness.rows(tol):
+        print(f"{name:24s} {value:12.3e}   {status}")
     print(f"diagram commutes: {'yes' if commutes else 'NO'}")
 
 

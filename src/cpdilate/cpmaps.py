@@ -255,7 +255,6 @@ def random_instance(
     h2: int,
     k1_extra: int = 0,
     k2_extra: int = 0,
-    slot_scales=None,
 ) -> Instance:
     """Seeded valid instance by reverse construction.
 
@@ -268,10 +267,6 @@ def random_instance(
     embed psi(x) S_i`` are products of the carrier blocks of the S_i, one
     algebra block at a time (``pi`` and ``psi`` are never built), so the
     instance is completely n-positive and compatible up to rounding.
-
-    ``slot_scales`` optionally scales slot i by ``c_i`` (phi_ij picks up
-    ``c_i c_j``), which preserves validity but makes phi_ii non-unital
-    for ``c_i != 1``.
 
     Raises DimensionTooSmallError when H2 cannot host the generated
     range.  Deterministic: one seed, one bit-exact instance.
@@ -333,9 +328,8 @@ def random_instance(
         "k1_extra": int(k1_extra),
         "k2_extra": int(k2_extra),
     }
-    inst = Instance(CPBlockMap(desc, n, h1, cp_action),
+    return Instance(CPBlockMap(desc, n, h1, cp_action),
                     ModuleCPTuple(mdesc, n, h1, h2, tup_action), meta)
-    return inst if slot_scales is None else inst.slots_scaled(slot_scales)
 
 
 def identity_instance(d: int) -> Instance:

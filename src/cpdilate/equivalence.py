@@ -20,7 +20,7 @@ judged on the equilibrated instance, as in ``dilation.verify_dilation``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,38 +31,29 @@ from .linalg import DEFAULT_CUTOFF, DEFAULT_TOL, max_rel_residual, rel_residual,
 
 __all__ = ["EquivalenceWitness", "rotate_dilation", "build_unitaries", "verify_diagram"]
 
-_WITNESS_RESIDUALS = (
-    "u1_unitarity",
-    "u2_unitarity",
-    "u1_S_intertwine",
-    "u1_pi_intertwine",
-    "u2_W_intertwine",
-    "u2_psi_intertwine",
-)
-
 
 @dataclass(eq=False)
 class EquivalenceWitness:
-    """The recovered unitaries plus the residuals of the diagram."""
+    """The recovered unitaries plus the residuals of the diagram; the
+    fields marked ``row``, in print order, are the residuals."""
 
     u1: np.ndarray = field(repr=False)  # (r1', r1)
     u2: np.ndarray = field(repr=False)  # (r2', r2)
-    u1_unitarity: float
-    u2_unitarity: float
-    u1_S_intertwine: float
-    u1_pi_intertwine: float
-    u2_W_intertwine: float
-    u2_psi_intertwine: float
-    u1_solve_residual: float
-    u2_solve_residual: float
+    u1_unitarity: float = field(metadata={"row": "diagram"})
+    u2_unitarity: float = field(metadata={"row": "diagram"})
+    u1_S_intertwine: float = field(metadata={"row": "diagram"})
+    u1_pi_intertwine: float = field(metadata={"row": "diagram"})
+    u2_W_intertwine: float = field(metadata={"row": "diagram"})
+    u2_psi_intertwine: float = field(metadata={"row": "diagram"})
+    u1_solve_residual: float = field(metadata={"row": "solve"})
+    u2_solve_residual: float = field(metadata={"row": "solve"})
 
     def residual_items(self) -> list[tuple[str, float]]:
-        items = [(name, getattr(self, name)) for name in _WITNESS_RESIDUALS]
-        items += [
-            ("u1_solve_residual", self.u1_solve_residual),
-            ("u2_solve_residual", self.u2_solve_residual),
-        ]
-        return items
+        return [(f.name, getattr(self, f.name)) for f in fields(self) if "row" in f.metadata]
+
+    def rows(self, tol: float) -> list[tuple[str, float, str]]:
+        """``(name, value, status)`` per row: ``ok`` at ``<= tol``, else ``FAIL``."""
+        return [(name, v, "ok" if v <= tol else "FAIL") for name, v in self.residual_items()]
 
     def to_dict(self) -> dict:
         return {name: float(value) for name, value in self.residual_items()}
@@ -70,7 +61,8 @@ class EquivalenceWitness:
     def commutes(self, tol: float) -> bool:
         """Whether every diagram residual is within ``tol``: the verdict
         of ``verify_diagram``, without recomputing the residuals."""
-        return all(getattr(self, name) <= tol for name in _WITNESS_RESIDUALS)
+        return all(getattr(self, f.name) <= tol
+                   for f in fields(self) if f.metadata.get("row") == "diagram")
 
 
 def rotate_dilation(
@@ -107,20 +99,11 @@ def _diagram_residuals(
     data_a: DilationData,
     data_b: DilationData,
 ) -> dict[str, float]:
-    eye_a1 = np.eye(data_a.r1, dtype=complex)
-    eye_b1 = np.eye(data_b.r1, dtype=complex)
-    eye_a2 = np.eye(data_a.r2, dtype=complex)
-    eye_b2 = np.eye(data_b.r2, dtype=complex)
+    def unitarity(u: np.ndarray) -> float:
+        return max(rel_residual(u.conj().T @ u, np.eye(u.shape[1], dtype=complex)),
+                   rel_residual(u @ u.conj().T, np.eye(u.shape[0], dtype=complex)))
 
-    res = {
-        "u1_unitarity": max(
-            rel_residual(u1.conj().T @ u1, eye_a1), rel_residual(u1 @ u1.conj().T, eye_b1)
-        ),
-        "u2_unitarity": max(
-            rel_residual(u2.conj().T @ u2, eye_a2), rel_residual(u2 @ u2.conj().T, eye_b2)
-        ),
-    }
-
+    res = {"u1_unitarity": unitarity(u1), "u2_unitarity": unitarity(u2)}
     res["u1_S_intertwine"] = max_rel_residual(u1 @ data_a.s_ops, data_b.s_ops)
     res["u1_pi_intertwine"] = max_rel_residual(u1 @ data_a.pi_action, data_b.pi_action @ u1)
     res["u2_psi_intertwine"] = max_rel_residual(u2 @ data_a.psi_action, data_b.psi_action @ u1)
@@ -153,7 +136,7 @@ def build_unitaries(
     """
     check_shapes(inst, data_a)
     check_shapes(inst, data_b)
-    inst, c = inst.equilibrated()
+    c = inst.cp.slot_scales()
     data_a, data_b = data_a.slots_scaled(1.0 / c), data_b.slots_scaled(1.0 / c)
 
     _, pi_s_a, psi_s_a, spans_a = span_families(inst, data_a)
@@ -212,4 +195,4 @@ def verify_diagram(
     c = inst.cp.slot_scales()
     data_a, data_b = data_a.slots_scaled(1.0 / c), data_b.slots_scaled(1.0 / c)
     res = _diagram_residuals(witness.u1, witness.u2, data_a, data_b)
-    return all(v <= tol for v in res.values())
+    return replace(witness, **res).commutes(tol)

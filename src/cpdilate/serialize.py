@@ -38,8 +38,10 @@ parsing because the parser recurses on the C stack.  An integer beyond
 64 bits reads as a float, so a dimension field holding one is rejected
 by name.  A tensor entry must be a JSON number: a string such as
 ``"1.5"``, ``true`` or ``null`` in a tensor, or a ragged row, is a
-ParseError.  The writers stay on ``json``/``_tensor_text``: orjson writes
-``1e16`` where version 1 has ``1e+16``.
+ParseError.  The writers stay on ``json``/``_tensor_text``: orjson 3.8.3
+writes ``1e16`` for ``1e+16``, and it also switches to exponent form at
+another magnitude (``0.00001`` for ``1e-05``, ``1e-7`` for ``1e-07``), so
+no exponent fix-up turns it into a version-1 writer.
 
 The readers run with CPython's cyclic garbage collector paused
 (``_outside_cyclic_gc``): the parsed lists are acyclic, and collections

@@ -11,13 +11,16 @@ full-span rank checks and least-squares solves that the block spans
 replaced in minimality and equivalence, the dense reverse construction
 over amplified units that the generator's per-block products replaced,
 the ``json.dumps`` encoder that the version-1 writers replaced with an
-array encoder, and the ``json.loads`` reader that orjson replaced.  All
-of them serve as independent references.
+array encoder, the ``json.loads`` reader that orjson replaced, and the
+written-out residual names and hand-built verdicts that the reports
+replaced with their row fields.  All of them serve as independent
+references.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 
@@ -50,8 +53,7 @@ def amplified_units_oracle(labels, row_dims, col_dims, copies) -> np.ndarray:
     return out
 
 
-def random_instance_oracle(seed, n, block_dims, mults, h1, h2, k1_extra=0, k2_extra=0,
-                           slot_scales=None) -> Instance:
+def random_instance_oracle(seed, n, block_dims, mults, h1, h2, k1_extra=0, k2_extra=0) -> Instance:
     """``cpmaps.random_instance`` as the dense reverse construction it
     replaced: ``phi_ij(a) = S_i* pi(a) S_j`` and ``Phi_i(x) = embed
     psi(x) S_i`` as three-operand einsums over the amplified units
@@ -73,9 +75,8 @@ def random_instance_oracle(seed, n, block_dims, mults, h1, h2, k1_extra=0, k2_ex
     outer_iso = haar_unitary(rng, h2)[:, :pad]
     embed = outer_iso @ inner_iso @ basis.conj().T
     tup_action = np.einsum("yz,gzx,ixh->igyh", embed, psi_t, s_ops)
-    inst = Instance(CPBlockMap(desc, n, h1, cp_action),
+    return Instance(CPBlockMap(desc, n, h1, cp_action),
                     ModuleCPTuple(mdesc, n, h1, h2, tup_action))
-    return inst if slot_scales is None else inst.slots_scaled(slot_scales)
 
 
 def algebra_units(alg) -> np.ndarray:
@@ -407,3 +408,95 @@ def complex_tensor_oracle(nested, shape: tuple[int, ...]) -> np.ndarray:
     out.real = pairs[..., 0]
     out.imag = pairs[..., 1]
     return out
+
+
+REPORT_RESIDUALS_ORACLE = (
+    "phi_reconstruction",
+    "Phi_reconstruction",
+    "pi_multiplicativity",
+    "pi_star",
+    "pi_unital",
+    "psi_representation",
+    "psi_module_action",
+    "w_coisometry",
+    "w_reading_agreement",
+)
+
+WITNESS_DIAGRAM_ORACLE = (
+    "u1_unitarity",
+    "u2_unitarity",
+    "u1_S_intertwine",
+    "u1_pi_intertwine",
+    "u2_W_intertwine",
+    "u2_psi_intertwine",
+)
+
+
+def report_passed_oracle(report) -> bool:
+    """The verdict ``verify_dilation`` built by hand: every named residual
+    within the tolerance, both minimality defects exactly 0, and the
+    slot-isometry defects within it when they are gated."""
+    tol = report.tolerance
+    passed = all(getattr(report, name) <= tol for name in REPORT_RESIDUALS_ORACLE)
+    passed = passed and report.minimality_k1_defect == 0.0 and report.minimality_k2_defect == 0.0
+    if report.s_isometry_in_pass:
+        passed = passed and all(v <= tol for v in report.s_isometry_defect)
+    return passed
+
+
+def report_items_oracle(report) -> list[tuple[str, float]]:
+    """The former ``VerificationReport.residual_items``."""
+    items = [(name, getattr(report, name)) for name in REPORT_RESIDUALS_ORACLE]
+    items += [(f"s_isometry_defect[{i}]", v) for i, v in enumerate(report.s_isometry_defect)]
+    items += [
+        ("minimality_k1_defect", report.minimality_k1_defect),
+        ("minimality_k2_defect", report.minimality_k2_defect),
+    ]
+    return items
+
+
+def report_dict_oracle(report) -> dict:
+    """The former ``VerificationReport.to_dict``, with the hand-built verdict."""
+    return {
+        **{name: getattr(report, name) for name in REPORT_RESIDUALS_ORACLE},
+        "s_isometry_defect": list(report.s_isometry_defect),
+        "minimality_k1_defect": report.minimality_k1_defect,
+        "minimality_k2_defect": report.minimality_k2_defect,
+        "diag_unital_defects": list(report.diag_unital_defects),
+        "s_isometry_in_pass": report.s_isometry_in_pass,
+        "tolerance": report.tolerance,
+        "passed": report_passed_oracle(report),
+    }
+
+
+def witness_items_oracle(witness) -> list[tuple[str, float]]:
+    """The former ``EquivalenceWitness.residual_items``."""
+    items = [(name, getattr(witness, name)) for name in WITNESS_DIAGRAM_ORACLE]
+    items += [
+        ("u1_solve_residual", witness.u1_solve_residual),
+        ("u2_solve_residual", witness.u2_solve_residual),
+    ]
+    return items
+
+
+def commutes_oracle(witness, tol: float) -> bool:
+    """The former ``EquivalenceWitness.commutes``: the six diagram
+    residuals, not the solve residuals, within ``tol``."""
+    return all(getattr(witness, name) <= tol for name in WITNESS_DIAGRAM_ORACLE)
+
+
+def non_representation(inst, data) -> DilationData:
+    """``data``, a dilation of a two-slot instance on ``A = M_2`` with
+    ``h1 = 2``, with pi no *-representation: ``pi(e_00) = 1`` and 0 on
+    the other units, and likewise ``Psi``.  The whole K1 family
+    ``[S, 0, 0, 0]`` has rank 2 = r1, but the block count
+    ``d_b rank(X_b)`` is 2 * 2, so the K1 minimality defect is -2."""
+    pi = np.zeros((inst.algebra.dim, 2, 2), dtype=complex)
+    pi[0] = np.eye(2)
+    psi = np.zeros((inst.module.dim, 2, 2), dtype=complex)
+    psi[0] = np.eye(2)
+    return replace(
+        data, r1=2, r2=2, pi_action=pi, psi_action=psi,
+        s_ops=np.random.default_rng(0).standard_normal((inst.n, 2, inst.h1)) + 0j,
+        k2_embed=np.eye(inst.h2, 2, dtype=complex),
+    )

@@ -211,8 +211,7 @@ def test_criterion_6_conditional_isometry():
             failures.append(f"seed {seed}: unital defect {max(report.s_isometry_defect):.3e}")
 
     scales = [0.6, 1.0, 1.3]
-    inst = random_instance(23, n=3, block_dims=[2], mults=[1], h1=2, h2=3,
-                           slot_scales=scales)
+    inst = random_instance(23, n=3, block_dims=[2], mults=[1], h1=2, h2=3).slots_scaled(scales)
     report = verify_dilation(inst, dilate(inst))
     if report.s_isometry_in_pass:
         failures.append("non-unital instance not flagged")

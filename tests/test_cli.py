@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import non_representation
 from test_dilation import GRADED, gap_instance, hermiticity_perturbed
 from test_serialize import (
     DIMENSION_FIELDS,
@@ -152,7 +153,7 @@ class TestDilate:
         # Slot 2 at scale 1e-4 with tuple noise eps: 3e-10 is within tol
         # absolutely but about 1e-6 at the slot's own scale, where is_valid
         # and the dilate command both judge it.
-        inst = random_instance(3, **GRADED, slot_scales=[1.0, 1e-4])
+        inst = random_instance(3, **GRADED).slots_scaled([1.0, 1e-4])
         z = np.random.default_rng(0).standard_normal(inst.tup.action[1].shape)
         inst.tup.action[1] += eps * z / np.linalg.norm(z)
         assert inst.is_valid() == (code == 0)
@@ -419,7 +420,7 @@ class TestVerify:
         # construction did before it equilibrated the slots: the cutoff on
         # the whole Gram drops slot 2's directions (r1 = 4, not 6), and the
         # reconstruction is off at slot 2's own scale.
-        inst = random_instance(3, **GRADED, slot_scales=[1.0, 1e-9])
+        inst = random_instance(3, **GRADED).slots_scaled([1.0, 1e-9])
         with monkeypatch.context() as m:
             m.setattr(CPBlockMap, "slot_scales", lambda self: np.ones(self.n))
             data = dilate(inst)
@@ -440,6 +441,36 @@ class TestVerify:
         dil_path = tmp_path / "dil.json"
         dil_path.write_text(emit_dilation(other, dilate(other)), encoding="utf-8")
         assert cli.main(["verify", str(inst_path), str(dil_path)]) == 3
+
+    @pytest.mark.parametrize("variant", ["dilation", "non-unital", "bumped", "non-representation"])
+    def test_printed_statuses_agree_with_passed(self, tmp_path, capsys, variant):
+        inst = random_instance(7, n=2, block_dims=[2], mults=[1], h1=2, h2=3)
+        if variant == "non-unital":
+            inst = inst.slots_scaled([0.6, 1.3])
+        data = dilate(inst)
+        if variant == "bumped":
+            data.pi_action[0] *= 1.001
+        if variant == "non-representation":
+            data = non_representation(inst, data)
+        inst_path, dil_path = tmp_path / "inst.json", tmp_path / "dil.json"
+        inst_path.write_text(emit_instance(inst), encoding="utf-8")
+        dil_path.write_text(emit_dilation(inst, data), encoding="utf-8")
+        args = ["verify", str(inst_path), str(dil_path)]
+
+        code = cli.main(args + ["--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert cli.main(args) == code == (0 if report["passed"] else 3)
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split() for line in lines[1:] if not line.startswith(("note:", "overall:"))]
+        statuses = {name: status for name, _, status in rows}
+        assert set(statuses.values()) <= {"ok", "FAIL", "reported"}
+        assert ("FAIL" in statuses.values()) == (not report["passed"])
+        assert lines[-1] == f"overall: {'PASS' if report['passed'] else 'FAIL'}"
+        assert report["passed"] == (variant in ("dilation", "non-unital"))
+        assert ("reported" in statuses.values()) == (variant == "non-unital")
+        if variant == "non-representation":
+            assert statuses["minimality_k1_defect"] == "FAIL"
+            assert report["minimality_k1_defect"] == -2.0
 
 
 class TestDimensionFields:
@@ -587,21 +618,12 @@ class TestEquiv:
         assert "InconsistentSpans" in capsys.readouterr().err
 
     def test_non_representation_file(self, tmp_path, capsys):
-        # A = M_2 with pi(e_00) = 1 and pi = 0 on the other units is not
-        # a *-representation.  The whole K1 family [S, 0, 0, 0] has rank
-        # 2 = r1 (defect 0), but the block count d_b rank(X_b) is 2 * 2:
-        # defect -2.
+        # pi(e_00) = 1 and pi = 0 on the other units of A = M_2 is not a
+        # *-representation; the K1 minimality defect is -2.
         inst, inst_path = write_instance(tmp_path)
-        data = dilate(inst)
-        pi = np.zeros((inst.algebra.dim, 2, 2), dtype=complex)
-        pi[0] = np.eye(2)
-        psi = np.zeros((inst.module.dim, 2, 2), dtype=complex)
-        psi[0] = np.eye(2)
-        data.r1, data.r2, data.pi_action, data.psi_action = 2, 2, pi, psi
-        data.s_ops = np.random.default_rng(0).standard_normal((inst.n, 2, inst.h1)) + 0j
-        data.k2_embed = np.eye(inst.h2, 2, dtype=complex)
         dil_path = tmp_path / "dil.json"
-        dil_path.write_text(emit_dilation(inst, data), encoding="utf-8")
+        dil_path.write_text(emit_dilation(inst, non_representation(inst, dilate(inst))),
+                            encoding="utf-8")
 
         assert cli.main(["verify", str(inst_path), str(dil_path), "--json"]) == 3
         report = json.loads(capsys.readouterr().out)

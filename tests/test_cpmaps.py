@@ -174,16 +174,16 @@ class TestRandomInstance:
             random_instance(0, n=2, block_dims=[2], mults=[2], h1=4, h2=1)
 
     def test_slot_scales_break_unitality_but_not_validity(self):
-        inst = random_instance(9, n=2, block_dims=[2], mults=[1], h1=2, h2=3,
-                               slot_scales=[0.7, 1.0])
+        inst = random_instance(9, n=2, block_dims=[2], mults=[1], h1=2, h2=3)
+        inst = inst.slots_scaled([0.7, 1.0])
         assert inst.is_valid(1e-9)
         defects = inst.cp.diag_unital_defects()
         assert abs(defects[0] - (1 - 0.7**2)) <= 1e-12
         assert defects[1] <= 1e-12
 
     def test_unital_defects_match_oracle(self):
-        inst = random_instance(10, n=3, block_dims=[2, 1], mults=[1, 1], h1=2, h2=4,
-                               slot_scales=[0.5, 1.0, 2.0])
+        inst = random_instance(10, n=3, block_dims=[2, 1], mults=[1, 1], h1=2, h2=4)
+        inst = inst.slots_scaled([0.5, 1.0, 2.0])
         unit = algebra_coeffs(inst.algebra, np.eye(3))
         want = [np.linalg.norm(apply_phi_oracle(inst.cp, i, i, unit) - np.eye(2), 2)
                 for i in range(inst.n)]
@@ -210,7 +210,7 @@ GENERATOR_SHAPES = [
     dict(n=2, block_dims=[1, 2], mults=[1, 1], h1=7, h2=40),
     dict(n=1, block_dims=[3], mults=[2], h1=2, h2=6),
     dict(n=3, block_dims=[2, 1], mults=[1, 1], h1=2, h2=18, k1_extra=2,
-         slot_scales=[1.0, 1e-6, 0.3]),
+         scales=[1.0, 1e-6, 0.3]),
     dict(n=3, block_dims=[8], mults=[2], h1=4, h2=12, k1_extra=1),
     dict(n=3, block_dims=[4, 4, 3], mults=[2, 1, 1], h1=4, h2=40, k1_extra=4),
     dict(n=4, block_dims=[16], mults=[2], h1=4, h2=24, k1_extra=1),
@@ -226,7 +226,11 @@ class TestGeneratorOracle:
 
     @staticmethod
     def assert_same_instance(seed, shape):
+        shape = dict(shape)
+        scales = shape.pop("scales", None)  # slot scales, applied to both sides
         got, want = random_instance(seed, **shape), random_instance_oracle(seed, **shape)
+        if scales is not None:
+            got, want = got.slots_scaled(scales), want.slots_scaled(scales)
         for a, b in ((got.cp.action, want.cp.action), (got.tup.action, want.tup.action)):
             assert a.shape == b.shape and a.strides == b.strides
             assert a.flags.c_contiguous
@@ -279,8 +283,8 @@ class TestSlotScales:
         assert scalar_family(2, np.zeros((2, 2))).slot_scales().tolist() == [1.0, 1.0]
 
     def test_equilibrated_instance_is_exact(self):
-        inst = random_instance(3, n=2, block_dims=[2], mults=[1], h1=1, h2=4, k1_extra=2,
-                               slot_scales=[1.0, 1e-9])
+        inst = random_instance(3, n=2, block_dims=[2], mults=[1], h1=1, h2=4, k1_extra=2)
+        inst = inst.slots_scaled([1.0, 1e-9])
         eq, scales = inst.equilibrated()
         assert scales.tolist() == [1.0, 2.0**-30]
         inv = np.repeat(1.0 / scales, 2)

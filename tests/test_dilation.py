@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +9,15 @@ from hypothesis import strategies as st
 from conftest import (
     brute_force_gram,
     module_units,
+    non_representation,
     pi_multiplicativity_oracle,
     psi_module_action_oracle,
     psi_representation_oracle,
     raw_factor,
     raw_gram,
+    report_dict_oracle,
+    report_items_oracle,
+    report_passed_oracle,
     scalar_family,
     transpose_map,
 )
@@ -308,8 +313,8 @@ class TestVerifyDilation:
         assert max(report.s_isometry_defect) <= 1e-10
 
     def test_non_unital_defect_reported_not_gated(self):
-        inst = random_instance(61, n=2, block_dims=[2], mults=[1], h1=2, h2=3,
-                               slot_scales=[0.6, 1.3])
+        inst = random_instance(61, n=2, block_dims=[2], mults=[1], h1=2, h2=3)
+        inst = inst.slots_scaled([0.6, 1.3])
         data = dilate(inst)
         report = verify_dilation(inst, data)
         assert report.passed
@@ -341,6 +346,50 @@ class TestVerifyDilation:
             tracemalloc.stop()
         assert report.passed
         assert peak <= 8 * data.pi_action.nbytes
+
+
+def report_variants(count):
+    """``(kind, report)`` on the acceptance dilations, their rotated twins
+    and failing variants: non-unital slots, a bumped pi unit, and the
+    non-representation data."""
+    rng = np.random.default_rng(29)
+    for inst in acceptance_instances(count):
+        data = dilate(inst)
+        twin = rotate_dilation(data, haar_unitary(rng, data.r1), haar_unitary(rng, data.r2),
+                               [haar_unitary(rng, k) for k in data.k2i_dims])
+        bumped = replace(data, pi_action=data.pi_action.copy())
+        bumped.pi_action[0] *= 1.001
+        scaled = inst.slots_scaled(rng.uniform(0.5, 0.9, inst.n))
+        yield "acceptance", verify_dilation(inst, data)
+        yield "twin", verify_dilation(inst, twin)
+        yield "bumped", verify_dilation(inst, bumped)
+        yield "non-unital", verify_dilation(scaled, dilate(scaled))
+    inst = random_instance(7, n=2, block_dims=[2], mults=[1], h1=2, h2=3)
+    yield "non-representation", verify_dilation(inst, non_representation(inst, dilate(inst)))
+
+
+class TestReportRows:
+    """The row fields give what the written-out names and the hand-built
+    verdict gave (``tests/conftest.py``)."""
+
+    def test_rows_equal_the_former_code(self):
+        verdicts = {}
+        for kind, report in report_variants(20):
+            assert report.residual_items() == report_items_oracle(report)
+            assert report.to_dict() == report_dict_oracle(report)
+            assert report.passed == report_passed_oracle(report)
+            verdicts.setdefault(kind, set()).add(report.passed)
+        assert verdicts == {"acceptance": {True}, "twin": {True}, "non-unital": {True},
+                            "bumped": {False}, "non-representation": {False}}
+
+    def test_statuses_decide_the_verdict(self):
+        for kind, report in report_variants(5):
+            statuses = {name: status for name, _, status in report.rows()}
+            assert [name for name, _ in report.residual_items()] == list(statuses)
+            assert ("FAIL" in statuses.values()) == (not report.passed)
+            assert ("reported" in statuses.values()) == (kind == "non-unital")
+            if kind == "non-representation":
+                assert statuses["minimality_k1_defect"] == "FAIL"
 
 
 class TestGeneratorCertificate:
@@ -580,7 +629,7 @@ class TestBlockwiseConstruction:
             return original(m, *args, **kwargs)
 
         monkeypatch.setattr(dilation, "hermitian_eig", recording)
-        graded = random_instance(3, **GRADED, slot_scales=[1.0, 1e-9])
+        graded = random_instance(3, **GRADED).slots_scaled([1.0, 1e-9])
         for inst in acceptance_instances(100) + [scaled_two_block(), graded]:
             seen.clear()
             data = dilate(inst)
@@ -630,7 +679,7 @@ GRADED = dict(n=2, block_dims=[2], mults=[1], h1=1, h2=4, k1_extra=2)
 
 @pytest.mark.parametrize("scale", [1e-4, 1e-9, 1e-12, 1e-14])
 def test_graded_slot_scales_dilate_and_verify(scale):
-    inst = random_instance(3, **GRADED, slot_scales=[1.0, scale])
+    inst = random_instance(3, **GRADED).slots_scaled([1.0, scale])
     assert inst.is_valid()
     data = dilate(inst)
     assert (data.r1, data.r2) == (6, 3)
@@ -643,7 +692,7 @@ def test_graded_slot_scales_dilate_and_verify(scale):
 def test_graded_slot_scales_k2_solve(scale):
     # A cutoff on the unequilibrated whole Gram drops slot 2's directions
     # here, and the K2 solve then fails on valid input.
-    inst = random_instance(3, **GRADED, slot_scales=[1.0, scale])
+    inst = random_instance(3, **GRADED).slots_scaled([1.0, scale])
     assert inst.is_valid()
     data = dilate(inst)
     assert (data.r1, data.r2) == (6, 3)

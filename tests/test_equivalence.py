@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import (
     build_unitaries_oracle,
+    commutes_oracle,
     full_span_defects,
     intertwine_oracle,
     rotate_dilation_oracle,
+    witness_items_oracle,
 )
 from test_acceptance import acceptance_instances
 from test_dilation import scaled_two_block
@@ -20,7 +24,6 @@ from cpdilate.cpmaps import (
 )
 from cpdilate.dilation import DilationData, dilate, span_families, verify_dilation
 from cpdilate.equivalence import (
-    _WITNESS_RESIDUALS,
     _diagram_residuals,
     build_unitaries,
     rotate_dilation,
@@ -90,6 +93,17 @@ class TestBuildUnitaries:
         assert frob(w.u1 - np.eye(data.r1)) <= 1e-12
         assert frob(w.u2 - np.eye(data.r2)) <= 1e-12
         assert verify_diagram(w, inst, data, data)
+
+    def test_graded_instance_is_not_rescaled(self, monkeypatch):
+        # Only the slot scales and the descriptors are read: the instance's
+        # tensors are never copied and rescaled.
+        inst = random_instance(3, n=2, block_dims=[2], mults=[1], h1=1, h2=4, k1_extra=2)
+        inst = inst.slots_scaled([1.0, 1e-9])
+        data = dilate(inst)
+        twin, _, _ = rotated_twin(data, np.random.default_rng(5))
+        monkeypatch.setattr(Instance, "slots_scaled", None)
+        w = build_unitaries(inst, data, twin)
+        assert verify_diagram(w, inst, data, twin)
 
     def test_recovers_planted_rotation(self):
         inst = random_instance(2, n=2, block_dims=[2], mults=[1], h1=2, h2=4)
@@ -178,12 +192,33 @@ class TestVerifyDiagram:
             data = dilate(inst)
             twin, _, _ = rotated_twin(data, rng)
             w = build_unitaries(inst, data, twin)
-            worst = max(getattr(w, name) for name in _WITNESS_RESIDUALS)
+            worst = max(v for name, v in w.residual_items() if "solve" not in name)
             for tol in (1e-9, worst, np.nextafter(worst, 0.0), 0.0):
                 verdict = w.commutes(tol)
                 assert verdict == verify_diagram(w, inst, data, twin, tol=tol)
                 verdicts.add(verdict)
         assert verdicts == {True, False}
+
+    def test_rows_equal_the_former_code(self):
+        # A true witness, one with wrong unitaries (residuals of order one)
+        # and one with large solve residuals, which are rows but not in
+        # the diagram.
+        rng = np.random.default_rng(37)
+        for inst in acceptance_instances(20):
+            data = dilate(inst)
+            twin, _, _ = rotated_twin(data, rng)
+            w = build_unitaries(inst, data, twin)
+            u1, u2 = haar_unitary(rng, data.r1), haar_unitary(rng, data.r2)
+            wrong = replace(w, u1=u1, u2=u2, **_diagram_residuals(u1, u2, data, twin))
+            unsolved = replace(w, u1_solve_residual=1.0, u2_solve_residual=1.0)
+            assert unsolved.commutes(1e-9)
+            for witness in (w, wrong, unsolved):
+                assert witness.residual_items() == witness_items_oracle(witness)
+                assert witness.to_dict() == dict(witness_items_oracle(witness))
+                for tol in (1e-9, 0.5, witness.u1_solve_residual, witness.u2_solve_residual):
+                    assert witness.commutes(tol) == commutes_oracle(witness, tol)
+                    assert witness.rows(tol) == [(name, v, "ok" if v <= tol else "FAIL")
+                                                 for name, v in witness_items_oracle(witness)]
 
     def test_stacked_residuals_match_per_index_oracle(self):
         # A true witness (residuals near rounding) and a wrong one
