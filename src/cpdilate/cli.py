@@ -12,15 +12,15 @@ Exit codes are a stable contract:
 Verdicts are taken on ``Instance.equilibrated``, as in ``is_valid``.
 ``dilate`` checks compatibility, then runs ``dilation.dilate``, whose
 ``build_gram`` judges the Hermiticity pattern and complete n-positivity
-by the rules of ``CPBlockMap.is_completely_n_positive``, on the one
-spectrum per Choi block that it factors; ``generate`` checks positivity
-first.  Every subcommand bounds the largest Choi block side
-``n * d_b * h1`` by ``MAX_CHOI_SIDE`` and the raw dimension
-``n * dim A * h1`` by ``MAX_RAW_DIM``.  ``dilate`` bounds the entries of
-pi by ``dilation.MAX_PI_ENTRIES``, and ``generate`` bounds its generator's
-carrier side and ``h2`` by ``MAX_CHOI_SIDE`` and, by ``MAX_PI_ENTRIES``,
-the entries of pi and psi on the carrier (which bound those of the
-generated instance's dilation) and of the slot unitaries it draws.
+by the rules of ``CPBlockMap.is_completely_n_positive`` as it factors
+each Choi block once; ``generate`` checks positivity first.  Every
+subcommand bounds the largest Choi block side ``n * d_b * h1`` by
+``MAX_CHOI_SIDE`` and the raw dimension ``n * dim A * h1`` by
+``MAX_RAW_DIM`` (``dilation.check_dims``, on an instance file's header).
+``dilate`` bounds the entries of pi by ``dilation.MAX_PI_ENTRIES``, and
+``generate`` its carrier side and ``h2`` by ``MAX_CHOI_SIDE`` and, by
+``MAX_PI_ENTRIES``, the entries of pi and psi on the carrier (which bound
+those of the generated instance's dilation) and of the unitaries it draws.
 
 The only recognized environment variable is ``CPDILATE_TOL``, which
 overrides the default residual tolerance for all subcommands; it is read
@@ -41,7 +41,8 @@ import numpy as np
 
 from . import dilation, serialize
 from .cpmaps import Instance, carrier_mult, haar_unitary, random_instance
-from .dilation import VerificationReport, dilate, verify_dilation
+from .dilation import VerificationReport, check_bound, check_dims, dilate, verify_dilation
+from .dilation import MAX_CHOI_SIDE, MAX_RAW_DIM  # noqa: F401 - also read as cli.MAX_*
 from .equivalence import build_unitaries, rotate_dilation
 from .errors import (
     CPDilateError,
@@ -55,9 +56,6 @@ from .errors import (
     WellDefinednessError,
 )
 from .linalg import DEFAULT_CUTOFF, DEFAULT_TOL
-
-MAX_CHOI_SIDE = 1024
-MAX_RAW_DIM = 10_000
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -103,27 +101,6 @@ def _read(path: str) -> bytes:
 
 def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
-
-
-def _bound(what: str, value: int, limit: int) -> None:
-    if value > limit:
-        raise DimensionTooLargeError(f"{what} {value}, above the guardrail {limit}")
-
-
-def _check_dims(n: int, block_dims, h1: int, what: str) -> int:
-    """The guardrails: the largest Choi block side ``n * d_b * h1`` (the
-    matrix eigendecomposed) and the raw dimension ``n * dim A * h1`` (the
-    representation tensors scale with ``dim A``).  Returns the raw dimension."""
-    _bound(f"{what} a Choi block of side", n * max(block_dims, default=0) * h1, MAX_CHOI_SIDE)
-    raw = n * sum(d * d for d in block_dims) * h1
-    _bound(f"{what} raw dimension n * dim A * h1 =", raw, MAX_RAW_DIM)
-    return raw
-
-
-def _load_instance(path: str) -> Instance:
-    inst = serialize.parse_instance(_read(path))
-    _check_dims(inst.n, inst.algebra.block_dims, inst.h1, "instance has")
-    return inst
 
 
 def _load_dilation(path: str, inst: Instance):
@@ -180,19 +157,19 @@ def _print_witness(witness, commutes: bool, tol: float, json_mode: bool) -> None
 
 def _cmd_generate(args) -> int:
     block_dims, mults = args.blocks, args.mults
-    raw_dim = _check_dims(args.n, block_dims, args.h1, "requested dimensions give")
+    raw_dim = check_dims(args.n, block_dims, args.h1, "requested dimensions give")
     # r1 <= carrier and r2 <= sum k_b * copies, so the first two bound the
     # pi and psi of the generated instance's dilation; the third bounds
     # the n Haar unitaries of the carrier side that the generator draws
     copies = carrier_mult(block_dims, args.h1, args.k1_extra)
     carrier, k2_side = sum(block_dims) * copies, sum(mults) * copies
     dim_a, dim_v = sum(d * d for d in block_dims), sum(k * d for k, d in zip(mults, block_dims))
-    _bound("requested dimensions give a carrier of side", carrier, MAX_CHOI_SIDE)
-    _bound("requested h2 =", args.h2, MAX_CHOI_SIDE)
+    check_bound("requested dimensions give a carrier of side", carrier, dilation.MAX_CHOI_SIDE)
+    check_bound("requested h2 =", args.h2, dilation.MAX_CHOI_SIDE)
     for what, entries in (("dim A * carrier^2", dim_a * carrier**2),
                           ("dim V * sum k_b * copies * carrier", dim_v * k2_side * carrier),
                           ("n * carrier^2", args.n * carrier**2)):
-        _bound(f"requested dimensions give {what} =", entries, dilation.MAX_PI_ENTRIES)
+        check_bound(f"requested dimensions give {what} =", entries, dilation.MAX_PI_ENTRIES)
     inst = random_instance(
         args.seed, args.n, block_dims, mults, args.h1, args.h2,
         k1_extra=args.k1_extra, k2_extra=args.k2_extra,
@@ -212,7 +189,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_dilate(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = serialize.parse_instance(_read(args.instance))
     _check_compatible(inst.equilibrated()[0], args.tol)
     data = dilate(inst, cutoff=args.cutoff, welldef_tol=args.tol)
     report = verify_dilation(inst, data, tol=args.tol, rank_cutoff=args.cutoff)
@@ -227,7 +204,7 @@ def _cmd_dilate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = serialize.parse_instance(_read(args.instance))
     data = _load_dilation(args.dilation, inst)
     report = verify_dilation(inst, data, tol=args.tol, rank_cutoff=args.cutoff)
     _print_report(report, args.json)
@@ -235,7 +212,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = serialize.parse_instance(_read(args.instance))
     data_a = _load_dilation(args.dilation_a, inst)
     data_b = _load_dilation(args.dilation_b, inst)
     witness = build_unitaries(inst, data_a, data_b, tol=args.tol, rank_cutoff=args.cutoff)
@@ -315,7 +292,7 @@ def _fuzz_trial(base_seed: int, index: int, args) -> dict:
 
 def _cmd_fuzz(args) -> int:
     # a trial has at most two blocks
-    _check_dims(args.max_n, [args.max_block] * 2, args.max_h, "bounds admit")
+    check_dims(args.max_n, [args.max_block] * 2, args.max_h, "bounds admit")
     results = [_fuzz_trial(args.seed, t, args) for t in range(args.trials)]
     worst: dict[str, float] = {}
     histogram: dict[str, int] = {}

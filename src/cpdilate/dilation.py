@@ -13,11 +13,12 @@ form into a direct sum, so nothing is ever factored on the raw space:
     for every row p.  The raw Gram matrix is therefore a permuted direct
     sum of d_b copies of each C_b; it is PSD exactly when the family is
     completely n-positive.
-2.  Each C_b is factored once, ``C_b = F_b* F_b``, by eigenvalue
-    truncation (``linalg.kept_ranks`` over all blocks, i.e. on the scale
-    of the whole Gram).  The quotient is
-    ``K1 = sum_b C^{d_b} (x) C^{rank_b}`` (dimension r1 = sum_b d_b rank_b),
-    and the raw vector ``e^b_pq (x) e_beta`` in slot i maps to
+2.  Each C_b is factored once, ``C_b = F_b* F_b``: from the SVD of its
+    module rows T_b where ``k_b >= 1`` (compatibility says
+    ``T_b* T_b = k_b C_b``), else by eigendecomposition (``build_gram``),
+    truncated by ``linalg.kept_ranks`` on the scale of the whole Gram.
+    The quotient is ``K1 = sum_b C^{d_b} (x) C^{rank_b}`` (dimension
+    r1 = sum_b d_b rank_b), and the raw vector ``e^b_pq (x) e_beta`` in slot i maps to
     ``e_p (x) F_b[:, (i, q, beta)]``.
 3.  Left multiplication sends ``e^b_pq`` to ``delta_sp e^b_rq`` under
     ``e^b_rs``, so ``pi(e^b_rs) = E_rs (x) 1`` on the block-b summand, in
@@ -71,11 +72,13 @@ from .linalg import (
     DEFAULT_CUTOFF,
     DEFAULT_TOL,
     direct_sum_rank,
+    frob,
     hermitian_eig,
     kept_ranks,
     matrix_norms,
     max_rel_residual,
     negative_at_scale,
+    psd_certified,
     rel_residual,
     svd_orthobasis,
 )
@@ -93,8 +96,27 @@ __all__ = [
     "verify_dilation",
 ]
 
-# Bound on dim A * r1^2, the entries of pi; the README backs it with peak RSS.
+# Guardrails on the Choi block side, the raw dimension and dim A * r1^2 (the
+# entries of pi); the README backs them with measurements.
+MAX_CHOI_SIDE = 1024
+MAX_RAW_DIM = 10_000
 MAX_PI_ENTRIES = 2**22
+
+
+def check_bound(what: str, value: int, limit: int) -> None:
+    """Raise DimensionTooLargeError when ``value`` exceeds ``limit``."""
+    if value > limit:
+        raise DimensionTooLargeError(f"{what} {value}, above the guardrail {limit}")
+
+
+def check_dims(n: int, block_dims, h1: int, what: str) -> int:
+    """Bound the largest Choi block side ``n * d_b * h1`` (the matrix
+    factored) and the raw dimension ``n * dim A * h1`` (the tensors scale
+    with ``dim A``); returns the raw dimension."""
+    check_bound(f"{what} a Choi block of side", n * max(block_dims, default=0) * h1, MAX_CHOI_SIDE)
+    raw = n * sum(d * d for d in block_dims) * h1
+    check_bound(f"{what} raw dimension n * dim A * h1 =", raw, MAX_RAW_DIM)
+    return raw
 
 
 @dataclass(eq=False)
@@ -102,9 +124,9 @@ class GramFactorization:
     """Blockwise factorization of the raw-space Gram matrix.
 
     ``block_factors[b]`` is ``F_b`` of shape (rank_b, n * d_b * h1) with
-    ``F_b* F_b = cp.choi_block(b)`` to cutoff accuracy and orthogonal
-    rows.  The raw Gram matrix is a permuted direct sum of ``d_b``
-    copies of each Choi block (module docstring); it is never assembled.
+    ``F_b* F_b = cp.choi_block(b)`` to cutoff (and, from the tuple,
+    compatibility) accuracy and rows orthogonal to rounding.  The raw Gram
+    matrix, ``d_b`` copies of each Choi block, is never assembled.
     """
 
     cp: CPBlockMap = field(repr=False)
@@ -214,28 +236,53 @@ class VerificationReport:
         return {**out, "passed": self.passed}
 
 
-def build_gram(
-    cp: CPBlockMap, rel_cutoff: float = DEFAULT_CUTOFF, tol: float = DEFAULT_TOL
-) -> GramFactorization:
-    """Factor every compressed Choi block ``C_b = F_b* F_b``.
+def build_gram(cp: CPBlockMap, rel_cutoff: float = DEFAULT_CUTOFF, tol: float = DEFAULT_TOL,
+               tup: ModuleCPTuple | None = None) -> GramFactorization:
+    """Factor every compressed Choi block ``C_b = F_b* F_b``, each once.
 
-    Each block is eigendecomposed once.  The input is judged first, by
-    ``is_completely_n_positive``'s rules at ``tol``: ``check_hermiticity``,
-    then ``negative_at_scale`` on each block's own spectrum, raising
-    NotPSDError that names the block.  Ranks are then ``kept_ranks`` over
-    all blocks, on the scale of the whole Gram.
+    After ``check_hermiticity``, a block with module rows in ``tup`` takes
+    the SVD ``T = U S V*`` of ``T = tuple_block(tup, b) / sqrt(k_b)``: the
+    spectrum ``S^2`` of ``P_b = T* T`` and the rows ``U_kept* T``, when
+    ``linalg.psd_certified`` proves from ``|C_b - P_b|_F`` that
+    ``negative_at_scale`` passes on ``C_b``.  Any other block is
+    eigendecomposed and judged by ``negative_at_scale``, raising
+    NotPSDError that names the block; its rows are ``sqrt(kept) V_kept*``.
+    So the verdicts at ``tol`` are ``is_completely_n_positive``'s.  Ranks
+    are ``kept_ranks`` over all blocks, on the scale of the whole Gram.
     """
     cp.check_hermiticity(tol)
-    eigs = [hermitian_eig(cp.choi_block(b)) for b in range(cp.algebra.nblocks)]
-    for b, (w, _) in enumerate(eigs):
-        if negative_at_scale(float(w[-1]), float(w[0]), tol):
-            raise NotPSDError(
-                f"map family is not completely n-positive: Choi block {b} has eigenvalue "
-                f"{w[-1]:.3e} below -{tol:.1e} * {max(float(w[0]), 1.0):.3e}"
-            )
-    ranks = kept_ranks([w for w, _ in eigs], rel_cutoff)
-    factors = (np.sqrt(w[:r])[:, None] * v[:, :r].conj().T for (w, v), r in zip(eigs, ranks))
-    return GramFactorization(cp, tuple(factors))
+    blocks = [_block_factor(cp, b, tup, tol) for b in range(cp.algebra.nblocks)]
+    ranks = kept_ranks([w for w, _ in blocks], rel_cutoff)
+    return GramFactorization(cp, tuple(rows(r) for (_, rows), r in zip(blocks, ranks)))
+
+
+def _block_factor(cp: CPBlockMap, b: int, tup: ModuleCPTuple | None, tol: float):
+    """Choi block b's descending spectrum and its rows ``F_b`` by kept rank."""
+    c = cp.choi_block(b)
+    k = 0 if tup is None else tup.module.mults[b]
+    if k:
+        t = tuple_block(tup, b).reshape(-1, len(c)) / np.sqrt(k)
+        u, s, _ = np.linalg.svd(t, full_matrices=False)
+        if psd_certified(frob(c - t.conj().T @ t), float(s[0]) ** 2, tol):
+            return s * s, lambda r: u[:, :r].conj().T @ t
+    w, v = hermitian_eig(c)
+    if negative_at_scale(float(w[-1]), float(w[0]), tol):
+        raise NotPSDError(
+            f"map family is not completely n-positive: Choi block {b} has eigenvalue "
+            f"{w[-1]:.3e} below -{tol:.1e} * {max(float(w[0]), 1.0):.3e}"
+        )
+    return w, lambda r: np.sqrt(w[:r])[:, None] * v[:, :r].conj().T
+
+
+def tuple_block(tup: ModuleCPTuple, b: int) -> np.ndarray:
+    """The module rows of block b, ``T_b[r, y, (i, q, beta)] =
+    Phi_i(f^b_rq)[y, beta]``, of shape (k_b, h2, n * d_b * h1); compatibility
+    says ``sum_r T_b[r]* T_b[r] = k_b C_b``."""
+    mod = tup.module
+    d, k = mod.algebra.block_dims[b], mod.mults[b]
+    start = sum(kk * dd for kk, dd in zip(mod.mults[:b], mod.algebra.block_dims))
+    t = tup.action[:, start : start + k * d].reshape(tup.n, k, d, tup.h2, tup.h1)
+    return t.transpose(1, 3, 0, 2, 4).reshape(k, tup.h2, tup.n * d * tup.h1)
 
 
 def amplified_units(labels, row_dims, col_dims, copies) -> np.ndarray:
@@ -291,24 +338,22 @@ def build_psi(
 
     ``Psi(f^b_rq) = E_rq (x) 1_{rank_b}`` in closed form.  The embedding
     columns over ``e_r (x) C^{rank_b}`` are the solution X of
-    ``X F_b = T`` with ``T[:, (i, q, beta)] = Phi_i(f^b_rq) e_beta``;
-    since ``F_b F_b*`` is the diagonal of kept eigenvalues, the
-    least-squares solution is ``T F_b* (F_b F_b*)^-1``.  Returns
+    ``X F_b = T`` with ``T[:, (i, q, beta)] = Phi_i(f^b_rq) e_beta``
+    (``tuple_block``); since ``F_b F_b*`` is the diagonal of the kept
+    spectrum (to rounding), the least-squares solution is
+    ``T F_b* (F_b F_b*)^-1``.  Returns
     (psi_action, k2_embed, worst relative solve residual).
     """
-    n, h1, h2 = cp.n, cp.h1, tup.h2
     psi_action = amplified_units(
         tup.module.basis_labels, tup.module.mults, cp.algebra.block_dims, g.ranks
     )
-    columns, worst, start = [], 0.0, 0
-    for f, d, k in zip(g.block_factors, cp.algebra.block_dims, tup.module.mults):
-        t = tup.action[:, start : start + k * d].reshape(n, k, d, h2, h1)
-        t = t.transpose(1, 3, 0, 2, 4).reshape(k, h2, n * d * h1)
-        start += k * d
+    columns, worst = [], 0.0
+    for b, f in enumerate(g.block_factors):
+        t = tuple_block(tup, b)
         x = (t @ f.conj().T) / np.einsum("kx,kx->k", f, f.conj()).real
         res = matrix_norms(x @ f - t) / np.maximum(matrix_norms(t), 1.0)
         worst = max(worst, float(res.max(initial=0.0)))
-        columns.append(x.transpose(1, 0, 2).reshape(h2, k * len(f)))
+        columns.append(x.transpose(1, 0, 2).reshape(tup.h2, len(t) * len(f)))
     return psi_action, np.concatenate(columns, axis=1), worst
 
 
@@ -344,7 +389,7 @@ def dilate(
     ``welldef_tol``.
     """
     eq, c = inst.equilibrated()
-    g = build_gram(eq.cp, cutoff, welldef_tol)
+    g = build_gram(eq.cp, cutoff, welldef_tol, eq.tup)
     entries = inst.algebra.dim * g.r1**2
     if entries > MAX_PI_ENTRIES:
         raise DimensionTooLargeError(

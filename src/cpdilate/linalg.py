@@ -9,7 +9,8 @@ zero inputs never divide by zero.
 Every rank decision is ``kept_ranks``.  Validity is the callers'
 verdict: ``hermitian_eig`` only symmetrizes and ``kept_ranks`` only
 counts.  ``negative_at_scale`` states the one positivity rule, which the
-callers apply to each Choi block's spectrum.
+callers apply to each Choi block's spectrum; ``psd_certified`` proves
+that rule passes from a nearby PSD product, without the spectrum.
 
 Determinism: LAPACK eigendecompositions are deterministic on a fixed
 platform, but eigenvector phase and ordering inside degenerate clusters
@@ -36,6 +37,7 @@ __all__ = [
     "max_rel_residual",
     "hermitian_eig",
     "negative_at_scale",
+    "psd_certified",
     "kept_ranks",
     "direct_sum_rank",
     "solve_lsq",
@@ -90,6 +92,18 @@ def negative_at_scale(lam_min: float, lam_max: float, rel_tol: float) -> bool:
     """The one PSD rule: a spectrum whose largest eigenvalue is ``lam_max``
     has a negative direction when ``lam_min < -rel_tol * max(lam_max, 1)``."""
     return lam_min < -rel_tol * max(lam_max, 1.0)
+
+
+def psd_certified(err: float, top: float, rel_tol: float) -> bool:
+    """True only if ``negative_at_scale`` passes on the Hermitian part
+    ``H`` of ``C``, read off a PSD ``P`` with largest eigenvalue ``top``
+    and ``err = |C - P|_F >= |H - P|_F``: ``err <= rel_tol * max(top - err, 1)``.
+
+    Proof: by Weyl each eigenvalue of ``H`` is within ``|H - P|_2 <= err``
+    of ``P``'s, so ``lambda_min(H) >= -err`` and ``lambda_max(H) >= top -
+    err``, whence ``lambda_min(H) >= -rel_tol * max(lambda_max(H), 1)``.
+    False decides nothing."""
+    return err <= rel_tol * max(top - err, 1.0)
 
 
 def kept_ranks(spectra, rel_cutoff: float = DEFAULT_CUTOFF) -> list[int]:

@@ -62,8 +62,8 @@ import orjson
 
 from .algebra import AlgebraDescriptor, ModuleDescriptor
 from .cpmaps import CPBlockMap, Instance, ModuleCPTuple
-from .dilation import DilationData
-from .errors import ParseError
+from .dilation import DilationData, check_dims
+from .errors import DimensionTooLargeError, ParseError
 
 __all__ = [
     "emit_instance",
@@ -329,6 +329,7 @@ def parse_instance(text: str | bytes) -> Instance:
     try:
         dims, algebra, module = _read_dims(payload, what)
         n, h1, h2 = dims["n"], dims["h1"], dims["h2"]
+        check_dims(n, algebra.block_dims, h1, "instance has")  # before any tensor is decoded
         cp_action = _decode_complex(
             _require(payload, "cp_action", what), (n, n, algebra.dim, h1, h1), what
         )
@@ -343,7 +344,7 @@ def parse_instance(text: str | bytes) -> Instance:
             ModuleCPTuple(module, n, h1, h2, tuple_action),
             meta,
         )
-    except ParseError:
+    except (ParseError, DimensionTooLargeError):
         raise
     except Exception as exc:
         raise ParseError(f"{what}: {exc}") from exc

@@ -8,7 +8,8 @@ the full basis-pair sweeps and per-index loops that the library replaced
 with generator checks and stacked products, the dense raw-space Gram
 matrix and factor that the blockwise construction never forms, the
 full-span rank checks and least-squares solves that the block spans
-replaced in minimality and equivalence, the dense reverse construction
+replaced in minimality and equivalence, the ``eigh`` of every Choi block
+that the tuple factor replaced in ``build_gram``, the dense reverse construction
 over amplified units that the generator's per-block products replaced,
 the ``json.dumps`` encoder that the version-1 writers replaced with an
 array encoder, the ``json.loads`` reader that orjson replaced, and the
@@ -21,15 +22,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 
 from cpdilate.algebra import AlgebraDescriptor, ModuleDescriptor
+from cpdilate import dilation
 from cpdilate.cpmaps import CPBlockMap, Instance, ModuleCPTuple, carrier_mult, haar_unitary
 from cpdilate.dilation import DilationData, GramFactorization, amplified_units, check_shapes
-from cpdilate.errors import InconsistentSpansError, NotMinimalError
+from cpdilate.errors import InconsistentSpansError, NotMinimalError, NotPSDError
 from cpdilate.linalg import (
-    DEFAULT_CUTOFF, DEFAULT_TOL, max_rel_residual, rel_residual, solve_lsq, svd_orthobasis,
+    DEFAULT_CUTOFF, DEFAULT_TOL, hermitian_eig, kept_ranks, max_rel_residual, negative_at_scale,
+    rel_residual, solve_lsq, svd_orthobasis,
 )
 
 
@@ -153,6 +157,29 @@ def raw_factor(g: GramFactorization) -> np.ndarray:
             factor[row : row + len(f), idx] = f
             row += len(f)
     return factor
+
+
+def build_gram_oracle(cp, rel_cutoff=DEFAULT_CUTOFF, tol=DEFAULT_TOL, tup=None):
+    """The former ``build_gram``: every Choi block eigendecomposed once,
+    judged on its own spectrum and factored as ``sqrt(kept) V_kept*``;
+    the tuple is not read."""
+    cp.check_hermiticity(tol)
+    eigs = [hermitian_eig(cp.choi_block(b)) for b in range(cp.algebra.nblocks)]
+    for b, (w, _) in enumerate(eigs):
+        if negative_at_scale(float(w[-1]), float(w[0]), tol):
+            raise NotPSDError(
+                f"map family is not completely n-positive: Choi block {b} has eigenvalue "
+                f"{w[-1]:.3e} below -{tol:.1e} * {max(float(w[0]), 1.0):.3e}"
+            )
+    ranks = kept_ranks([w for w, _ in eigs], rel_cutoff)
+    factors = (np.sqrt(w[:r])[:, None] * v[:, :r].conj().T for (w, v), r in zip(eigs, ranks))
+    return GramFactorization(cp, tuple(factors))
+
+
+def dilate_oracle(inst, **kw) -> DilationData:
+    """``dilation.dilate`` on the factors of ``build_gram_oracle``."""
+    with mock.patch.object(dilation, "build_gram", build_gram_oracle):
+        return dilation.dilate(inst, **kw)
 
 
 def rotate_dilation_oracle(data, q1, q2, w_rotations=None) -> DilationData:

@@ -12,18 +12,19 @@ from conftest import non_representation
 from test_dilation import GRADED, gap_instance, hermiticity_perturbed
 from test_serialize import (
     DIMENSION_FIELDS,
+    GOLDEN_DILATION,
     GOLDEN_INSTANCE,
     REJECTED_FORMS,
     corrupted_text,
     tensor_entry_replaced,
     tensor_made_ragged,
 )
-from cpdilate import cli, dilation, equivalence, linalg
+from cpdilate import cli, dilation, equivalence, linalg, serialize
 from cpdilate.algebra import AlgebraDescriptor, ModuleDescriptor
 from cpdilate.cpmaps import CPBlockMap, Instance, ModuleCPTuple, haar_unitary, random_instance
 from cpdilate.dilation import build_gram, dilate
 from cpdilate.equivalence import rotate_dilation
-from cpdilate.errors import NotPSDError
+from cpdilate.errors import DimensionTooLargeError, NotPSDError
 from cpdilate.serialize import emit_dilation, emit_instance, parse_dilation, parse_instance
 
 
@@ -171,35 +172,56 @@ class TestDilate:
 
 
 class TestOneChoiPass:
-    """``cpdilate dilate`` eigendecomposes each Choi block once, in
-    ``build_gram``, and reads the positivity verdict off that spectrum."""
+    """``cpdilate dilate`` factors each Choi block once, in ``build_gram``:
+    from its tuple block when the block has module rows and
+    ``psd_certified`` holds, by one ``hermitian_eig`` otherwise, and reads
+    the positivity verdict off that factorization; ``eigvalsh`` never runs."""
 
     @staticmethod
     def counted(monkeypatch, targets) -> dict:
-        """Count the calls of each ``(module, name)`` by name."""
+        """Count the calls of each ``(module, name)`` by name; the
+        results of ``psd_certified`` are listed under ``"certified"``."""
         calls = dict.fromkeys((name for _, name in targets), 0)
         for module, name in targets:
             def wrapper(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
-                return _fn(*args, **kwargs)
+                out = _fn(*args, **kwargs)
+                if _name == "psd_certified":
+                    calls.setdefault("certified", []).append(out)
+                return out
             monkeypatch.setattr(module, name, wrapper)
         return calls
 
+    TARGETS = ((dilation, "hermitian_eig"), (dilation, "psd_certified"),
+               (np.linalg, "eigh"), (np.linalg, "eigvalsh"))
+
     def test_one_eigendecomposition_per_block(self, tmp_path, monkeypatch, capsys):
+        # blocks 0 and 1 have module rows, block 2 has none
         inst, inst_path = write_instance(tmp_path, block_dims=[2, 1, 2], mults=[1, 1, 0], h2=6)
-        calls = self.counted(monkeypatch, ((dilation, "hermitian_eig"), (np.linalg, "eigh"),
-                                           (np.linalg, "eigvalsh")))
+        calls = self.counted(monkeypatch, self.TARGETS)
         assert cli.main(["dilate", str(inst_path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["passed"] is True
-        assert calls == {"hermitian_eig": 3, "eigh": 3, "eigvalsh": 0}
+        assert calls == {"hermitian_eig": 1, "psd_certified": 2, "certified": [True, True],
+                         "eigh": 1, "eigvalsh": 0}
+
+    def test_dilate_large_shape_runs_no_eigh(self, tmp_path, monkeypatch, capsys):
+        _, inst_path = write_instance(tmp_path, n=3, block_dims=[8], mults=[2], h1=4, h2=12,
+                                      k1_extra=1)
+        calls = self.counted(monkeypatch, self.TARGETS)
+        assert cli.main(["dilate", str(inst_path)]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+        assert calls == {"hermitian_eig": 0, "psd_certified": 1, "certified": [True],
+                         "eigh": 0, "eigvalsh": 0}
 
     def test_fuzz_takes_validity_from_dilate(self, monkeypatch, capsys):
-        calls = self.counted(monkeypatch, ((np.linalg, "eigh"), (np.linalg, "eigvalsh")))
+        calls = self.counted(monkeypatch, self.TARGETS[1:])
         assert cli.main(["fuzz", "--trials", "20", "--seed", "1", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert all(res["valid"] for res in report["results"])
-        blocks = sum(len(res["block_dims"]) for res in report["results"])
-        assert calls == {"eigh": blocks, "eigvalsh": 0}
+        mults = [k for res in report["results"] for k in res["mults"]]
+        assert calls == {"psd_certified": len(mults) - mults.count(0),
+                         "certified": [True] * (len(mults) - mults.count(0)),
+                         "eigh": mults.count(0), "eigvalsh": 0}
 
     def test_hermiticity_defect_computed_once(self, tmp_path, monkeypatch):
         seen = []
@@ -304,10 +326,10 @@ class TestGuardrail:
 
     def test_fuzz_bounds(self, capsys, monkeypatch):
         args = ["fuzz", "--trials", "1", "--max-n", "2", "--max-block", "3", "--max-h", "4"]
-        monkeypatch.setattr(cli, "MAX_CHOI_SIDE", 23)  # bounds admit side 2 * 3 * 4 = 24
+        monkeypatch.setattr(dilation, "MAX_CHOI_SIDE", 23)  # bounds admit side 2 * 3 * 4 = 24
         assert cli.main(args) == 2
         assert "bounds admit a Choi block of side 24" in capsys.readouterr().err
-        monkeypatch.setattr(cli, "MAX_CHOI_SIDE", 24)
+        monkeypatch.setattr(dilation, "MAX_CHOI_SIDE", 24)
         assert cli.main(args) == 0
 
     def test_read_side(self, tmp_path, capsys, monkeypatch):
@@ -320,23 +342,38 @@ class TestGuardrail:
             ["verify", str(inst_path), str(dil_path)],
             ["equiv", str(inst_path), str(dil_path), str(dil_path)],
         )
-        monkeypatch.setattr(cli, "MAX_CHOI_SIDE", 7)
+        monkeypatch.setattr(dilation, "MAX_CHOI_SIDE", 7)
         for argv in commands:
             assert cli.main(argv) == 2
             err = capsys.readouterr().err
             assert "DimensionTooLargeError: instance has a Choi block of side 8" in err
-        monkeypatch.setattr(cli, "MAX_CHOI_SIDE", 8)
+        monkeypatch.setattr(dilation, "MAX_CHOI_SIDE", 8)
         for argv in commands:
             assert cli.main(argv) == 0
         # raw dimension 2 * (4 + 1) * 2 = 20
-        monkeypatch.setattr(cli, "MAX_RAW_DIM", 19)
+        monkeypatch.setattr(dilation, "MAX_RAW_DIM", 19)
         for argv in commands:
             assert cli.main(argv) == 2
             err = capsys.readouterr().err
             assert "instance has raw dimension n * dim A * h1 = 20, above the guardrail" in err
-        monkeypatch.setattr(cli, "MAX_RAW_DIM", 20)
+        monkeypatch.setattr(dilation, "MAX_RAW_DIM", 20)
         for argv in commands:
             assert cli.main(argv) == 0
+
+    def test_header_is_refused_before_tensors_are_decoded(self, tmp_path, capsys, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a tensor was decoded")
+
+        monkeypatch.setattr(serialize, "_decode_complex", forbidden)
+        header = {"format": "cpdilate/instance", "version": 1, "n": 1, "h1": 1025, "h2": 1,
+                  "block_dims": [1], "mults": [1], "cp_action": [], "tuple_action": []}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(header), encoding="utf-8")
+        message = "instance has a Choi block of side 1025, above the guardrail 1024"
+        with pytest.raises(DimensionTooLargeError, match=f"^{re.escape(message)}$"):
+            parse_instance(path.read_bytes())
+        assert cli.main(["dilate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: DimensionTooLargeError: {message}\n"
 
     def test_pi_entries_within_side_and_raw_dimension(self, tmp_path, capsys):
         # A = C^1000 with n = h1 = 1: side 1, raw 1000, and every Choi block
@@ -587,6 +624,15 @@ class TestEquiv:
         a_path.write_text(emit_dilation(inst, data), encoding="utf-8")
         b_path.write_text(emit_dilation(inst, twin), encoding="utf-8")
         assert cli.main(["equiv", str(inst_path), str(a_path), str(b_path)]) == 0
+
+    def test_fresh_dilation_is_equivalent_to_the_golden_file(self, tmp_path, capsys):
+        # dilate picks new K1 and K2 coordinates (the tuple factor); the
+        # stored file from the eigh factor is the same dilation up to unitaries
+        fresh = tmp_path / "fresh.json"
+        assert cli.main(["dilate", str(GOLDEN_INSTANCE), "-o", str(fresh)]) == 0
+        capsys.readouterr()
+        assert cli.main(["equiv", str(GOLDEN_INSTANCE), str(GOLDEN_DILATION), str(fresh)]) == 0
+        assert "diagram commutes: yes" in capsys.readouterr().out
 
     def test_diagram_residuals_computed_once(self, tmp_path, monkeypatch, capsys):
         # equiv and fuzz take the verdict from the witness's residuals

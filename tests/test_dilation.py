@@ -7,7 +7,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    REPORT_RESIDUALS_ORACLE,
     brute_force_gram,
+    build_gram_oracle,
+    dilate_oracle,
     module_units,
     non_representation,
     pi_multiplicativity_oracle,
@@ -39,9 +42,10 @@ from cpdilate.dilation import (
     build_psi,
     build_W,
     dilate,
+    tuple_block,
     verify_dilation,
 )
-from cpdilate.equivalence import rotate_dilation
+from cpdilate.equivalence import build_unitaries, rotate_dilation
 from cpdilate.errors import (
     CPDilateError,
     HermiticityViolationError,
@@ -619,26 +623,37 @@ class TestPositivityVerdict:
 
 class TestBlockwiseConstruction:
     def test_eigendecompositions_are_per_block(self, monkeypatch):
-        # Every matrix handed to hermitian_eig is one equilibrated Choi
-        # block D^-1 C_b D^-1, and r1, r2 count its ranks.
-        seen = []
-        original = dilation.hermitian_eig
-
-        def recording(m, *args, **kwargs):
-            seen.append(m)
-            return original(m, *args, **kwargs)
-
-        monkeypatch.setattr(dilation, "hermitian_eig", recording)
+        # Each Choi block is factored once, on the equilibrated instance:
+        # from its tuple block when it has module rows (the certificate
+        # holds on these valid instances), otherwise by one hermitian_eig
+        # of the equilibrated block D^-1 C_b D^-1; r1 and r2 count the ranks.
+        calls = []
+        for name in ("build_gram", "hermitian_eig", "psd_certified"):
+            def recording(*args, _name=name, _fn=getattr(dilation, name)):
+                out = _fn(*args)
+                calls.append((_name, args, out))
+                return out
+            monkeypatch.setattr(dilation, name, recording)
         graded = random_instance(3, **GRADED).slots_scaled([1.0, 1e-9])
         for inst in acceptance_instances(100) + [scaled_two_block(), graded]:
-            seen.clear()
+            calls.clear()
             data = dilate(inst)
-            assert len(seen) == inst.algebra.nblocks
-            assert all(np.array_equal(m, c) for m, c in zip(seen, equilibrated_choi(inst.cp)))
+            chois = equilibrated_choi(inst.cp)
+            (cp, _, _, tup), = [args for name, args, _ in calls if name == "build_gram"]
+            assert all(np.array_equal(cp.choi_block(b), c) for b, c in enumerate(chois))
+            for b, (c, k) in enumerate(zip(chois, inst.module.mults)):
+                t = tuple_block(tup, b).reshape(-1, len(c))
+                assert frob(t.conj().T @ t - k * c) <= 1e-12 * max(k * frob(c), 1.0)
+            bare = [c for c, k in zip(chois, inst.module.mults) if k == 0]
+            eigs = [args[0] for name, args, _ in calls if name == "hermitian_eig"]
+            assert len(eigs) == len(bare)
+            assert all(np.array_equal(m, c) for m, c in zip(eigs, bare))
+            certified = [out for name, _, out in calls if name == "psd_certified"]
+            assert certified == [True] * (len(chois) - len(bare))
             ranks = choi_ranks(inst.cp)
             assert data.r1 == sum(d * r for d, r in zip(inst.algebra.block_dims, ranks))
             assert data.r2 == sum(k * r for k, r in zip(inst.module.mults, ranks))
-        assert not np.array_equal(seen[0], graded.cp.choi_block(0))
+        assert not np.array_equal(chois[0], graded.cp.choi_block(0))
 
     def test_rank_cutoff_is_on_the_whole_gram_scale(self):
         inst = scaled_two_block()
@@ -675,6 +690,37 @@ class TestBlockwiseConstruction:
 
 
 GRADED = dict(n=2, block_dims=[2], mults=[1], h1=1, h2=4, k1_extra=2)
+
+
+def fuzz_draws(count, seed=0):
+    """The instances of ``cpdilate fuzz --seed seed`` at the default
+    bounds, trial by trial."""
+    out = []
+    for index in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+        dims = cli._fuzz_dims(rng, 3, 3, 4)
+        out.append(random_instance(seed=int(rng.integers(0, 2**63 - 1)), **dims))
+    return out
+
+
+class TestTupleFactorAgainstEigh:
+    """``build_gram`` with the tuple against the former eigh-only one
+    (``build_gram_oracle``): the same ranks, dilations related by
+    unitaries at the tolerance, and residuals no worse in the median."""
+
+    def test_ranks_equivalence_and_residuals(self):
+        graded = random_instance(3, **GRADED).slots_scaled([1.0, 1e-9])
+        worst, worst_oracle = [], []
+        for inst in acceptance_instances(100) + [scaled_two_block(), graded] + fuzz_draws(60):
+            eq, _ = inst.equilibrated()
+            assert build_gram(eq.cp, tup=eq.tup).ranks == build_gram_oracle(eq.cp).ranks
+            data, oracle = dilate(inst), dilate_oracle(inst)
+            assert (data.r1, data.r2) == (oracle.r1, oracle.r2)
+            assert build_unitaries(inst, oracle, data).commutes(1e-9)
+            for d, out in ((data, worst), (oracle, worst_oracle)):
+                report = verify_dilation(inst, d)
+                out.append(max(getattr(report, name) for name in REPORT_RESIDUALS_ORACLE))
+        assert np.median(worst) <= np.median(worst_oracle)
 
 
 @pytest.mark.parametrize("scale", [1e-4, 1e-9, 1e-12, 1e-14])

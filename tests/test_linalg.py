@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     full_span_defects,
@@ -21,6 +23,7 @@ from cpdilate.linalg import (
     kept_ranks,
     matrix_norms,
     negative_at_scale,
+    psd_certified,
     solve_lsq,
     svd_orthobasis,
 )
@@ -91,6 +94,49 @@ class TestNegativeAtScale:
         with pytest.raises(NotPSDError, match="Choi block 0 has eigenvalue -1.000e"):
             dilation.build_gram(transpose_map())
         assert not transpose_map().is_completely_n_positive(1e-9)
+
+
+class TestPsdCertificate:
+    """``psd_certified`` from a nearby PSD product ``P = T* T / k`` proves
+    what ``negative_at_scale`` would say on the spectrum of ``C``."""
+
+    @staticmethod
+    def perturbed(seed, rows, side, k, log_scale, log_delta, negatives):
+        """``(C, P, top)``: ``P = T* T / k`` for a random ``(rows, side)``
+        tuple ``T`` of scale ``10**log_scale``, its largest eigenvalue
+        ``top`` from the SVD of ``T``, and ``C = P + delta H`` with ``H``
+        a random Hermitian of unit norm with ``negatives`` negative
+        eigenvalues and ``delta = 10**log_delta * |P|_F``."""
+        rng = np.random.default_rng(seed)
+        t = 10.0**log_scale * random_complex(rng, rows, side)
+        p = t.conj().T @ t / k
+        lam = np.abs(rng.standard_normal(side)) * np.where(np.arange(side) < negatives, -1, 1)
+        q = haar_unitary(rng, side)
+        h = (q * (lam / np.linalg.norm(lam))) @ q.conj().T
+        top = float(np.linalg.svd(t, compute_uv=False)[0] ** 2 / k)
+        return p + 10.0**log_delta * frob(p) * h, p, top
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), side=st.integers(1, 8),
+           k=st.integers(1, 3), log_scale=st.floats(-4.0, 4.0),
+           log_delta=st.floats(-17.0, -6.0), negatives=st.integers(0, 8))
+    def test_certificate_implies_the_rule(self, seed, rows, side, k, log_scale, log_delta,
+                                          negatives):
+        c, p, top = self.perturbed(seed, rows, side, k, log_scale, log_delta, negatives)
+        if psd_certified(frob(c - p), top, 1e-9):
+            lam = np.linalg.eigvalsh(c)
+            assert not negative_at_scale(float(lam[0]), float(lam[-1]), 1e-9)
+
+    def test_certifies_a_negative_eigenvalue_within_the_tolerance(self):
+        # rank-deficient P, so the perturbation alone sets C's smallest
+        # eigenvalues: negative, within the rule at 1e-12, refused at 1e-6
+        c, p, top = self.perturbed(1, 2, 6, 1, 0.0, -12.0, 6)
+        assert np.linalg.eigvalsh(c)[0] < 0
+        assert psd_certified(frob(c - p), top, 1e-9)
+        c, p, top = self.perturbed(1, 2, 6, 1, 0.0, -6.0, 6)
+        assert not psd_certified(frob(c - p), top, 1e-9)
+        lam = np.linalg.eigvalsh(c)
+        assert negative_at_scale(float(lam[0]), float(lam[-1]), 1e-9)
 
 
 def truncate(g):
