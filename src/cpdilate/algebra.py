@@ -15,8 +15,8 @@ over the canonical matrix units, ordered lexicographically by
 those units.  The descriptors below are the whole model.  They carry the
 basis labels and the index tables of the structure maps on the units:
 adjoint, identity, product, module action and inner product.  The
-library reads the adjoint, identity and inner-product tables; the
-product and action tables serve the tests and the benchmark tracer.
+library reads the adjoint and identity tables and the inner-product
+pairs; the other tables serve the tests and the benchmark tracer.
 """
 
 from __future__ import annotations
@@ -140,10 +140,18 @@ class ModuleDescriptor:
     @cached_property
     def inner_table(self) -> np.ndarray:
         """Algebra basis index of <f_gamma, f_delta>, -1 when zero."""
-        lookup = {lab: idx for idx, lab in enumerate(self.algebra.basis_labels)}
         table = np.full((self.dim, self.dim), -1, dtype=np.intp)
-        for g, (b, r, q) in enumerate(self.basis_labels):
-            for g2, (b2, r2, q2) in enumerate(self.basis_labels):
-                if b == b2 and r == r2:
-                    table[g, g2] = lookup[(b, q, q2)]
+        gamma, delta, alpha = self.inner_pairs
+        table[gamma, delta] = alpha
         return table
+
+    @cached_property
+    def inner_pairs(self) -> np.ndarray:
+        """Rows (gamma, delta, alpha) over the ``sum_b k_b d_b^2`` unit pairs with
+        ``<f_gamma, f_delta> = e_alpha != 0``: ``<f^b_rq, f^b_rq'> = e^b_qq'``."""
+        pairs, g0, a0 = [], 0, 0
+        for k, d in zip(self.mults, self.algebra.block_dims):
+            pairs += [(r + q, r + q2, a0 + q * d + q2)  # r: first unit of a module row
+                      for r in range(g0, g0 + k * d, d) for q in range(d) for q2 in range(d)]
+            g0, a0 = g0 + k * d, a0 + d * d
+        return np.array(pairs, dtype=np.intp).reshape(-1, 3).T

@@ -181,14 +181,20 @@ def _emit_object(fields: dict, tensor_texts: dict) -> str:
 def _decode_complex(data, shape: tuple[int, ...], what: str) -> np.ndarray:
     """Nested ``[re, im]`` lists as a complex tensor of the declared shape.
 
-    The lists are flattened level by level; every node must be a list of
-    the declared length and every leaf a JSON number (a ``float`` or an
-    ``int``, never a string, ``true`` or ``null``)."""
+    Each level is one pass over the lengths, then the flatten; every leaf
+    must be a JSON number (``float`` or ``int``).  That suffices: a number,
+    ``true`` or ``null`` at a list level has no ``len``, and a string or
+    object of the declared length flattens into ``str`` nodes (no declared
+    length is 0), which fail a later length or the leaf check."""
     if math.prod(shape) == 0:
         return np.zeros(shape, dtype=complex)
     nodes = [data]
     for length in shape + (2,):
-        if set(map(type, nodes)) != {list} or set(map(len, nodes)) != {length}:
+        try:
+            lengths = set(map(len, nodes))
+        except TypeError:
+            lengths = None
+        if lengths != {length}:
             raise ParseError(f"{what}: tensor nesting does not match declared shape "
                              f"{shape + (2,)}")
         nodes = list(chain.from_iterable(nodes))

@@ -8,7 +8,9 @@ the full basis-pair sweeps and per-index loops that the library replaced
 with generator checks and stacked products, the dense raw-space Gram
 matrix and factor that the blockwise construction never forms, the
 full-span rank checks and least-squares solves that the block spans
-replaced in minimality and equivalence, the ``eigh`` of every Choi block
+replaced in minimality and equivalence, the dense expected tensor of the
+compatibility gate and the two-copy Hermiticity check that the sparse
+residual and the one-gather check replaced, the ``eigh`` of every Choi block
 that the tuple factor replaced in ``build_gram``, the dense reverse construction
 over amplified units that the generator's per-block products replaced,
 the ``json.dumps`` encoder that the version-1 writers replaced with an
@@ -32,8 +34,8 @@ from cpdilate.cpmaps import CPBlockMap, Instance, ModuleCPTuple, carrier_mult, h
 from cpdilate.dilation import DilationData, GramFactorization, amplified_units, check_shapes
 from cpdilate.errors import InconsistentSpansError, NotMinimalError, NotPSDError
 from cpdilate.linalg import (
-    DEFAULT_CUTOFF, DEFAULT_TOL, hermitian_eig, kept_ranks, max_rel_residual, negative_at_scale,
-    rel_residual, solve_lsq, svd_orthobasis,
+    DEFAULT_CUTOFF, DEFAULT_TOL, hermitian_eig, kept_ranks, matrix_norms, max_rel_residual,
+    negative_at_scale, rel_residual, solve_lsq, svd_orthobasis,
 )
 
 
@@ -326,6 +328,45 @@ def compatibility_oracle(inst) -> float:
             expected[mask] = inst.cp.action[i, j][inner[mask]]
             worst = max(worst, max_rel_residual(lhs, expected))
     return worst
+
+
+def compatibility_dense_oracle(inst) -> float:
+    """The former ``Instance.compatibility_residual``: the whole tuple Gram
+    against a dense expected tensor ``phi_ij(<f, g>)`` over every slot and
+    unit pair, zero where the inner product vanishes."""
+    n, dim_v, h1 = inst.n, inst.module.dim, inst.h1
+    inner = inst.module.inner_table
+    mask = inner >= 0
+    cols = inst.tup.action.transpose(2, 0, 1, 3).reshape(inst.h2, n * dim_v * h1)
+    lhs = (cols.conj().T @ cols).reshape(n, dim_v, h1, n, dim_v, h1)
+    exp = np.zeros((n, n, dim_v, dim_v, h1, h1), dtype=complex)
+    exp[:, :, mask] = inst.cp.action[:, :, inner[mask]]
+    return max_rel_residual(lhs.transpose(0, 3, 1, 4, 2, 5), exp)
+
+
+def hermiticity_oracle(cp) -> float:
+    """The former ``CPBlockMap.hermiticity_defect``: ``phi_ij(e_alpha*)``,
+    gathered, against the conjugate transpose of ``phi_ji(e_alpha)``."""
+    lhs = cp.action[:, :, cp.algebra.adjoint_table]
+    rhs = cp.action.conj().transpose(1, 0, 2, 4, 3)
+    denom = np.maximum(matrix_norms(rhs), 1.0)
+    return float((matrix_norms(lhs - rhs) / denom).max())
+
+
+def centrally_scaled(inst, c) -> Instance:
+    """The pair composed with the central element ``z = sum_b c_b 1_b``:
+    ``phi_ij(z a z)`` and ``Phi_i(x z)``, so block b's units of ``phi``
+    scale by ``c_b^2`` and those of ``Phi`` by ``c_b``; valid whenever
+    the pair is."""
+    alg, mod = inst.algebra, inst.module
+    c = np.asarray(c, dtype=float)
+    on_a = np.repeat(c**2, [d * d for d in alg.block_dims])
+    on_v = np.repeat(c, [k * d for k, d in zip(mod.mults, alg.block_dims)])
+    return Instance(
+        CPBlockMap(alg, inst.n, inst.h1, inst.cp.action * on_a[:, None, None]),
+        ModuleCPTuple(mod, inst.n, inst.h1, inst.h2, inst.tup.action * on_v[:, None, None]),
+        inst.meta,
+    )
 
 
 def intertwine_oracle(u1, u2, data_a, data_b) -> dict[str, float]:

@@ -127,6 +127,20 @@ class TestModuleOps:
                 expected = unit_or_zero(E, table[gamma, delta])
                 assert np.array_equal(F[gamma].conj().T @ F[delta], expected)
 
+    def test_inner_pairs_are_the_nonzero_inner_products(self):
+        shapes = [((2, 1, 3), (2, 0, 1)), ((1,) * 80, (1,) * 80), ((3, 2), (0, 2)), ((4,), (3,))]
+        for block_dims, mults in shapes:
+            alg = AlgebraDescriptor(block_dims)
+            mod = ModuleDescriptor(alg, mults)
+            e, f = algebra_units(alg), module_units(mod)
+            gamma, delta, alpha = mod.inner_pairs
+            assert len(alpha) == sum(k * d * d for k, d in zip(mults, block_dims))
+            for g, dl, a in zip(gamma, delta, alpha):
+                assert np.array_equal(f[g].conj().T @ f[dl], e[a])
+            nonzero = [(g, dl) for g in range(mod.dim) for dl in range(mod.dim)
+                       if (f[g].conj().T @ f[dl]).any()]
+            assert nonzero == list(zip(gamma.tolist(), delta.tolist()))
+
     def test_inner_algebra_linearity(self):
         rng = np.random.default_rng(6)
         x, y, a = gaussian(rng, MOD.dim), gaussian(rng, MOD.dim), gaussian(rng, ALG.dim)

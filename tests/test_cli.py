@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,16 +9,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import non_representation
+from conftest import centrally_scaled, non_representation
 from test_dilation import GRADED, gap_instance, hermiticity_perturbed
 from test_serialize import (
     DIMENSION_FIELDS,
     GOLDEN_DILATION,
     GOLDEN_INSTANCE,
+    NODE_KINDS,
     REJECTED_FORMS,
+    TENSOR_LEVELS,
     corrupted_text,
     tensor_entry_replaced,
     tensor_made_ragged,
+    tensor_node_replaced,
 )
 from cpdilate import cli, dilation, equivalence, linalg, serialize
 from cpdilate.algebra import AlgebraDescriptor, ModuleDescriptor
@@ -292,6 +296,35 @@ class TestOneRankRule:
             stages.clear()
             assert cli.main(argv) == 0
             assert stages == want
+
+
+# Valid instances whose dilation fails the exit contract until the blocks
+# are equilibrated as the slots are (ROADMAP item 11): a central element
+# z = sum_b c_b 1_b, with blocks 1e-5 to 1e-6 apart, is seen by the rank
+# cutoff and the minimality count.  mults [1, 0] exits 3 (phi_reconstruction
+# 5.8e-5 to 5.8e-7); mults [1, 1] exits 4 (WellDefinednessError).
+CENTRAL_SCALES = [
+    pytest.param([1, 0], [1e3, 1e3 * math.sqrt(s)], id=f"mults-1-0-s{s:g}")
+    for s in (1e-10, 1e-11, 1e-12)
+] + [pytest.param([1, 1], [1.0, math.sqrt(s)], id=f"mults-1-1-s{s:g}") for s in (1e-10, 1e-12)]
+
+
+def centrally_scaled_instance(mults, c):
+    inst = random_instance(3, n=2, block_dims=[2, 2], mults=mults, h1=2, h2=12, k1_extra=1)
+    return centrally_scaled(inst, c)
+
+
+class TestCentralScales:
+    @pytest.mark.parametrize("mults, c", CENTRAL_SCALES)
+    def test_input_is_valid(self, mults, c):
+        assert centrally_scaled_instance(mults, c).is_valid()
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 11: blocks are not equilibrated")
+    @pytest.mark.parametrize("mults, c", CENTRAL_SCALES)
+    def test_valid_input_dilates(self, tmp_path, mults, c):
+        path = tmp_path / "inst.json"
+        path.write_text(emit_instance(centrally_scaled_instance(mults, c)), encoding="utf-8")
+        assert cli.main(["dilate", str(path), "-o", str(tmp_path / "dil.json")]) == 0
 
 
 class TestGuardrail:
@@ -581,6 +614,13 @@ class TestStrictReader:
         rc, err = dilate_exit(tmp_path, capsys, tensor_entry_replaced(literal).encode())
         assert rc == 2
         assert "tensor entries must be JSON numbers" in err
+
+    @pytest.mark.parametrize("kind", NODE_KINDS)
+    @pytest.mark.parametrize("key, level", TENSOR_LEVELS)
+    def test_list_level_holding_no_list(self, tmp_path, capsys, key, level, kind):
+        rc, err = dilate_exit(tmp_path, capsys, tensor_node_replaced(key, level, kind).encode())
+        assert rc == 2
+        assert "ParseError" in err
 
     def test_ragged_tensor_row(self, tmp_path, capsys):
         rc, err = dilate_exit(tmp_path, capsys, tensor_made_ragged("short row").encode())

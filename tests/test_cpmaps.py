@@ -8,7 +8,9 @@ from conftest import (
     algebra_units,
     amplified_units_oracle,
     apply_phi_oracle,
+    compatibility_dense_oracle,
     compatibility_oracle,
+    hermiticity_oracle,
     module_units,
     random_instance_oracle,
     scalar_family,
@@ -132,13 +134,35 @@ class TestCompatibility:
     def test_matches_slot_pair_oracle(self):
         rng = np.random.default_rng(12)
         for inst in acceptance_instances(20):
-            shape = inst.tup.action.shape
-            noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            noisy = ModuleCPTuple(inst.module, inst.n, inst.h1, inst.h2,
-                                  inst.tup.action + 0.1 * noise)
-            for case in (inst, Instance(inst.cp, noisy)):
+            for case in (inst, tuple_perturbed(inst, 0.1, rng)):
                 assert np.isclose(case.compatibility_residual(), compatibility_oracle(case),
                                   rtol=1e-12, atol=1e-14)
+        for case in compatibility_cases(np.random.default_rng(13)):
+            got, dense = case.compatibility_residual(), compatibility_dense_oracle(case)
+            assert np.isclose(got, compatibility_oracle(case), rtol=1e-12, atol=1e-14)
+            assert np.isclose(got, dense, rtol=1e-12, atol=1e-14)
+            assert (got <= 1e-9) == (dense <= 1e-9)
+
+    def test_local_defects_are_not_averaged_away(self):
+        # a defect in one of block 0's two module rows is that row's own
+        # defect, not a mean over both rows; a leak across blocks breaks
+        # <f^0, f^1> = 0 on tiles that expect 0
+        row = module_row_perturbed(ROW_DEFECT_BASE, 0, 1, 1e-6)
+        leak = cross_block_leak(LEAK_BASE, 1e-6)
+        assert row.compatibility_residual() >= 1e-7
+        assert leak.compatibility_residual() >= 1e-7
+
+    def test_no_dense_expected_tensor(self):
+        # the dense expected tensor, the difference and its norms peaked at
+        # 36.7 MiB on this shape; the Gram product alone is 9 MiB
+        inst = random_instance(1, n=4, block_dims=[16], mults=[2], h1=6, h2=24, k1_extra=2)
+        tracemalloc.start()
+        try:
+            inst.compatibility_residual()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     def test_each_tuple_map_is_completely_positive(self):
         # Compatibility forces every Phi_i to be completely positive,
@@ -148,6 +172,60 @@ class TestCompatibility:
             assert inst.compatibility_residual() <= 1e-10
             for i in range(inst.n):
                 assert diagonal_map_is_cp(inst.cp, i, 1e-9)
+
+
+def tuple_perturbed(inst, eps, rng) -> Instance:
+    """``inst`` with complex Gaussian noise of size ``eps`` on the tuple."""
+    shape = inst.tup.action.shape
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    tup = ModuleCPTuple(inst.module, inst.n, inst.h1, inst.h2, inst.tup.action + eps * noise)
+    return Instance(inst.cp, tup)
+
+
+def module_row_perturbed(inst, b, r, eps) -> Instance:
+    """``inst`` with ``eps`` added to every entry of ``Phi_i(f^b_rq)``,
+    the units of module row r of block b only."""
+    mod = inst.module
+    rows = [g for g, (bb, rr, _) in enumerate(mod.basis_labels) if (bb, rr) == (b, r)]
+    action = inst.tup.action.copy()
+    action[:, rows] += eps
+    return Instance(inst.cp, ModuleCPTuple(mod, inst.n, inst.h1, inst.h2, action))
+
+
+def cross_block_leak(inst, eps) -> Instance:
+    """``inst`` with ``Phi_i(f^0_0q)`` leaking ``eps Phi_i(f^1_0q)`` into
+    the H2 range of block 1, which ``<f^0, f^1> = 0`` forbids."""
+    action = inst.tup.action.copy()
+    d0 = inst.algebra.block_dims[0]
+    start = inst.module.mults[0] * d0
+    action[:, :d0] += eps * action[:, start : start + d0]
+    return Instance(inst.cp, ModuleCPTuple(inst.module, inst.n, inst.h1, inst.h2, action))
+
+
+def compatibility_cases(rng):
+    """Instances of every kind the compatibility residual sees: fuzz draws,
+    80 one-dimensional blocks, a block without module rows, ``h1 = 1`` and
+    ``n = 1``, a defect in one module row, a leak across blocks; each
+    clean, with tuple noise, and with tuple noise near the tolerance."""
+    draws = [random_instance(int(rng.integers(0, 2**31)), **cli._fuzz_dims(rng, 3, 3, 4))
+             for _ in range(60)]
+    draws += [
+        random_instance(1, n=2, block_dims=[1] * 80, mults=[1] * 80, h1=1, h2=80),
+        random_instance(2, n=2, block_dims=[2, 3], mults=[1, 0], h1=2, h2=6),
+        random_instance(3, n=2, block_dims=[3], mults=[2], h1=1, h2=6),
+        random_instance(4, n=1, block_dims=[2, 1], mults=[1, 2], h1=3, h2=9),
+        random_instance(5, n=1, block_dims=[2], mults=[1], h1=1, h2=2),
+    ]
+    for inst in draws:
+        yield inst
+        yield tuple_perturbed(inst, 0.1, rng)
+        yield tuple_perturbed(inst, 1e-9, rng)
+    yield from (module_row_perturbed(ROW_DEFECT_BASE, 0, 1, eps) for eps in (1e-6, 1e-9))
+    yield from (cross_block_leak(LEAK_BASE, eps) for eps in (1e-6, 1e-9))
+
+
+ROW_DEFECT_BASE = random_instance(4, n=2, block_dims=[2, 1], mults=[2, 1], h1=2, h2=8)
+LEAK_BASE = random_instance(6, n=2, block_dims=[2, 2], mults=[1, 1], h1=2, h2=8)
 
 
 class TestRandomInstance:
@@ -324,3 +402,15 @@ class TestHermiticityPattern:
         # Hermiticity-pattern compliance and complete positivity are
         # independent: the transpose family satisfies the pattern.
         assert transpose_map().hermiticity_defect() <= 1e-15
+
+    def test_matches_two_copy_oracle(self):
+        rng = np.random.default_rng(14)
+        cases = [inst.cp for inst in acceptance_instances(20)] + [transpose_map(2)]
+        for cp in cases:
+            for eps in (0.0, 1e-12, 1e-9, 1e-3, 10.0):
+                noise = rng.standard_normal(cp.action.shape) + 1j * rng.standard_normal(
+                    cp.action.shape)
+                family = CPBlockMap(cp.algebra, cp.n, cp.h1, cp.action + eps * noise)
+                got, want = family.hermiticity_defect(), hermiticity_oracle(family)
+                assert np.isclose(got, want, rtol=1e-12, atol=1e-15)
+                assert (got <= 1e-9) == (want <= 1e-9)

@@ -34,6 +34,12 @@ from cpdilate.serialize import emit_dilation, emit_instance, parse_dilation, par
 DATA = Path(__file__).parent / "data"
 GOLDEN_INSTANCE = DATA / "golden_instance.json"
 GOLDEN_DILATION = DATA / "golden_dilation.json"
+# every list level of both instance tensors of the golden file (shapes
+# (2, 2, 5, 2, 2) and (2, 2, 4, 2), then the [re, im] pair); level 0 is
+# the tensor itself
+TENSOR_LEVELS = [("cp_action", level) for level in range(6)] + [
+    ("tuple_action", level) for level in range(5)]
+NODE_KINDS = ["number", "true", "null", "string", "object"]
 
 
 class TestInstanceRoundTrip:
@@ -165,6 +171,12 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="tensor entries must be JSON numbers"):
             parse_instance(tensor_entry_replaced(literal))
 
+    @pytest.mark.parametrize("kind", NODE_KINDS)
+    @pytest.mark.parametrize("key, level", TENSOR_LEVELS)
+    def test_list_level_holding_no_list(self, key, level, kind):
+        with pytest.raises(ParseError):
+            parse_instance(tensor_node_replaced(key, level, kind))
+
     @pytest.mark.parametrize("edit", ["short pair", "long pair", "short row", "swapped rows"])
     def test_ragged_tensor_is_rejected(self, edit):
         with pytest.raises(ParseError, match="tensor nesting does not match declared shape"):
@@ -231,6 +243,20 @@ def tensor_entry_replaced(literal: str) -> str:
     payload = load_oracle(GOLDEN_INSTANCE.read_bytes())
     payload["cp_action"][0][0][0][0][0][0] = "@"
     return json.dumps(payload).replace('"@"', literal)
+
+
+def tensor_node_replaced(key: str, level: int, kind: str) -> str:
+    """The golden instance with the first node at list ``level`` of
+    tensor ``key`` replaced by a JSON value that is no list: a number,
+    ``true``, ``null``, or a string or an object of the declared length."""
+    payload = load_oracle(GOLDEN_INSTANCE.read_bytes())
+    parent, index = payload, key
+    for _ in range(level):
+        parent, index = parent[index], 0
+    length = len(parent[index])
+    parent[index] = {"number": 1.5, "true": True, "null": None, "string": "x" * length,
+                     "object": {str(k): 0.0 for k in range(length)}}[kind]
+    return json.dumps(payload)
 
 
 def tensor_made_ragged(edit: str) -> str:
