@@ -10,17 +10,15 @@ Exit codes are a stable contract:
 * 5  minimality or equivalence failure
 
 Verdicts are taken on ``Instance.equilibrated``, as in ``is_valid``.
-``dilate`` checks compatibility, then runs ``dilation.dilate``, whose
-``build_gram`` judges the Hermiticity pattern and complete n-positivity
-by the rules of ``CPBlockMap.is_completely_n_positive`` as it factors
-each Choi block once; ``generate`` checks positivity first.  Every
-subcommand bounds the largest Choi block side ``n * d_b * h1`` by
-``MAX_CHOI_SIDE`` and the raw dimension ``n * dim A * h1`` by
-``MAX_RAW_DIM`` (``dilation.check_dims``, on an instance file's header).
-``dilate`` bounds the entries of pi by ``dilation.MAX_PI_ENTRIES``, and
-``generate`` its carrier side and ``h2`` by ``MAX_CHOI_SIDE`` and, by
-``MAX_PI_ENTRIES``, the entries of pi and psi on the carrier (which bound
-those of the generated instance's dilation) and of the unitaries it draws.
+``generate`` and ``dilate`` judge in one order: ``Instance.check_compatible``,
+then the Hermiticity and positivity verdicts of ``dilation.build_gram``, by
+the rules of ``CPBlockMap.is_completely_n_positive``.  Every subcommand
+bounds the largest Choi block side ``n * d_b * h1`` and the raw dimension
+``n * dim A * h1`` (``dilation.check_dims``, on an instance file's header).
+``dilate`` bounds the entries of pi, and ``generate`` its carrier side,
+``h2`` and the entries of pi and psi on the carrier (which bound those of
+the generated instance's dilation) and of the unitaries it draws, by the
+``dilation.MAX_*`` guardrails.
 
 The only recognized environment variable is ``CPDILATE_TOL``, which
 overrides the default residual tolerance for all subcommands; it is read
@@ -42,7 +40,6 @@ import numpy as np
 from . import dilation, serialize
 from .cpmaps import Instance, carrier_mult, haar_unitary, random_instance
 from .dilation import VerificationReport, check_bound, check_dims, dilate, verify_dilation
-from .dilation import MAX_CHOI_SIDE, MAX_RAW_DIM  # noqa: F401 - also read as cli.MAX_*
 from .equivalence import build_unitaries, rotate_dilation
 from .errors import (
     CPDilateError,
@@ -50,7 +47,6 @@ from .errors import (
     DimensionTooSmallError,
     InconsistentSpansError,
     NotMinimalError,
-    NotPSDError,
     ParseError,
     ShapeMismatchError,
     WellDefinednessError,
@@ -113,16 +109,6 @@ def _load_dilation(path: str, inst: Instance):
     return data
 
 
-def _check_compatible(inst: Instance, tol: float) -> float:
-    """The compatibility gate on an equilibrated instance; returns the residual."""
-    compat = inst.compatibility_residual()
-    if compat > tol:
-        raise CPDilateError(
-            f"tuple is not compatible with the map family (residual {compat:.3e})"
-        )
-    return compat
-
-
 def _print_report(report: VerificationReport, json_mode: bool) -> None:
     if json_mode:
         payload = {"format": "cpdilate/report", "version": 1, **report.to_dict()}
@@ -175,9 +161,8 @@ def _cmd_generate(args) -> int:
         k1_extra=args.k1_extra, k2_extra=args.k2_extra,
     )
     eq, _ = inst.equilibrated()
-    if not eq.cp.is_completely_n_positive(args.tol):
-        raise NotPSDError("map family is not completely n-positive (Choi test failed)")
-    compat = _check_compatible(eq, args.tol)
+    compat = eq.check_compatible(args.tol)
+    dilation.build_gram(eq.cp, tol=args.tol, tup=eq.tup)
     _write(args.out, serialize.emit_instance(inst))
     full = "full" if inst.module.is_full else "not full"
     print(
@@ -190,7 +175,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_dilate(args) -> int:
     inst = serialize.parse_instance(_read(args.instance))
-    _check_compatible(inst.equilibrated()[0], args.tol)
+    inst.equilibrated()[0].check_compatible(args.tol)
     data = dilate(inst, cutoff=args.cutoff, welldef_tol=args.tol)
     report = verify_dilation(inst, data, tol=args.tol, rank_cutoff=args.cutoff)
     if args.out:

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraDescriptor, ModuleDescriptor
-from .errors import DimensionTooSmallError, HermiticityViolationError, ShapeMismatchError
+from .errors import (CPDilateError, DimensionTooSmallError, HermiticityViolationError,
+                     ShapeMismatchError)
 from .linalg import DEFAULT_TOL, matrix_norms, negative_at_scale, svd_orthobasis
 
 __all__ = [
@@ -116,7 +117,8 @@ class CPBlockMap:
             )
 
     def is_completely_n_positive(self, tol: float = DEFAULT_TOL) -> bool:
-        """``check_hermiticity``, then a PSD test of every compressed Choi block."""
+        """``check_hermiticity``, then a PSD test of every compressed Choi block:
+        ``is_valid``'s verdict-only path, without ``dilation.build_gram``'s factors."""
         self.check_hermiticity(tol)
         for b in range(self.algebra.nblocks):
             c = self.choi_block(b)
@@ -210,6 +212,14 @@ class Instance:
         squares.reshape(n, dim_v, n, dim_v)[:, f, :, g] /= np.maximum(expected, 1.0)
         return math.sqrt(squares.max())
 
+    def check_compatible(self, tol: float = DEFAULT_TOL) -> float:
+        """``compatibility_residual``, or CPDilateError when it exceeds tol."""
+        compat = self.compatibility_residual()
+        if compat > tol:
+            raise CPDilateError(f"tuple is not compatible with the map family "
+                                f"(residual {compat:.3e})")
+        return compat
+
     def slots_scaled(self, factors) -> Instance:
         """Slot i scaled by ``factors[i]``: ``phi_ij -> f_i f_j phi_ij`` and
         ``Phi_i -> f_i Phi_i``, which keeps validity."""
@@ -229,9 +239,13 @@ class Instance:
         return (self if (c == 1.0).all() else self.slots_scaled(1.0 / c)), c
 
     def is_valid(self, tol: float = DEFAULT_TOL) -> bool:
-        """Positivity and compatibility at ``tol``, judged as ``dilate`` judges them."""
+        """Positivity and compatibility at ``tol``, judged as ``dilate`` judges them.
+        Never raises on a verdict: a Hermiticity break is False."""
         eq, _ = self.equilibrated()
-        return eq.cp.is_completely_n_positive(tol) and eq.compatibility_residual() <= tol
+        try:
+            return eq.cp.is_completely_n_positive(tol) and eq.compatibility_residual() <= tol
+        except HermiticityViolationError:
+            return False
 
 
 def haar_unitary(rng: np.random.Generator, size: int) -> np.ndarray:

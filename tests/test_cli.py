@@ -28,7 +28,7 @@ from cpdilate.algebra import AlgebraDescriptor, ModuleDescriptor
 from cpdilate.cpmaps import CPBlockMap, Instance, ModuleCPTuple, haar_unitary, random_instance
 from cpdilate.dilation import build_gram, dilate
 from cpdilate.equivalence import rotate_dilation
-from cpdilate.errors import DimensionTooLargeError, NotPSDError
+from cpdilate.errors import CPDilateError, DimensionTooLargeError, NotPSDError
 from cpdilate.serialize import emit_dilation, emit_instance, parse_dilation, parse_instance
 
 
@@ -264,6 +264,66 @@ class TestOneChoiPass:
         assert "overall: PASS" in capsys.readouterr().out
 
 
+def generate_returning(inst, tmp_path, monkeypatch) -> int:
+    """``cpdilate generate`` with the generator replaced by one that returns
+    ``inst``; the flags only have to pass the dimension bounds."""
+    monkeypatch.setattr(cli, "random_instance", lambda *args, **kwargs: inst)
+    return cli.main(["generate", "--seed", "1", "--n", "2", "--blocks", "2,1", "--mults", "1,0",
+                     "--h1", "2", "--h2", "4", "-o", str(tmp_path / "generated.json")])
+
+
+def incompatible_and_not_positive():
+    """``gap_instance`` (Choi block 1 not PSD) with phi flipped on block 0,
+    which breaks compatibility there."""
+    inst = gap_instance()
+    inst.cp.action[:, :, :4] *= -1.0
+    return inst
+
+
+class TestOneGate:
+    """``generate`` and ``dilate`` judge an instance by the same gates in one
+    order: ``Instance.check_compatible``, then the Hermiticity and positivity
+    verdicts of ``build_gram``; ``is_valid`` reaches the same verdict."""
+
+    def test_generate_names_the_choi_block(self, tmp_path, monkeypatch, capsys):
+        assert generate_returning(gap_instance(), tmp_path, monkeypatch) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: NotPSDError: map family is not completely n-positive: "
+            "Choi block 1 has eigenvalue ")
+        assert not (tmp_path / "generated.json").exists()
+
+    def test_compatibility_is_judged_first(self, tmp_path, monkeypatch, capsys):
+        inst = incompatible_and_not_positive()
+        with pytest.raises(CPDilateError) as info:
+            inst.check_compatible(1e-9)
+        want = f"error: CPDilateError: {info.value}\n"
+        assert want.startswith("error: CPDilateError: tuple is not compatible with the map "
+                               "family (residual ")
+        with pytest.raises(NotPSDError):
+            build_gram(inst.cp)
+        path = tmp_path / "inst.json"
+        path.write_text(emit_instance(inst), encoding="utf-8")
+        assert cli.main(["dilate", str(path)]) == 3
+        assert capsys.readouterr().err == want
+        assert generate_returning(inst, tmp_path, monkeypatch) == 3
+        assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("inst", [
+        *(pytest.param(gap_instance(lam, scale=1.0), id=f"gap{lam:g}")
+          for lam in (-5e-9, -1.5e-9, -0.9e-9, -5e-10, 0.0)),
+        *(pytest.param(hermiticity_perturbed(eps), id=f"hermiticity{eps:g}")
+          for eps in (5e-9, 1.5e-9, 0.9e-9, 5e-10, 0.0)),
+    ])
+    def test_generate_dilate_and_is_valid_agree(self, inst, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(emit_instance(inst), encoding="utf-8")
+        code = 0 if inst.is_valid() else 3
+        assert cli.main(["dilate", str(path)]) == code
+        err = capsys.readouterr().err
+        assert generate_returning(inst, tmp_path, monkeypatch) == code
+        assert capsys.readouterr().err == err
+
+
 class TestOneRankRule:
     """Every rank decision is ``linalg.kept_ranks``: the Gram truncation and
     the W ranges in ``dilate``, the minimality counts in ``verify`` and both
@@ -325,6 +385,45 @@ class TestCentralScales:
         path = tmp_path / "inst.json"
         path.write_text(emit_instance(centrally_scaled_instance(mults, c)), encoding="utf-8")
         assert cli.main(["dilate", str(path), "-o", str(tmp_path / "dil.json")]) == 0
+
+
+# Valid instances whose dilation verifies but is not equivalent to itself
+# (ROADMAP items 11/12): a central element z = sum_b c_b 1_b puts block 1 at
+# s times block 0 on the Choi scale, at absolute scale 1e-12.  build_gram's
+# cutoff drops block 1 from K1 and K2, its module rows (about 1e-11) stay
+# under the floor of the K2 solve residual, and build_W, which cuts the
+# tuple's singular values (ratio sqrt(s)), keeps it, so the W_i ranges
+# leave the embedded K2.  At s = 1e-8 block 1 is kept throughout.
+SILENT_DROPS = [
+    pytest.param([1, 1], s, (4, 2), id=f"mults-1-1-s{s:g}") for s in (1e-10, 1e-14)
+] + [pytest.param([2, 1], 1e-12, (4, 4), id="mults-2-1-s1e-12")]
+
+
+def dilated_drop_instance(tmp_path, mults, s) -> tuple[int, str, str]:
+    inst = random_instance(3, n=2, block_dims=[2, 2], mults=mults, h1=2, h2=12, k1_extra=1)
+    inst = centrally_scaled(inst, [1e-6, 1e-6 * math.sqrt(s)])
+    assert inst.is_valid()
+    inst_path, dil_path = tmp_path / "inst.json", tmp_path / "dil.json"
+    inst_path.write_text(emit_instance(inst), encoding="utf-8")
+    rc = cli.main(["dilate", str(inst_path), "-o", str(dil_path)])
+    return rc, str(inst_path), str(dil_path)
+
+
+class TestSilentBlockDrop:
+    @pytest.mark.parametrize("mults, s, ranks", [
+        *SILENT_DROPS, pytest.param([1, 1], 1e-8, (8, 4), id="mults-1-1-s1e-08-kept")])
+    def test_valid_input_dilates_and_verifies(self, tmp_path, capsys, mults, s, ranks):
+        rc, inst_path, dil_path = dilated_drop_instance(tmp_path, mults, s)
+        assert rc == 0
+        assert f"dilated: r1={ranks[0]} r2={ranks[1]} " in capsys.readouterr().out
+        assert cli.main(["verify", inst_path, dil_path]) == 0
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP items 11/12")
+    @pytest.mark.parametrize("mults, s, ranks", SILENT_DROPS)
+    def test_dilation_is_equivalent_to_itself(self, tmp_path, mults, s, ranks):
+        rc, inst_path, dil_path = dilated_drop_instance(tmp_path, mults, s)
+        assert rc == 0
+        assert cli.main(["equiv", inst_path, dil_path, dil_path]) == 0
 
 
 class TestGuardrail:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -28,7 +29,7 @@ from cpdilate.cpmaps import (
     random_instance,
 )
 from cpdilate.dilation import amplified_units
-from cpdilate.errors import DimensionTooSmallError, HermiticityViolationError
+from cpdilate.errors import CPDilateError, DimensionTooSmallError, HermiticityViolationError
 from cpdilate.serialize import emit_instance
 
 
@@ -142,6 +143,17 @@ class TestCompatibility:
             assert np.isclose(got, compatibility_oracle(case), rtol=1e-12, atol=1e-14)
             assert np.isclose(got, dense, rtol=1e-12, atol=1e-14)
             assert (got <= 1e-9) == (dense <= 1e-9)
+
+    def test_check_compatible_gates_the_residual(self):
+        for case in compatibility_cases(np.random.default_rng(14)):
+            compat = case.compatibility_residual()
+            if compat <= 1e-9:
+                assert case.check_compatible(1e-9) == compat
+                continue
+            message = f"tuple is not compatible with the map family (residual {compat:.3e})"
+            with pytest.raises(CPDilateError, match=f"^{re.escape(message)}$") as info:
+                case.check_compatible(1e-9)
+            assert type(info.value) is CPDilateError
 
     def test_local_defects_are_not_averaged_away(self):
         # a defect in one of block 0's two module rows is that row's own

@@ -541,8 +541,7 @@ def hermiticity_perturbed(eps, seed=5):
 
 
 def assert_dilates_iff_valid(inst):
-    # is_valid raises, rather than returns False, on a Hermiticity defect
-    if inst.cp.hermiticity_defect() <= 1e-9 and inst.is_valid():
+    if inst.is_valid():
         assert verify_dilation(inst, dilate(inst)).passed
     else:
         with pytest.raises((NotPSDError, HermiticityViolationError)):
@@ -582,6 +581,12 @@ class TestPositivityVerdict:
         inst = hermiticity_perturbed(10.0**decades, seed)
         assert inst.compatibility_residual() <= 1e-9
         assert_dilates_iff_valid(inst)
+
+    def test_is_valid_answers_a_hermiticity_break(self):
+        inst = hermiticity_perturbed(1e-6)
+        assert inst.is_valid() is False
+        with pytest.raises(HermiticityViolationError):
+            inst.cp.is_completely_n_positive(1e-9)
 
     def test_verdicts_on_acceptance_and_flipped_instances(self):
         for inst in acceptance_instances(30):
@@ -781,7 +786,7 @@ def dilate_command_passes(inst, tol=1e-9):
     """What ``cpdilate dilate`` decides: the compatibility gate, ``dilate``
     and the verification report."""
     try:
-        cli._check_compatible(inst.equilibrated()[0], tol)
+        inst.equilibrated()[0].check_compatible(tol)
         return verify_dilation(inst, dilate(inst, welldef_tol=tol), tol).passed
     except CPDilateError:
         return False
