@@ -3,7 +3,8 @@
 Exit codes are a stable contract:
 
 * 0  success (report passes / diagram commutes / all trials pass)
-* 2  parse or usage failure (bad file, bad flags, dimension guardrails)
+* 2  parse or usage failure (bad file, bad or out-of-range flags, a
+     tolerance that is not finite and > 0, dimension guardrails)
 * 3  validity failure (Hermiticity pattern, positivity, compatibility,
      or a failing verification report)
 * 4  well-definedness failure of the quotient construction
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from pathlib import Path
@@ -79,9 +81,12 @@ def _default_tol() -> float:
     if raw is None:
         return DEFAULT_TOL
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ParseError(f"CPDILATE_TOL={raw!r} is not a number") from None
+    if not 0.0 < value < math.inf:
+        raise ParseError(f"CPDILATE_TOL={raw!r} must be finite and > 0")
+    return value
 
 
 def _int_csv(text: str) -> list[int]:
@@ -89,6 +94,27 @@ def _int_csv(text: str) -> list[int]:
         return [int(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _checked(convert, ok, what: str):
+    """argparse type: ``convert(text)``, refused unless ``ok`` holds for it."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+_TOLERANCE = _checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
+_NONNEGATIVE = _checked(int, lambda v: v >= 0, ">= 0")
+_POSITIVE = _checked(int, lambda v: v >= 1, ">= 1")
+_BLOCKS = _checked(_int_csv, lambda v: min(v, default=0) >= 1, "integers >= 1, at least one")
+_MULTS = _checked(_int_csv, lambda v: min(v, default=-1) >= 0 and max(v) >= 1,
+                  "integers >= 0, at least one >= 1")
 
 
 def _read(path: str) -> bytes:
@@ -143,6 +169,8 @@ def _print_witness(witness, commutes: bool, tol: float, json_mode: bool) -> None
 
 def _cmd_generate(args) -> int:
     block_dims, mults = args.blocks, args.mults
+    if len(mults) != len(block_dims):
+        raise ParseError(f"--mults needs one entry per block ({len(block_dims)}), got {len(mults)}")
     raw_dim = check_dims(args.n, block_dims, args.h1, "requested dimensions give")
     # r1 <= carrier and r2 <= sum k_b * copies, so the first two bound the
     # pi and psi of the generated instance's dilation; the third bounds
@@ -176,8 +204,8 @@ def _cmd_generate(args) -> int:
 def _cmd_dilate(args) -> int:
     inst = serialize.parse_instance(_read(args.instance))
     inst.equilibrated()[0].check_compatible(args.tol)
-    data = dilate(inst, cutoff=args.cutoff, welldef_tol=args.tol)
-    report = verify_dilation(inst, data, tol=args.tol, rank_cutoff=args.cutoff)
+    data = dilate(inst, welldef_tol=args.tol)
+    report = verify_dilation(inst, data, tol=args.tol)
     if args.out:
         _write(args.out, serialize.emit_dilation(inst, data))
     if not args.json:
@@ -191,7 +219,7 @@ def _cmd_dilate(args) -> int:
 def _cmd_verify(args) -> int:
     inst = serialize.parse_instance(_read(args.instance))
     data = _load_dilation(args.dilation, inst)
-    report = verify_dilation(inst, data, tol=args.tol, rank_cutoff=args.cutoff)
+    report = verify_dilation(inst, data, tol=args.tol)
     _print_report(report, args.json)
     return EXIT_OK if report.passed else EXIT_VALIDITY
 
@@ -200,7 +228,7 @@ def _cmd_equiv(args) -> int:
     inst = serialize.parse_instance(_read(args.instance))
     data_a = _load_dilation(args.dilation_a, inst)
     data_b = _load_dilation(args.dilation_b, inst)
-    witness = build_unitaries(inst, data_a, data_b, tol=args.tol, rank_cutoff=args.cutoff)
+    witness = build_unitaries(inst, data_a, data_b, tol=args.tol)
     commutes = witness.commutes(args.tol)
     _print_witness(witness, commutes, args.tol, args.json)
     return EXIT_OK if commutes else EXIT_EQUIV
@@ -247,15 +275,15 @@ def _fuzz_trial(base_seed: int, index: int, args) -> dict:
     try:
         inst = random_instance(seed=int(rng.integers(0, 2**63 - 1)), **dims)
         compat = inst.equilibrated()[0].compatibility_residual()
-        data = dilate(inst, cutoff=args.cutoff, welldef_tol=args.tol)
+        data = dilate(inst, welldef_tol=args.tol)
         valid = compat <= args.tol  # dilate has judged Hermiticity and positivity
-        report = verify_dilation(inst, data, tol=args.tol, rank_cutoff=args.cutoff)
+        report = verify_dilation(inst, data, tol=args.tol)
 
         q1 = haar_unitary(rng, data.r1)
         q2 = haar_unitary(rng, data.r2)
         w_rot = [haar_unitary(rng, k) for k in data.k2i_dims]
         twin = rotate_dilation(data, q1, q2, w_rot)
-        witness = build_unitaries(inst, data, twin, tol=args.tol, rank_cutoff=args.cutoff)
+        witness = build_unitaries(inst, data, twin, tol=args.tol)
         commutes = witness.commutes(args.tol)
 
         worst = {"compatibility": compat}
@@ -295,7 +323,7 @@ def _cmd_fuzz(args) -> int:
         "seed": args.seed,
         "bounds": {"max_n": args.max_n, "max_block": args.max_block, "max_h": args.max_h},
         "tolerance": args.tol,
-        "cutoff": args.cutoff,
+        "cutoff": DEFAULT_CUTOFF,
         "results": results,
         "worst_residuals": {k: worst[k] for k in sorted(worst)},
         "dimension_histogram": {k: histogram[k] for k in sorted(histogram)},
@@ -333,31 +361,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, cutoff=True):
-        p.add_argument("--tol", type=float, default=None,
+    def add_common(p):
+        p.add_argument("--tol", type=_TOLERANCE, default=None,
                        help=f"residual tolerance (default $CPDILATE_TOL, else {DEFAULT_TOL:g})")
-        if cutoff:
-            p.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF,
-                           help="relative cutoff of the one rank rule, on slot-equilibrated "
-                           f"spectra (default {DEFAULT_CUTOFF:g})")
         p.add_argument("--json", action="store_true",
                        help="machine-readable report on stdout")
 
     p = sub.add_parser("generate", help="write a seeded valid instance file")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_NONNEGATIVE, required=True)
     p.add_argument("--n", type=int, required=True, help="number of slots")
-    p.add_argument("--blocks", type=_int_csv, required=True,
+    p.add_argument("--blocks", type=_BLOCKS, required=True,
                    help="algebra block dims, comma separated")
-    p.add_argument("--mults", type=_int_csv, required=True,
+    p.add_argument("--mults", type=_MULTS, required=True,
                    help="module multiplicities, one per block")
     p.add_argument("--h1", type=int, required=True)
     p.add_argument("--h2", type=int, required=True)
-    p.add_argument("--k1-extra", dest="k1_extra", type=int, default=0,
+    p.add_argument("--k1-extra", dest="k1_extra", type=_NONNEGATIVE, default=0,
                    help="extra carrier multiplicity for the generator")
-    p.add_argument("--k2-extra", dest="k2_extra", type=int, default=0,
+    p.add_argument("--k2-extra", dest="k2_extra", type=_NONNEGATIVE, default=0,
                    help="extra embedding slack for the generator")
     p.add_argument("--out", "-o", required=True, help="instance file to write")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_TOLERANCE, default=None)
     p.set_defaults(handler=_cmd_generate)
 
     p = sub.add_parser("dilate", help="dilate an instance file and verify the result")
@@ -380,11 +404,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_equiv)
 
     p = sub.add_parser("fuzz", help="randomized end-to-end property run")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-n", dest="max_n", type=int, default=3)
-    p.add_argument("--max-block", dest="max_block", type=int, default=3)
-    p.add_argument("--max-h", dest="max_h", type=int, default=4)
+    p.add_argument("--trials", type=_NONNEGATIVE, default=20)
+    p.add_argument("--seed", type=_NONNEGATIVE, default=0)
+    p.add_argument("--max-n", dest="max_n", type=_POSITIVE, default=3)
+    p.add_argument("--max-block", dest="max_block", type=_POSITIVE, default=3)
+    p.add_argument("--max-h", dest="max_h", type=_POSITIVE, default=4)
     add_common(p)
     p.set_defaults(handler=_cmd_fuzz)
 

@@ -69,7 +69,6 @@ import numpy as np
 from .cpmaps import CPBlockMap, Instance, ModuleCPTuple
 from .errors import DimensionTooLargeError, NotPSDError, ShapeMismatchError, WellDefinednessError
 from .linalg import (
-    DEFAULT_CUTOFF,
     DEFAULT_TOL,
     direct_sum_rank,
     frob,
@@ -236,7 +235,7 @@ class VerificationReport:
         return {**out, "passed": self.passed}
 
 
-def build_gram(cp: CPBlockMap, rel_cutoff: float = DEFAULT_CUTOFF, tol: float = DEFAULT_TOL,
+def build_gram(cp: CPBlockMap, *, tol: float = DEFAULT_TOL,
                tup: ModuleCPTuple | None = None) -> GramFactorization:
     """Factor every compressed Choi block ``C_b = F_b* F_b``, each once.
 
@@ -252,7 +251,7 @@ def build_gram(cp: CPBlockMap, rel_cutoff: float = DEFAULT_CUTOFF, tol: float = 
     """
     cp.check_hermiticity(tol)
     blocks = [_block_factor(cp, b, tup, tol) for b in range(cp.algebra.nblocks)]
-    ranks = kept_ranks([w for w, _ in blocks], rel_cutoff)
+    ranks = kept_ranks([w for w, _ in blocks])
     return GramFactorization(cp, tuple(rows(r) for (_, rows), r in zip(blocks, ranks)))
 
 
@@ -357,7 +356,7 @@ def build_psi(
     return psi_action, np.concatenate(columns, axis=1), worst
 
 
-def build_W(tup: ModuleCPTuple, rel_cutoff: float = DEFAULT_CUTOFF) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
+def build_W(tup: ModuleCPTuple) -> tuple[tuple[np.ndarray, ...], tuple[int, ...]]:
     """Per-slot coisometries onto the ranges [Phi_i(V) H1] inside H2.
 
     Row i holds an orthonormal basis of the span of all Phi_i(f) columns;
@@ -367,17 +366,13 @@ def build_W(tup: ModuleCPTuple, rel_cutoff: float = DEFAULT_CUTOFF) -> tuple[tup
     ws, dims = [], []
     for i in range(tup.n):
         cols = tup.action[i].transpose(1, 0, 2).reshape(h2, -1)
-        w = svd_orthobasis(cols, rel_cutoff).conj().T
+        w = svd_orthobasis(cols).conj().T
         ws.append(w)
         dims.append(w.shape[0])
     return tuple(ws), tuple(dims)
 
 
-def dilate(
-    inst: Instance,
-    cutoff: float = DEFAULT_CUTOFF,
-    welldef_tol: float = DEFAULT_TOL,
-) -> DilationData:
+def dilate(inst: Instance, *, welldef_tol: float = DEFAULT_TOL) -> DilationData:
     """Run the full construction on a valid instance (module docstring).
 
     The output is minimal by construction: K1 is spanned by the images
@@ -389,7 +384,7 @@ def dilate(
     ``welldef_tol``.
     """
     eq, c = inst.equilibrated()
-    g = build_gram(eq.cp, cutoff, welldef_tol, eq.tup)
+    g = build_gram(eq.cp, tol=welldef_tol, tup=eq.tup)
     entries = inst.algebra.dim * g.r1**2
     if entries > MAX_PI_ENTRIES:
         raise DimensionTooLargeError(
@@ -403,7 +398,7 @@ def dilate(
             f"module map is inconsistent on the spanning family "
             f"(residual {psi_res:.3e} > {welldef_tol:.1e})"
         )
-    w_ops, k2i_dims = build_W(inst.tup, cutoff)
+    w_ops, k2i_dims = build_W(inst.tup)
     return DilationData(
         r1=g.r1,
         r2=psi_action.shape[1],
@@ -453,7 +448,7 @@ def span_families(
 
 
 def minimality_defects(
-    inst: Instance, data: DilationData, spans: list[np.ndarray], rank_cutoff: float
+    inst: Instance, data: DilationData, spans: list[np.ndarray]
 ) -> tuple[float, float]:
     """``r1`` and ``r2`` minus the ranks of the K1 and K2 families, ``d_b``
     and ``k_b`` copies of each block span ``X_b`` (module docstring).
@@ -461,8 +456,8 @@ def minimality_defects(
     This equals the full-family defect only when pi and Psi are
     *-representations; on other data it can differ, and be negative."""
     spectra = [np.linalg.svd(x, compute_uv=False) for x in spans]
-    k1_rank = direct_sum_rank(spectra, inst.algebra.block_dims, rank_cutoff)
-    k2_rank = direct_sum_rank(spectra, inst.module.mults, rank_cutoff)
+    k1_rank = direct_sum_rank(spectra, inst.algebra.block_dims)
+    k2_rank = direct_sum_rank(spectra, inst.module.mults)
     return float(data.r1 - k1_rank), float(data.r2 - k2_rank)
 
 
@@ -470,7 +465,6 @@ def verify_dilation(
     inst: Instance,
     data: DilationData,
     tol: float = DEFAULT_TOL,
-    rank_cutoff: float = DEFAULT_CUTOFF,
 ) -> VerificationReport:
     """Check every asserted identity of the dilation.
 
@@ -555,7 +549,7 @@ def verify_dilation(
                    for w in data.w_ops], default=0.0)
 
     # Minimality: the span families must exhaust K1 and K2
-    k1_defect, k2_defect = minimality_defects(inst, data, spans, rank_cutoff)
+    k1_defect, k2_defect = minimality_defects(inst, data, spans)
 
     return VerificationReport(
         phi_reconstruction=phi_rec,

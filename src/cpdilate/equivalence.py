@@ -27,7 +27,7 @@ import numpy as np
 from .cpmaps import Instance
 from .dilation import DilationData, check_shapes, minimality_defects, span_families
 from .errors import InconsistentSpansError, NotMinimalError
-from .linalg import DEFAULT_CUTOFF, DEFAULT_TOL, max_rel_residual, rel_residual, solve_lsq
+from .linalg import DEFAULT_TOL, max_rel_residual, rel_residual, solve_lsq
 
 __all__ = ["EquivalenceWitness", "rotate_dilation", "build_unitaries", "verify_diagram"]
 
@@ -122,7 +122,6 @@ def build_unitaries(
     data_a: DilationData,
     data_b: DilationData,
     tol: float = DEFAULT_TOL,
-    rank_cutoff: float = DEFAULT_CUTOFF,
 ) -> EquivalenceWitness:
     """Recover the unitaries relating two minimal dilations.
 
@@ -142,7 +141,7 @@ def build_unitaries(
     _, pi_s_a, psi_s_a, spans_a = span_families(inst, data_a)
     _, pi_s_b, psi_s_b, spans_b = span_families(inst, data_b)
     for label, data, spans in (("first", data_a, spans_a), ("second", data_b, spans_b)):
-        defects = minimality_defects(inst, data, spans, rank_cutoff)
+        defects = minimality_defects(inst, data, spans)
         if any(defects):
             why = "span rank defect" if min(defects) > 0 else "pi or Psi is not a *-representation"
             raise NotMinimalError(f"{label} dilation is not minimal ({why})")

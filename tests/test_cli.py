@@ -881,3 +881,92 @@ class TestEnvOverride:
         monkeypatch.setenv("CPDILATE_TOL", "abc")
         assert cli.main(["fuzz", "--trials", "1"]) == 2
         assert cli.main(["fuzz", "--trials", "1", "--tol", "1e-9"]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_tolerance_out_of_range_in_environment(self, value, monkeypatch, capsys):
+        # nan passes every gate (x > nan is false), inf passes everything,
+        # and 0 or -1 fail a valid instance at rounding
+        monkeypatch.setenv("CPDILATE_TOL", value)
+        assert cli.main(["fuzz", "--trials", "3"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: CPDILATE_TOL={value!r} must be finite and > 0\n")
+
+
+def cli_exit(argv) -> int:
+    """The exit status of ``cpdilate argv``: argparse exits by SystemExit."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+GENERATE_BASE = ["generate", "--seed", "1", "--n", "2", "--blocks", "2", "--mults", "1",
+                 "--h1", "2", "--h2", "4"]
+
+
+class TestFlagRanges:
+    """Out-of-range flag values exit 2 with a one-line message, before any
+    work, and never reach the library's own ValueErrors."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--blocks", "", "--mults", ""],
+        ["--mults", "1,1"],
+        ["--blocks", "0"],
+        ["--mults", "0"],
+        ["--k1-extra", "-1"],
+        ["--k2-extra", "-2"],
+        ["--seed", "-1"],
+    ], ids=" ".join)
+    def test_generate(self, flags, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert cli_exit([*GENERATE_BASE, *flags, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error: " in err.splitlines()[-1]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--max-n", "0"],
+        ["--max-block", "0"],
+        ["--max-h", "0"],
+        ["--trials", "-3"],
+        ["--seed", "-1"],
+    ], ids=" ".join)
+    def test_fuzz(self, flags, capsys):
+        assert cli_exit(["fuzz", "--trials", "1", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert f"argument {flags[0]}: " in captured.err.splitlines()[-1]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_tolerance_flag(self, value, tmp_path, capsys):
+        _, inst_path = write_instance(tmp_path)
+        assert cli_exit(["dilate", str(inst_path), "--tol", value]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: argument --tol: must be finite and > 0, got {value!r}")
+
+    def test_mults_per_block(self, tmp_path, capsys):
+        argv = [*GENERATE_BASE, "--blocks", "2,1", "-o", str(tmp_path / "x.json")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: ParseError: --mults needs one entry per block (2), got 1\n")
+
+
+class TestFixedCutoff:
+    """The rank cutoff is ``linalg.DEFAULT_CUTOFF``, not an option."""
+
+    def test_no_subcommand_takes_it(self, tmp_path, capsys):
+        inst, inst_path = write_instance(tmp_path)
+        dil_path = tmp_path / "dil.json"
+        dil_path.write_text(emit_dilation(inst, dilate(inst)), encoding="utf-8")
+        for argv in (["dilate", str(inst_path)],
+                     ["verify", str(inst_path), str(dil_path)],
+                     ["equiv", str(inst_path), str(dil_path), str(dil_path)],
+                     ["fuzz", "--trials", "1"]):
+            assert cli_exit([*argv, "--cutoff", "1e-10"]) == 2
+            assert "unrecognized arguments: --cutoff 1e-10" in capsys.readouterr().err
+
+    def test_fuzz_report_names_it(self, capsys):
+        assert cli.main(["fuzz", "--trials", "1", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["cutoff"] == 1e-10 == linalg.DEFAULT_CUTOFF

@@ -634,9 +634,9 @@ class TestBlockwiseConstruction:
         # of the equilibrated block D^-1 C_b D^-1; r1 and r2 count the ranks.
         calls = []
         for name in ("build_gram", "hermitian_eig", "psd_certified"):
-            def recording(*args, _name=name, _fn=getattr(dilation, name)):
-                out = _fn(*args)
-                calls.append((_name, args, out))
+            def recording(*args, _name=name, _fn=getattr(dilation, name), **kwargs):
+                out = _fn(*args, **kwargs)
+                calls.append((_name, (*args, *kwargs.values()), out))
                 return out
             monkeypatch.setattr(dilation, name, recording)
         graded = random_instance(3, **GRADED).slots_scaled([1.0, 1e-9])
@@ -644,7 +644,7 @@ class TestBlockwiseConstruction:
             calls.clear()
             data = dilate(inst)
             chois = equilibrated_choi(inst.cp)
-            (cp, _, _, tup), = [args for name, args, _ in calls if name == "build_gram"]
+            (cp, _, tup), = [args for name, args, _ in calls if name == "build_gram"]
             assert all(np.array_equal(cp.choi_block(b), c) for b, c in enumerate(chois))
             for b, (c, k) in enumerate(zip(chois, inst.module.mults)):
                 t = tuple_block(tup, b).reshape(-1, len(c))

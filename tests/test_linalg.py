@@ -85,7 +85,7 @@ class TestNegativeAtScale:
 
         monkeypatch.setattr(dilation, "negative_at_scale", recording)
         monkeypatch.setattr(cpmaps, "negative_at_scale", recording)
-        g = dilation.build_gram(transpose_map(), 1e-10, 1e-9)  # the rule says no
+        g = dilation.build_gram(transpose_map(), tol=1e-9)  # the rule says no
         assert seen == [pytest.approx((-1.0, 1.0, 1e-9))]
         assert g.ranks == (3,)
         assert transpose_map().is_completely_n_positive(1e-9)
