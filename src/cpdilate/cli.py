@@ -2,9 +2,10 @@
 
 Exit codes are a stable contract:
 
-* 0  success (report passes / diagram commutes / all trials pass)
+* 0  success (report passes / diagram commutes / all trials pass, at
+     least one)
 * 2  parse or usage failure (bad file, bad or out-of-range flags, a
-     tolerance that is not finite and > 0, dimension guardrails)
+     tolerance outside (0, 1), dimension guardrails)
 * 3  validity failure (Hermiticity pattern, positivity, compatibility,
      or a failing verification report)
 * 4  well-definedness failure of the quotient construction
@@ -23,7 +24,10 @@ the generated instance's dilation) and of the unitaries it draws, by the
 
 The only recognized environment variable is ``CPDILATE_TOL``, which
 overrides the default residual tolerance for all subcommands; it is read
-on every call of ``main``, and an explicit ``--tol`` wins over it.
+on every call of ``main``, and an explicit ``--tol`` wins over it.  Either
+must be > 0 and < 1: a zero in place of every expected value has
+relative residuals of at most 1, so a tolerance of 1 or more cannot tell
+a zero map from the right one.
 Emitted files and reports contain no timestamps, so identical
 invocations produce identical bytes.
 """
@@ -32,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from pathlib import Path
@@ -84,8 +87,8 @@ def _default_tol() -> float:
         value = float(raw)
     except ValueError:
         raise ParseError(f"CPDILATE_TOL={raw!r} is not a number") from None
-    if not 0.0 < value < math.inf:
-        raise ParseError(f"CPDILATE_TOL={raw!r} must be finite and > 0")
+    if not 0.0 < value < 1.0:
+        raise ParseError(f"CPDILATE_TOL={raw!r} must be > 0 and < 1")
     return value
 
 
@@ -109,7 +112,7 @@ def _checked(convert, ok, what: str):
     return parse
 
 
-_TOLERANCE = _checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0")
+_TOLERANCE = _checked(float, lambda v: 0.0 < v < 1.0, "> 0 and < 1")
 _NONNEGATIVE = _checked(int, lambda v: v >= 0, ">= 0")
 _POSITIVE = _checked(int, lambda v: v >= 1, ">= 1")
 _BLOCKS = _checked(_int_csv, lambda v: min(v, default=0) >= 1, "integers >= 1, at least one")
@@ -404,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_equiv)
 
     p = sub.add_parser("fuzz", help="randomized end-to-end property run")
-    p.add_argument("--trials", type=_NONNEGATIVE, default=20)
+    p.add_argument("--trials", type=_POSITIVE, default=20)
     p.add_argument("--seed", type=_NONNEGATIVE, default=0)
     p.add_argument("--max-n", dest="max_n", type=_POSITIVE, default=3)
     p.add_argument("--max-block", dest="max_block", type=_POSITIVE, default=3)

@@ -461,6 +461,11 @@ def minimality_defects(
     return float(data.r1 - k1_rank), float(data.r2 - k2_rank)
 
 
+def _worst_ratio(diff: np.ndarray, expected_norms: np.ndarray) -> float:
+    """``max_rel_residual`` from the difference and the expected norms."""
+    return float((matrix_norms(diff) / np.maximum(expected_norms, 1.0)).max(initial=0.0))
+
+
 def verify_dilation(
     inst: Instance,
     data: DilationData,
@@ -484,7 +489,8 @@ def verify_dilation(
     """
     check_shapes(inst, data)
     # The slot-isometry defects are read on the instance's own scale.
-    s_defect = tuple(float(np.linalg.norm(s.conj().T @ s - np.eye(inst.h1), 2)) for s in data.s_ops)
+    s_gram = data.s_ops.conj().transpose(0, 2, 1) @ data.s_ops - np.eye(inst.h1)
+    s_defect = tuple(np.linalg.norm(s_gram, 2, axis=(1, 2)).tolist())
     unital_defects = tuple(float(v) for v in inst.cp.diag_unital_defects())
     inst, c = inst.equilibrated()
     data = data.slots_scaled(1.0 / c)
@@ -502,27 +508,31 @@ def verify_dilation(
     phi_rec = max_rel_residual(recon.transpose(1, 3, 0, 2, 4), cp.action)
 
     # pi is a unital *-homomorphism and Psi(f . e) = Psi(f) pi(e), both
-    # certified on the generators e^b_p0 of each block (module docstring).
+    # certified on the generators e^b_p0 of each block (module docstring);
+    # differences go into their products, pi denominators are pi_norms'.
+    pi_norms = matrix_norms(pi)
     pi_mult = psi_mod = 0.0
     a_off = v_off = 0
     gens, gen_units = [], []  # indices of f^b_r0 and of the matching e^b_00
     for d, k in zip(alg.block_dims, mod.mults):
         units = pi[a_off : a_off + d * d].reshape(d, d, r1, r1)
         col, row = units[:, 0], units[0]  # pi(e_p0), pi(e_0q)
-        orth = np.eye(d)[:, :, None, None] * units[0, 0]
-        pi_mult = max(
-            pi_mult,
-            max_rel_residual(col[:, None] @ row[None], units),
-            max_rel_residual(row[:, None] @ col[None], orth),
-        )
+        prod = col[:, None] @ row[None]
+        prod -= units
+        worst = _worst_ratio(prod, pi_norms[a_off : a_off + d * d].reshape(d, d))
+        np.matmul(row[:, None], col[None], out=prod)  # = delta_pq pi(e_00)
+        prod.reshape(d * d, r1, r1)[:: d + 1] -= units[0, 0]
+        pi_mult = max(pi_mult, worst, _worst_ratio(prod, np.eye(d) * pi_norms[a_off]))
         f = psi[v_off : v_off + k * d].reshape(k, d, r2, r1)
         psi_mod = max(psi_mod, max_rel_residual(f[:, :1] @ row[None], f))
         gens += range(v_off, v_off + k * d, d)
         gen_units += [a_off] * k
         a_off, v_off = a_off + d * d, v_off + k * d
-    pi_star = max_rel_residual(pi.conj().transpose(0, 2, 1), pi[alg.adjoint_table])
-    pi_one = pi[alg.identity_indices].sum(axis=0)
-    pi_unital = rel_residual(pi_one, np.eye(r1, dtype=complex))
+    adjoints = pi[alg.adjoint_table]  # minus the conjugate of pi(e)* - pi(e*)
+    np.conjugate(adjoints, out=adjoints)
+    adjoints -= pi.transpose(0, 2, 1)
+    pi_star = _worst_ratio(adjoints, pi_norms[alg.adjoint_table])
+    pi_unital = rel_residual(pi[alg.identity_indices].sum(axis=0), np.eye(r1, dtype=complex))
 
     # Psi(f)* Psi(g) = pi(<f, g>), certified on the generators as
     # Psi(f^b_r0)* Psi(f^c_s0) = delta_bc delta_rs pi(e^b_00) (module

@@ -33,15 +33,18 @@ Files are read by one strict RFC 8259 reader, ``orjson.loads``, over
 UTF-8 bytes (``str`` input is encoded first).  What it rejects is a
 ParseError: malformed or non-UTF-8 input, ``NaN``/``Infinity`` literals,
 numbers beyond the double range such as ``1e400``, lone surrogate
-escapes, and nesting deeper than ``MAX_DEPTH``, which is checked before
-parsing because the parser recurses on the C stack.  An integer beyond
-64 bits reads as a float, so a dimension field holding one is rejected
-by name.  A tensor entry must be a JSON number: a string such as
-``"1.5"``, ``true`` or ``null`` in a tensor, or a ragged row, is a
-ParseError.  The writers stay on ``json``/``_tensor_text``: orjson 3.8.3
-writes ``1e16`` for ``1e+16``, and it also switches to exponent form at
-another magnitude (``0.00001`` for ``1e-05``, ``1e-7`` for ``1e-07``), so
-no exponent fix-up turns it into a version-1 writer.
+escapes, and nesting deeper than ``MAX_DEPTH``, found before parsing (the
+parser recurses on the C stack) by one structural pass that also tells
+whether a ``t`` or ``f``, which no number holds, lies outside strings:
+whether the file has a ``true``/``false``.  An integer beyond 64 bits
+reads as a float, so a dimension field holding one is rejected by name.
+A tensor entry must be a JSON number: a string such as ``"1.5"``,
+``true`` or ``null`` in a tensor, or a ragged row, is a ParseError;
+``array("d", ...)`` refuses every non-number but ``bool``, so only a file
+with a literal pays a type pass.  The writers stay on ``json``/``_tensor_text``:
+orjson 3.8.3 writes ``1e16`` for ``1e+16``, and it also switches to
+exponent form at another magnitude (``0.00001`` for ``1e-05``, ``1e-7``
+for ``1e-07``), so no exponent fix-up turns it into a version-1 writer.
 
 The readers run with CPython's cyclic garbage collector paused
 (``_outside_cyclic_gc``): the parsed lists are acyclic, and collections
@@ -53,6 +56,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+from array import array
 from contextlib import contextmanager
 from functools import partial
 from itertools import chain
@@ -82,7 +86,7 @@ MAX_DEPTH = 512  # deepest nesting a file may have; version-1 tensors need 7
 
 _dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"), allow_nan=False)
 _SIGN_BIT = np.uint64(1 << 63)
-_NOT_STRUCTURAL = bytes(c for c in range(256) if c not in b'[]{}"')
+_NOT_STRUCTURAL = bytes(c for c in range(256) if c not in b'[]{}"tf')
 _DEPTH_STEP = np.zeros(256, dtype=np.int8)
 _DEPTH_STEP[list(b"[{")] = 1
 _DEPTH_STEP[list(b"]}")] = -1
@@ -178,14 +182,15 @@ def _emit_object(fields: dict, tensor_texts: dict) -> str:
     return "{" + ",".join(f"{_dumps(key)}:{texts[key]}" for key in sorted(texts)) + "}\n"
 
 
-def _decode_complex(data, shape: tuple[int, ...], what: str) -> np.ndarray:
+def _decode_complex(data, shape: tuple[int, ...], what: str, literals=True) -> np.ndarray:
     """Nested ``[re, im]`` lists as a complex tensor of the declared shape.
 
     Each level is one pass over the lengths, then the flatten; every leaf
     must be a JSON number (``float`` or ``int``).  That suffices: a number,
     ``true`` or ``null`` at a list level has no ``len``, and a string or
     object of the declared length flattens into ``str`` nodes (no declared
-    length is 0), which fail a later length or the leaf check."""
+    length is 0), which fail a later length or the leaf check.  There
+    ``array`` refuses all but ``bool``; a type pass runs if ``literals``."""
     if math.prod(shape) == 0:
         return np.zeros(shape, dtype=complex)
     nodes = [data]
@@ -198,12 +203,15 @@ def _decode_complex(data, shape: tuple[int, ...], what: str) -> np.ndarray:
             raise ParseError(f"{what}: tensor nesting does not match declared shape "
                              f"{shape + (2,)}")
         nodes = list(chain.from_iterable(nodes))
-    if not set(map(type, nodes)) <= {float, int}:
+    try:
+        pairs = array("d", nodes)
+    except TypeError:
+        pairs = None
+    if pairs is None or (literals and not set(map(type, nodes)) <= {float, int}):
         raise ParseError(f"{what}: tensor entries must be JSON numbers")
     # the interleaved (re, im) doubles are the complex128 memory layout,
     # so the signs of negative zeros survive for bit-exact round-trips
-    pairs = np.fromiter(nodes, dtype=np.float64, count=len(nodes))
-    return pairs.view(np.complex128).reshape(shape)
+    return np.frombuffer(pairs, dtype=np.complex128).reshape(shape)
 
 
 def _require(payload: dict, key: str, what: str):
@@ -239,15 +247,17 @@ def _real_field(payload: dict, key: str, what: str) -> float:
     return float(value)
 
 
-def _nesting_depth(text: bytes) -> int:
-    """Deepest bracket nesting of JSON text, ignoring brackets in strings:
-    escaped backslashes and quotes are dropped, then every byte but
-    brackets and quotes, and the quotes' parity marks string contents."""
+def _nesting_depth(text: bytes) -> tuple[int, bool]:
+    """Deepest bracket nesting of JSON text and whether a ``t`` or ``f``
+    lies outside strings: escaped backslashes and quotes are dropped, then
+    every byte but brackets, quotes, ``t`` and ``f``, then each ``][`` (it
+    cannot raise the maximum), and the quotes' parity marks strings."""
     if b"\\" in text:
         text = text.replace(b"\\\\", b"").replace(b'\\"', b"")
-    marks = np.frombuffer(text.translate(None, _NOT_STRUCTURAL), dtype=np.uint8)
+    marks = np.frombuffer(text.translate(None, _NOT_STRUCTURAL).replace(b"][", b""), np.uint8)
     outside = (np.cumsum(marks == ord('"'), dtype=np.intp) & 1) == 0
-    return int(np.cumsum(_DEPTH_STEP[marks] * outside, dtype=np.intp).max(initial=0))
+    depth = int(np.cumsum(_DEPTH_STEP[marks] * outside, dtype=np.intp).max(initial=0))
+    return depth, bool((((marks == ord("t")) | (marks == ord("f"))) & outside).any())
 
 
 @contextmanager
@@ -274,11 +284,17 @@ def _outside_cyclic_gc():
             gc.enable()
 
 
-def _load(text: str | bytes, expected_format: str) -> dict:
+def _checked_text(text: str | bytes) -> tuple[bytes, bool]:
+    """UTF-8 bytes for ``_load``, at most ``MAX_DEPTH`` deep, and whether they hold a literal."""
     if isinstance(text, str):
         text = text.encode("utf-8", "surrogatepass")  # orjson rejects the surrogates
-    if _nesting_depth(text) > MAX_DEPTH:
+    depth, literals = _nesting_depth(text)
+    if depth > MAX_DEPTH:
         raise ParseError(f"invalid JSON: nesting deeper than {MAX_DEPTH} levels")
+    return text, literals
+
+
+def _load(text: str | bytes, expected_format: str) -> dict:
     try:
         payload = orjson.loads(text)
     except orjson.JSONDecodeError as exc:
@@ -330,18 +346,16 @@ def emit_instance(inst: Instance) -> str:
 
 @_outside_cyclic_gc()
 def parse_instance(text: str | bytes) -> Instance:
+    text, literals = _checked_text(text)
     payload = _load(text, INSTANCE_FORMAT)
     what = "instance"
     try:
         dims, algebra, module = _read_dims(payload, what)
         n, h1, h2 = dims["n"], dims["h1"], dims["h2"]
         check_dims(n, algebra.block_dims, h1, "instance has")  # before any tensor is decoded
-        cp_action = _decode_complex(
-            _require(payload, "cp_action", what), (n, n, algebra.dim, h1, h1), what
-        )
-        tuple_action = _decode_complex(
-            _require(payload, "tuple_action", what), (n, module.dim, h2, h1), what
-        )
+        decode = partial(_decode_complex, what=what, literals=literals)
+        cp_action = decode(_require(payload, "cp_action", what), (n, n, algebra.dim, h1, h1))
+        tuple_action = decode(_require(payload, "tuple_action", what), (n, module.dim, h2, h1))
         meta = payload.get("meta") or {}
         if not isinstance(meta, dict):
             raise ParseError(f"{what}: meta must be an object")
@@ -378,6 +392,7 @@ def emit_dilation(inst: Instance, data: DilationData) -> str:
 @_outside_cyclic_gc()
 def parse_dilation(text: str | bytes) -> tuple[DilationData, dict]:
     """Returns the data plus the dimension header recorded in the file."""
+    text, literals = _checked_text(text)
     payload = _load(text, DILATION_FORMAT)
     what = "dilation"
     try:
@@ -391,20 +406,15 @@ def parse_dilation(text: str | bytes) -> tuple[DilationData, dict]:
         w_raw = _require(payload, "w_ops", what)
         if not isinstance(w_raw, list) or len(w_raw) != n:
             raise ParseError(f"{what}: expected {n} coisometries")
+        decode = partial(_decode_complex, what=what, literals=literals)
         data = DilationData(
             r1=r1,
             r2=r2,
-            pi_action=_decode_complex(
-                _require(payload, "pi_action", what), (algebra.dim, r1, r1), what
-            ),
-            s_ops=_decode_complex(_require(payload, "s_ops", what), (n, r1, h1), what),
-            psi_action=_decode_complex(
-                _require(payload, "psi_action", what), (module.dim, r2, r1), what
-            ),
-            k2_embed=_decode_complex(_require(payload, "k2_embed", what), (h2, r2), what),
-            w_ops=tuple(
-                _decode_complex(w, (k, h2), what) for w, k in zip(w_raw, k2i_dims)
-            ),
+            pi_action=decode(_require(payload, "pi_action", what), (algebra.dim, r1, r1)),
+            s_ops=decode(_require(payload, "s_ops", what), (n, r1, h1)),
+            psi_action=decode(_require(payload, "psi_action", what), (module.dim, r2, r1)),
+            k2_embed=decode(_require(payload, "k2_embed", what), (h2, r2)),
+            w_ops=tuple(decode(w, (k, h2)) for w, k in zip(w_raw, k2i_dims)),
             k2i_dims=tuple(k2i_dims),
             pi_welldef=_real_field(payload, "pi_welldef", what),
             psi_welldef=_real_field(payload, "psi_welldef", what),

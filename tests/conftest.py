@@ -14,7 +14,10 @@ residual and the one-gather check replaced, the ``eigh`` of every Choi block
 that the tuple factor replaced in ``build_gram``, the dense reverse construction
 over amplified units that the generator's per-block products replaced,
 the ``json.dumps`` encoder that the version-1 writers replaced with an
-array encoder, the ``json.loads`` reader that orjson replaced, and the
+array encoder, the ``json.loads`` reader that orjson replaced, a plain
+scanner for the reader's vectorised structural pass, the pi rows of
+``verify_dilation`` on fresh products and expected stacks as they were
+before the differences moved into the product buffers, and the
 written-out residual names and hand-built verdicts that the reports
 replaced with their row fields.  All of them serve as independent
 references.
@@ -568,3 +571,50 @@ def non_representation(inst, data) -> DilationData:
         s_ops=np.random.default_rng(0).standard_normal((inst.n, 2, inst.h1)) + 0j,
         k2_embed=np.eye(inst.h2, 2, dtype=complex),
     )
+
+
+def structure_oracle(text: bytes) -> tuple[int, bool]:
+    """Deepest bracket nesting of JSON text and whether a ``true`` or
+    ``false`` literal lies outside strings, by a scan character by
+    character that tracks string and escape state."""
+    depth = deepest = 0
+    literal = in_string = escaped = False
+    for char in text.decode("utf-8", "surrogatepass"):
+        if escaped:
+            escaped = False
+        elif in_string:
+            escaped, in_string = char == "\\", char != '"'
+        elif char == '"':
+            in_string = True
+        elif char in "[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif char in "]}":
+            depth -= 1
+        elif char in "tf":
+            literal = True
+    return deepest, literal
+
+
+def pi_rows_oracle(inst, data) -> dict:
+    """The rows ``verify_dilation`` now builds in place, by the former
+    formulas: one spectral norm per slot, and ``max_rel_residual`` on fresh
+    products against fresh expected stacks, ``eye(d) (x) pi(e_00)`` and
+    ``pi(e*)`` included, each denominator from its own norms."""
+    alg, r1, pi = inst.algebra, data.r1, data.pi_action
+    pi_mult, a_off = 0.0, 0
+    for d in alg.block_dims:
+        units = pi[a_off : a_off + d * d].reshape(d, d, r1, r1)
+        col, row = units[:, 0], units[0]
+        orth = np.eye(d)[:, :, None, None] * units[0, 0]
+        pi_mult = max(pi_mult, max_rel_residual(col[:, None] @ row[None], units),
+                      max_rel_residual(row[:, None] @ col[None], orth))
+        a_off += d * d
+    return {
+        "s_isometry_defect": tuple(float(np.linalg.norm(s.conj().T @ s - np.eye(inst.h1), 2))
+                                   for s in data.s_ops),
+        "pi_multiplicativity": pi_mult,
+        "pi_star": max_rel_residual(pi.conj().transpose(0, 2, 1), pi[alg.adjoint_table]),
+        "pi_unital": rel_residual(pi[alg.identity_indices].sum(axis=0),
+                                  np.eye(r1, dtype=complex)),
+    }

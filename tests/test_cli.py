@@ -882,14 +882,14 @@ class TestEnvOverride:
         assert cli.main(["fuzz", "--trials", "1"]) == 2
         assert cli.main(["fuzz", "--trials", "1", "--tol", "1e-9"]) == 2
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "1", "10", "1e300"])
     def test_tolerance_out_of_range_in_environment(self, value, monkeypatch, capsys):
-        # nan passes every gate (x > nan is false), inf passes everything,
-        # and 0 or -1 fail a valid instance at rounding
+        # nan passes every gate (x > nan is false), 1 or more makes every
+        # relative gate vacuous, and 0 or -1 fail a valid instance at rounding
         monkeypatch.setenv("CPDILATE_TOL", value)
         assert cli.main(["fuzz", "--trials", "3"]) == 2
         assert capsys.readouterr().err == (
-            f"error: CPDILATE_TOL={value!r} must be finite and > 0\n")
+            f"error: CPDILATE_TOL={value!r} must be > 0 and < 1\n")
 
 
 def cli_exit(argv) -> int:
@@ -930,6 +930,7 @@ class TestFlagRanges:
         ["--max-block", "0"],
         ["--max-h", "0"],
         ["--trials", "-3"],
+        ["--trials", "0"],
         ["--seed", "-1"],
     ], ids=" ".join)
     def test_fuzz(self, flags, capsys):
@@ -939,12 +940,12 @@ class TestFlagRanges:
         assert "Traceback" not in captured.err
         assert f"argument {flags[0]}: " in captured.err.splitlines()[-1]
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "1", "10", "1e300"])
     def test_tolerance_flag(self, value, tmp_path, capsys):
         _, inst_path = write_instance(tmp_path)
         assert cli_exit(["dilate", str(inst_path), "--tol", value]) == 2
         assert capsys.readouterr().err.splitlines()[-1].endswith(
-            f"error: argument --tol: must be finite and > 0, got {value!r}")
+            f"error: argument --tol: must be > 0 and < 1, got {value!r}")
 
     def test_mults_per_block(self, tmp_path, capsys):
         argv = [*GENERATE_BASE, "--blocks", "2,1", "-o", str(tmp_path / "x.json")]

@@ -14,6 +14,7 @@ from conftest import (
     module_units,
     non_representation,
     pi_multiplicativity_oracle,
+    pi_rows_oracle,
     psi_module_action_oracle,
     psi_representation_oracle,
     raw_factor,
@@ -394,6 +395,43 @@ class TestReportRows:
             assert ("reported" in statuses.values()) == (kind == "non-unital")
             if kind == "non-representation":
                 assert statuses["minimality_k1_defect"] == "FAIL"
+
+
+class TestPiRowsInPlace:
+    """The slot-isometry, pi_multiplicativity, pi_star and pi_unital rows,
+    built in place and from the norms of pi taken once, equal the former
+    formulas (``conftest.pi_rows_oracle``) with ``==``, on dilations, their
+    Haar twins and data whose pi or Psi is no representation."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(41)
+
+        def noise(a):
+            return a + 1e-6 * (rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape))
+
+        instances = fuzz_draws(40, seed=3)
+        instances[::3] = [i.slots_scaled(10.0 ** rng.uniform(-3, 3, i.n)) for i in instances[::3]]
+        instances.append(random_instance(1, n=3, block_dims=[8], mults=[2], h1=4, h2=12, k1_extra=1))
+        for inst in instances:
+            data = dilate(inst)
+            twin = rotate_dilation(data, haar_unitary(rng, data.r1), haar_unitary(rng, data.r2),
+                                   [haar_unitary(rng, k) for k in data.k2i_dims])
+            for d in (data, twin):
+                yield inst, d
+                yield inst, replace(d, pi_action=noise(d.pi_action))
+                yield inst, replace(d, psi_action=noise(d.psi_action))
+        inst = random_instance(7, n=2, block_dims=[2], mults=[1], h1=2, h2=3)
+        yield inst, non_representation(inst, dilate(inst))
+
+    def test_rows_equal_the_former_formulas(self):
+        failing = 0
+        for inst, data in self.cases():
+            report = verify_dilation(inst, data)
+            for name, value in pi_rows_oracle(inst, data).items():
+                assert getattr(report, name) == value, name
+            failing += not report.passed
+        assert failing > 40  # the perturbed data is judged, not skipped
 
 
 class TestGeneratorCertificate:

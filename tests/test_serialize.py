@@ -13,6 +13,7 @@ from conftest import (
     emit_dilation_oracle,
     emit_instance_oracle,
     load_oracle,
+    structure_oracle,
     tensor_text_oracle,
 )
 from test_acceptance import acceptance_instances
@@ -291,18 +292,108 @@ JSON_VALUES = st.recursive(
 )
 
 
+def holds_literal(value) -> bool:
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return any(map(holds_literal, value))
+    return isinstance(value, bool)
+
+
+# strings full of what the structural pass keeps or drops: brackets,
+# quotes, escapes, the letters of true/false and the \t and \f escapes
+LITERAL_TEXT = st.text(alphabet='[]{}"\\/tf\t\f ab\u00e9\n', max_size=8)
+LITERAL_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | LITERAL_TEXT,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(LITERAL_TEXT, kids, max_size=3),
+    max_leaves=30,
+)
+
+
 class TestNestingDepth:
-    """The pre-parse depth check counts only brackets outside strings."""
+    """The pre-parse structural pass counts only brackets outside strings
+    and reports a ``true``/``false`` literal outside strings."""
 
     @settings(max_examples=300, deadline=None)
     @given(JSON_VALUES, st.booleans())
     def test_matches_the_parsed_structure(self, value, ascii_only):
         text = json.dumps(value, ensure_ascii=ascii_only).encode("utf-8")
-        assert serialize._nesting_depth(text) == json_depth(value)
+        assert serialize._nesting_depth(text)[0] == json_depth(value)
 
     def test_brackets_and_escapes_in_strings(self):
         text = json.dumps({"a": ["[[[\\", '\\"{{', "]]]\"\\"], "b": "\\"}).encode()
-        assert serialize._nesting_depth(text) == 2
+        assert serialize._nesting_depth(text) == (2, False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(LITERAL_VALUES, st.booleans(), st.sampled_from([None, 1]))
+    def test_matches_a_plain_scanner(self, value, ascii_only, indent):
+        text = json.dumps(value, ensure_ascii=ascii_only, indent=indent).encode("utf-8")
+        assert serialize._nesting_depth(text) == structure_oracle(text)
+        assert structure_oracle(text) == (json_depth(value), holds_literal(value))
+
+
+def meta_replaced(meta: dict, entry: str | None = None) -> str:
+    """The golden instance with ``meta`` replaced and, if given, its first
+    ``cp_action`` number replaced by the literal text ``entry``."""
+    payload = load_oracle(GOLDEN_INSTANCE.read_bytes())
+    payload["meta"] = meta
+    if entry is None:
+        return json.dumps(payload)
+    payload["cp_action"][0][0][0][0][0][0] = "@"
+    return json.dumps(payload).replace('"@"', entry)
+
+
+NOT_A_NUMBER = "instance: tensor entries must be JSON numbers"
+
+
+class TestLiteralAwareReader:
+    """Entries are converted by ``array``, with the type pass for ``bool``
+    only when the structural pass saw a literal; values and messages are
+    the former reader's."""
+
+    @pytest.mark.parametrize("meta", [{}, {"flag": False}, {"flags": [True, None]}])
+    @pytest.mark.parametrize("entry", ["true", "false"])
+    def test_boolean_entry_is_refused_with_or_without_another_literal(self, meta, entry):
+        with pytest.raises(ParseError) as info:
+            parse_instance(meta_replaced(meta, entry))
+        assert str(info.value) == NOT_A_NUMBER
+        text = GOLDEN_DILATION.read_text(encoding="utf-8")
+        first = text.index('"pi_action":[[[[') + len('"pi_action":[[[[')
+        text = text[:first] + entry + text[text.index(",", first):]
+        with pytest.raises(ParseError, match="^dilation: tensor entries must be JSON numbers$"):
+            parse_dilation(text)
+
+    @pytest.mark.parametrize("entry", ['"1.5"', "null", "{}", '{"0": 1.5}', "[1.5]", '"true"'])
+    def test_other_entries_keep_the_message(self, entry):
+        for meta in ({}, {"flag": True}):
+            with pytest.raises(ParseError) as info:
+                parse_instance(meta_replaced(meta, entry))
+            assert str(info.value) == NOT_A_NUMBER
+
+    @pytest.mark.parametrize("note", ["true", "false", "\t", "\f", "][", "t]f[", "\\t"])
+    def test_literal_like_strings_change_nothing(self, note):
+        golden = parse_instance(GOLDEN_INSTANCE.read_bytes())
+        text = meta_replaced({"note": note, "n": [note, {"tf": note}]})
+        assert serialize._nesting_depth(text.encode())[1] is False
+        back = parse_instance(text)
+        assert bitwise_equal(back.cp.action, golden.cp.action)
+        assert bitwise_equal(back.tup.action, golden.tup.action)
+        assert back.meta == {"note": note, "n": [note, {"tf": note}]}
+        with pytest.raises(ParseError) as info:
+            parse_instance(meta_replaced({"note": note}, "true"))
+        assert str(info.value) == NOT_A_NUMBER
+
+    @pytest.mark.parametrize("meta", [{}, {"flag": True}])
+    @pytest.mark.parametrize("entry", ["-0.0", "-0", "0", "9007199254740993", "-9223372036854775808",
+                                       "18446744073709551615", "1e-320", "-1.7976931348623157e308"])
+    def test_entries_keep_their_bits(self, meta, entry):
+        back = parse_instance(meta_replaced(meta, entry))
+        expected = complex_tensor_oracle(load_oracle(meta_replaced(meta, entry))["cp_action"],
+                                         back.cp.action.shape)
+        assert bitwise_equal(back.cp.action, expected)
+        assert bitwise_equal(np.float64(back.cp.action[0, 0, 0, 0, 0].real),
+                             np.float64(float(json.loads(entry))))
 
 
 def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
