@@ -75,6 +75,7 @@ from .linalg import (
     hermitian_eig,
     kept_ranks,
     matrix_norms,
+    max_rel_diff,
     max_rel_residual,
     negative_at_scale,
     psd_certified,
@@ -461,11 +462,6 @@ def minimality_defects(
     return float(data.r1 - k1_rank), float(data.r2 - k2_rank)
 
 
-def _worst_ratio(diff: np.ndarray, expected_norms: np.ndarray) -> float:
-    """``max_rel_residual`` from the difference and the expected norms."""
-    return float((matrix_norms(diff) / np.maximum(expected_norms, 1.0)).max(initial=0.0))
-
-
 def verify_dilation(
     inst: Instance,
     data: DilationData,
@@ -519,10 +515,10 @@ def verify_dilation(
         col, row = units[:, 0], units[0]  # pi(e_p0), pi(e_0q)
         prod = col[:, None] @ row[None]
         prod -= units
-        worst = _worst_ratio(prod, pi_norms[a_off : a_off + d * d].reshape(d, d))
+        worst = max_rel_diff(prod, pi_norms[a_off : a_off + d * d].reshape(d, d))
         np.matmul(row[:, None], col[None], out=prod)  # = delta_pq pi(e_00)
         prod.reshape(d * d, r1, r1)[:: d + 1] -= units[0, 0]
-        pi_mult = max(pi_mult, worst, _worst_ratio(prod, np.eye(d) * pi_norms[a_off]))
+        pi_mult = max(pi_mult, worst, max_rel_diff(prod, np.eye(d) * pi_norms[a_off]))
         f = psi[v_off : v_off + k * d].reshape(k, d, r2, r1)
         psi_mod = max(psi_mod, max_rel_residual(f[:, :1] @ row[None], f))
         gens += range(v_off, v_off + k * d, d)
@@ -531,7 +527,7 @@ def verify_dilation(
     adjoints = pi[alg.adjoint_table]  # minus the conjugate of pi(e)* - pi(e*)
     np.conjugate(adjoints, out=adjoints)
     adjoints -= pi.transpose(0, 2, 1)
-    pi_star = _worst_ratio(adjoints, pi_norms[alg.adjoint_table])
+    pi_star = max_rel_diff(adjoints, pi_norms[alg.adjoint_table])
     pi_unital = rel_residual(pi[alg.identity_indices].sum(axis=0), np.eye(r1, dtype=complex))
 
     # Psi(f)* Psi(g) = pi(<f, g>), certified on the generators as
@@ -552,8 +548,7 @@ def verify_dilation(
     phi_tuple_rec = max(
         max_rel_residual(emb, tup.action), max_rel_residual(proj_emb, tup.action)
     )
-    denom = np.maximum(matrix_norms(tup.action), 1.0)
-    agreement = float((matrix_norms(emb - proj_emb) / denom).max())
+    agreement = max_rel_diff(emb - proj_emb, matrix_norms(tup.action))
 
     w_coiso = max([rel_residual(w @ w.conj().T, np.eye(len(w), dtype=complex))
                    for w in data.w_ops], default=0.0)

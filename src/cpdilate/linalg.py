@@ -35,6 +35,7 @@ __all__ = [
     "matrix_norms",
     "rel_residual",
     "max_rel_residual",
+    "max_rel_diff",
     "hermitian_eig",
     "negative_at_scale",
     "psd_certified",
@@ -69,10 +70,13 @@ def rel_residual(actual: np.ndarray, expected: np.ndarray) -> float:
 def max_rel_residual(actual: np.ndarray, expected: np.ndarray) -> float:
     """Max over leading axes of the per-matrix ``rel_residual``; 0.0 when
     the stacks are empty."""
-    if expected.size == 0:
-        return 0.0
-    denom = np.maximum(matrix_norms(expected), 1.0)
-    return float((matrix_norms(actual - expected) / denom).max())
+    return max_rel_diff(actual - expected, matrix_norms(expected))
+
+
+def max_rel_diff(diff: np.ndarray, expected_norms: np.ndarray) -> float:
+    """``max_rel_residual`` from the differences and the norms of the
+    expected matrices, for callers that already hold one or the other."""
+    return float((matrix_norms(diff) / np.maximum(expected_norms, 1.0)).max(initial=0.0))
 
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,23 +11,30 @@ Conventions shared by every format:
 * dimension fields are JSON integers; anything else (``1.9``, ``"1"``,
   ``true``) is a ParseError naming the field.
 
-Tensor text is written by one array encoder instead of ``json.dumps``
-over nested lists.  It finds the distinct float magnitudes of a tensor
-by bit pattern (so ``-0.0`` keeps its sign), formats each once with
-``repr`` (the text ``json`` writes for a float) and makes the negative
-twin by prefixing ``-``; each distinct ``[re,im]`` pair is assembled
-once, each distinct row of pairs along the last axis is joined once as
-``[...]`` (rows are told apart by an exact integer key over their pair
-ids), the rows are scattered back by index, and the nesting is one join
-of the rows with separators that close and reopen the axes that wrap.
-The closed-form pi and Psi tensors ``E_pq (x) 1`` hold a handful of
-distinct values and distinct rows (about 17 among the 1,024 rows of a
-raw-dim-768 pi), and Hermitian Choi data repeats its magnitudes, so most
-of the formatting disappears.  The output is byte for byte what
-``emit_json`` writes for the nested lists;
-``tests/test_serialize.py::TestEncoderEquivalence`` holds that guarantee
-against the former encoder, and ``TestGoldenFiles`` against version-1
-files it wrote.
+Tensor text is one orjson dump of each tensor's distinct rows along
+the last axis.  orjson's Ryū and ``repr`` (the text ``json`` writes for
+a float) give the same shortest round-trip digits; only the layout
+differs.  Writing a nonzero x as 0.d1d2... x 10^k, ``repr`` writes it
+positionally iff -4 < k <= 16, orjson 3.8.3 iff -5 < k <= 16, so every
+token (``0.0``, ``-0.0``, ``2.0``, ``1000000000000000.0`` included) is
+already ``repr``'s but three forms, which are rewritten: orjson's
+``0.0000ddd`` (k = -4) becomes ``d.dde-05``, taken only at a token start
+(after ``[``, ``,`` or a ``-`` that follows one, so ``50000000000.00001``
+stays); a one-digit negative exponent gets its zero (``e-7`` to
+``e-07``); a positive one gets its sign (``e16`` to ``e+16``).  Rows are
+keyed by a hash of their bit patterns (so ``-0.0`` keeps its sign) and
+each is compared with the row its key chose; if one differs, no rows are
+merged, so a collision costs time, never bytes.  The row texts are
+scattered back by index, and the nesting is one join of the rows with
+separators that close and reopen the axes that wrap.  The closed-form
+pi and Psi tensors ``E_pq (x) 1`` hold few distinct rows (17 among the
+1,024 rows of a raw-dim-768 pi), so most of the writing disappears.  The
+output is byte for byte what ``emit_json`` writes for the nested lists:
+``tests/test_serialize.py`` holds that against the former encoder
+(``TestEncoderEquivalence``; ``TestWriterSweep`` over random bit
+patterns and both sides of every layout switch) and against version-1
+files it wrote (``TestGoldenFiles``), so an orjson that spells floats
+otherwise fails those tests instead of writing other bytes.
 
 Files are read by one strict RFC 8259 reader, ``orjson.loads``, over
 UTF-8 bytes (``str`` input is encoded first).  What it rejects is a
@@ -41,10 +48,7 @@ reads as a float, so a dimension field holding one is rejected by name.
 A tensor entry must be a JSON number: a string such as ``"1.5"``,
 ``true`` or ``null`` in a tensor, or a ragged row, is a ParseError;
 ``array("d", ...)`` refuses every non-number but ``bool``, so only a file
-with a literal pays a type pass.  The writers stay on ``json``/``_tensor_text``:
-orjson 3.8.3 writes ``1e16`` for ``1e+16``, and it also switches to
-exponent form at another magnitude (``0.00001`` for ``1e-05``, ``1e-7``
-for ``1e-07``), so no exponent fix-up turns it into a version-1 writer.
+with a literal pays a type pass.
 
 The readers run with CPython's cyclic garbage collector paused
 (``_outside_cyclic_gc``): the parsed lists are acyclic, and collections
@@ -56,6 +60,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import re
 from array import array
 from contextlib import contextmanager
 from functools import partial
@@ -85,7 +90,10 @@ MAX_DEPTH = 512  # deepest nesting a file may have; version-1 tensors need 7
 
 
 _dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"), allow_nan=False)
-_SIGN_BIT = np.uint64(1 << 63)
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+_RYU_SMALL = re.compile(rb"0\.0000(\d)(\d*)")  # Ryū's 1e-5 <= |x| < 1e-4
+_UNSIGNED_EXPONENT = re.compile(rb"e(?=\d)")
+_ONE_DIGIT_EXPONENT = re.compile(rb"e-(?=\d[],])")
 _NOT_STRUCTURAL = bytes(c for c in range(256) if c not in b'[]{}"tf')
 _DEPTH_STEP = np.zeros(256, dtype=np.int8)
 _DEPTH_STEP[list(b"[{")] = 1
@@ -98,9 +106,9 @@ def emit_json(payload: dict) -> str:
 
 
 def _tensor_text(arr: np.ndarray) -> str:
-    """``_dumps`` of the tensor as nested ``[re, im]`` lists, from each
-    distinct value and each distinct row formatted once (module
-    docstring)."""
+    """``_dumps`` of the tensor as nested ``[re, im]`` lists, from one
+    orjson dump of its distinct rows respelled as ``repr`` writes
+    (module docstring)."""
     arr = np.asarray(arr, dtype=complex)
     if not np.isfinite(arr).all():
         raise ValueError("Out of range float values are not JSON compliant")
@@ -108,57 +116,47 @@ def _tensor_text(arr: np.ndarray) -> str:
     if 0 in shape:  # nested lists down to the first zero-size axis
         shape = shape[: shape.index(0)]
         return _nest(np.full(math.prod(shape), "[]", dtype=object), shape)
-    pairs, pair_ids = _pair_texts(arr)
-    if arr.ndim < 2:
-        return _nest(pairs[pair_ids], shape)
-    rows = pair_ids.reshape(-1, shape[-1])
-    count, row_ids = _factorize_rows(rows, len(pairs))
-    first = np.empty(count, dtype=np.intp)
-    first[row_ids] = np.arange(len(rows))  # any row of a class will do
-    texts = ["[" + ",".join(row) + "]" for row in pairs[rows[first]].tolist()]
-    return _nest(np.array(texts, dtype=object)[row_ids], shape[:-1])
+    if not shape:  # a scalar is the one pair of a one-entry row
+        return _tensor_text(arr.reshape(1))[1:-1]
+    words = np.ascontiguousarray(arr).view(np.uint64).reshape(-1, 2 * shape[-1])
+    _, first, row_ids = np.unique(_row_hash(words), return_index=True, return_inverse=True)
+    if not np.array_equal(words[first[row_ids]], words):  # a collision: merge no rows
+        first = row_ids = np.arange(len(words))
+    pairs = words[first].view(np.float64).reshape(len(first), shape[-1], 2)
+    text = _repr_spelling(orjson.dumps(pairs, option=orjson.OPT_SERIALIZE_NUMPY))
+    rows = ["[[" + row + "]]" for row in text.decode()[3:-3].split("]],[[")]
+    return _nest(np.array(rows, dtype=object)[row_ids], shape[:-1])
 
 
-def _pair_texts(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Text ``[re,im]`` of each distinct entry, and every entry's index
-    among them in row-major order; each distinct float magnitude and each
-    distinct pair is formatted once."""
-    bits = np.ascontiguousarray(arr).reshape(-1).view(np.uint64)  # re, im interleaved
-    mags, ids = _factorize(bits & ~_SIGN_BIT)
-    texts = [repr(x) for x in mags.view(np.float64).tolist()]
-    texts += ["-" + t for t in texts]
-    ids += (bits >> 63).astype(ids.dtype) * len(mags)
-    keys, pair_ids = _factorize(ids[0::2] * len(texts) + ids[1::2])
-    re_ids, im_ids = np.divmod(keys, len(texts))
-    pairs = [f"[{texts[r]},{texts[i]}]" for r, i in zip(re_ids.tolist(), im_ids.tolist())]
-    return np.array(pairs, dtype=object), pair_ids
+def _row_hash(words: np.ndarray) -> np.ndarray:
+    """A hash of each row of a 2-D ``uint64`` array: each word, salted by
+    its column, is mixed, and the row is summed.  The first xor-shift
+    folds the sign, exponent and leading mantissa bits into the low half
+    for the multiply to spread; without it, rows of small powers of two
+    (1.0 is ``0x3FF0...``) collided."""
+    x = words ^ (_MIX * np.arange(words.shape[1], dtype=np.uint64))
+    x ^= x >> 32
+    x *= _MIX
+    x ^= x >> 29
+    return x.sum(axis=1)
 
 
-def _factorize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct values of a non-empty 1-D array and each element's
-    index among them.  A binary search over a few distinct values beats
-    the argsort in ``np.unique``, which is slow on long runs of zeros."""
-    s = np.sort(x)
-    distinct = s[np.concatenate(([True], s[1:] != s[:-1]))]
-    if len(distinct) > 8:
-        return np.unique(x, return_inverse=True)
-    return distinct, np.searchsorted(distinct, x)
-
-
-def _factorize_rows(rows: np.ndarray, radix: int) -> tuple[int, np.ndarray]:
-    """Number of distinct rows of a 2-D array of ids in ``[0, radix)`` and
-    each row's index among them.  The key of a row is the row read as a
-    base-``radix`` number; before a digit could overflow int64 the key is
-    factorized to its distinct values, so it stays exact."""
-    key, span = np.zeros(len(rows), dtype=np.int64), 1
-    for column in rows.T:
-        if span * radix > 2**63:
-            distinct, key = _factorize(key)
-            span = len(distinct)
-        key = key * radix + column
-        span *= radix
-    distinct, row_ids = _factorize(key)
-    return len(distinct), row_ids
+def _repr_spelling(text: bytes) -> bytes:
+    """orjson's text of a float array with each number as ``repr`` spells
+    it: the three rewrites of the module docstring."""
+    if b"e" in text:
+        text = _ONE_DIGIT_EXPONENT.sub(b"e-0", _UNSIGNED_EXPONENT.sub(b"e+", text))
+    parts, done = [], 0
+    at = text.find(b"0.0000")
+    while at >= 0:
+        before = text[at - 1]
+        if before in b"[," or (before == ord("-") and text[at - 2] in b"[,"):
+            match = _RYU_SMALL.match(text, at)
+            lead, rest = match.groups()
+            parts += [text[done:at], lead, b"." + rest if rest else b"", b"e-05"]
+            done = match.end()
+        at = text.find(b"0.0000", at + 1)
+    return b"".join(parts + [text[done:]])
 
 
 def _nest(leaves: np.ndarray, shape: tuple[int, ...]) -> str:

@@ -404,11 +404,16 @@ def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 # Floats whose text json writes in unusual forms: signed zeros, the
 # smallest subnormal and other subnormals, the largest finite values,
-# exponent switch points and integer values.
+# exponent switch points with their neighbours one ulp away (orjson
+# switches layout at 1e-5 where repr does at 1e-4; both at 1e16),
+# one-digit exponents, a "0.0000" inside a token, and integer values.
 EDGE_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 2.2250738585072014e-308,
     1.7976931348623157e308, -1.7976931348623157e308, 1e16, -1e16, 1e-05,
     0.0001, 1e15, 9007199254740993.0, 1.0, -1.0, 2.0, -3.0, 0.1, 1 / 3,
+    9.999999999999999e-06, 1.0000000000000003e-05, -9.999999999999999e-05,
+    0.00010000000000000002, 9999999999999998.0, -1.0000000000000002e16,
+    9.999999999999998e16, 1e17, 1e-06, -1e-07, 50000000000.00001,
 ]
 FLOATS = st.one_of(
     st.sampled_from(EDGE_FLOATS),
@@ -507,6 +512,98 @@ class TestEncoderEquivalence:
             emit_instance(inst)
         with pytest.raises(ValueError):
             emit_instance_oracle(inst)
+
+
+def one_ulp_around(values: np.ndarray) -> np.ndarray:
+    """Each value, its neighbours one ulp away, and their negatives."""
+    values = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
+    return np.concatenate([values, -values])
+
+
+class TestWriterSweep:
+    """The orjson writer against the former encoder on number spellings:
+    random bit patterns, every decade at one ulp, subnormals and zeros."""
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(22).integers(0, 2**64, size=200_000, dtype=np.uint64)
+        floats = bits.view(np.float64)[np.isfinite(bits.view(np.float64))]
+        tensor = complex_tensor(floats[: len(floats) // 8 * 8].reshape(-1, 4, 2))
+        assert serialize._tensor_text(tensor) == tensor_text_oracle(tensor)
+
+    def test_every_decade_at_one_ulp(self):
+        decades = np.array([float(f"1e{e}") for e in range(-330, 309)])
+        values = one_ulp_around(decades)
+        values = values[: len(values) // 6 * 6]
+        for tensor in (complex_tensor(values.reshape(-1, 2)), values.reshape(-1, 3)):
+            assert serialize._tensor_text(tensor) == tensor_text_oracle(tensor)
+
+    def test_layout_switches_in_one_dimension(self):
+        tensor = complex_tensor(one_ulp_around(np.array([1e-5, 1e-4, 1e16, 1e17])).reshape(-1, 2))
+        assert tensor.ndim == 1
+        assert serialize._tensor_text(tensor) == tensor_text_oracle(tensor)
+
+    def test_subnormals_and_zeros(self):
+        bits = np.random.default_rng(23).integers(1, 2**52, size=2_000, dtype=np.uint64)
+        subnormals = np.concatenate([bits.view(np.float64), [5e-324, 2.225073858507201e-308]])
+        values = np.concatenate([subnormals, -subnormals, [0.0, -0.0, -0.0, 0.0]])
+        tensor = complex_tensor(values.reshape(-1, 3, 2))
+        assert serialize._tensor_text(tensor) == tensor_text_oracle(tensor)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (0,), (3, 0), (0, 2), (2, 0, 3), (2, 3, 0)])
+    def test_scalars_one_dimension_and_zero_axes(self, shape):
+        rng = np.random.default_rng(24)
+        tensor = rng.standard_normal(shape) * 1e-5 + 1j * rng.standard_normal(shape) * 1e16
+        assert serialize._tensor_text(tensor) == tensor_text_oracle(tensor)
+
+
+# the gated dilate_large instance shape and the n=4, A=M_16 one
+GATED_SHAPE = dict(n=3, block_dims=[8], mults=[2], h1=4, h2=12, k1_extra=1)
+M16_SHAPE = dict(n=4, block_dims=[16], mults=[2], h1=6, h2=24, k1_extra=2)
+
+
+def rows_reaching_orjson(monkeypatch, tensor) -> int:
+    """How many rows ``_tensor_text`` of the tensor hands to ``orjson.dumps``."""
+    dumps, dumped = serialize.orjson.dumps, []
+
+    def spy(value, **options):
+        dumped.append(len(value))
+        return dumps(value, **options)
+
+    monkeypatch.setattr(serialize.orjson, "dumps", spy)
+    serialize._tensor_text(tensor)
+    monkeypatch.setattr(serialize.orjson, "dumps", dumps)
+    [count] = dumped
+    return count
+
+
+class TestDistinctRows:
+    """Rows are merged by a hash of their bit patterns, checked row by row."""
+
+    def test_colliding_hash_keeps_the_bytes(self, monkeypatch):
+        monkeypatch.setattr(serialize, "_row_hash", lambda words: np.zeros(len(words), np.uint64))
+        data = dilate(random_instance(1, **GATED_SHAPE))
+        signed_zeros = np.zeros((4, 3), dtype=complex)
+        signed_zeros[1, 2] = complex(-0.0, 0.0)
+        signed_zeros[3, 0] = complex(0.0, -0.0)
+        for tensor in (data.pi_action, data.psi_action, signed_zeros):
+            assert serialize._tensor_text(tensor) == tensor_text_oracle(tensor)
+            assert rows_reaching_orjson(monkeypatch, tensor) == tensor[..., 0].size
+
+    @pytest.mark.parametrize("shape, distinct", [(GATED_SHAPE, 17), (M16_SHAPE, 49)])
+    def test_closed_forms_reach_orjson_as_distinct_rows(self, monkeypatch, shape, distinct):
+        # E_pq (x) 1 rows: the zero row and one row per unit vector of K1
+        data = dilate(random_instance(1, **shape))
+        assert data.r1 + 1 == distinct
+        for tensor in (data.pi_action, data.psi_action):
+            assert rows_reaching_orjson(monkeypatch, tensor) == distinct
+
+    def test_rows_of_small_powers_of_two_stay_apart(self, monkeypatch):
+        # their words end in 52 zero bits; a hash that multiplies before it
+        # folds the high bits down collided on about 3 % of these rows
+        powers = np.array([0.0, 0.5, 1.0, 2.0, 0.25, 4.0])
+        rows = powers[np.indices((6,) * 6).reshape(6, -1).T]
+        tensor = complex_tensor(rows[np.tile(np.arange(len(rows)), 2)].reshape(-1, 3, 2))
+        assert rows_reaching_orjson(monkeypatch, tensor) == len(rows)
 
 
 def spelled(pairs: np.ndarray, fmt) -> str:
