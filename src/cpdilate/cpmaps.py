@@ -37,7 +37,7 @@ import numpy as np
 from .algebra import AlgebraDescriptor, ModuleDescriptor
 from .errors import (CPDilateError, DimensionTooSmallError, HermiticityViolationError,
                      ShapeMismatchError)
-from .linalg import DEFAULT_TOL, matrix_norms, negative_at_scale, svd_orthobasis
+from .linalg import DEFAULT_TOL, max_rel_residual, negative_at_scale, svd_orthobasis
 
 __all__ = [
     "CPBlockMap",
@@ -71,12 +71,11 @@ class CPBlockMap:
 
     def hermiticity_defect(self) -> float:
         """Max relative defect of phi_ij(a*) = phi_ji(a)* on basis units:
-        every ``phi_ij(e_alpha)`` against ``phi_ji(e_alpha*)*``, over
-        ``max(|phi_ji(e_alpha*)|_F, 1)``.  Cost: one gather of the action
-        (reindexed by the bijection alpha -> alpha*) and a few passes."""
+        ``max_rel_residual`` of every ``phi_ij(e_alpha)`` against
+        ``phi_ji(e_alpha*)*``.  Cost: one gather of the action (reindexed
+        by the bijection alpha -> alpha*) and a few passes."""
         rhs = self.action.transpose(1, 0, 2, 4, 3)[:, :, self.algebra.adjoint_table].conj()
-        denom = np.maximum(matrix_norms(rhs), 1.0)
-        return float((matrix_norms(self.action - rhs) / denom).max())
+        return max_rel_residual(self.action, rhs)
 
     def choi_block(self, b: int) -> np.ndarray:
         """Compressed Choi matrix of the family on algebra block b.
@@ -199,7 +198,8 @@ class Instance:
         Basis pairs suffice because both sides are sesquilinear in (f, g).
         Only the pairs of ``module.inner_pairs`` expect a nonzero value; every
         other tile must vanish (denominator 1).  Cost: one Gram product of the
-        tuple, ``phi`` subtracted on the paired tiles, one pass for the norms."""
+        tuple, ``phi`` subtracted on the paired tiles, and one ``einsum`` for
+        every squared tile norm: ``max_rel_residual``, squared tile by tile."""
         n, dim_v, h1 = self.n, self.module.dim, self.h1
         f, g, units = self.module.inner_pairs
         cols = self.tup.action.transpose(2, 0, 1, 3).reshape(self.h2, n * dim_v * h1)
@@ -290,7 +290,8 @@ def random_instance(
     instance is completely n-positive and compatible up to rounding.
 
     Raises DimensionTooSmallError when H2 cannot host the generated
-    range.  Deterministic: one seed, one bit-exact instance.
+    range, whose rank (``svd_orthobasis``) lies decades from the cutoff.
+    Deterministic: one seed, one bit-exact instance.
     """
     desc = AlgebraDescriptor(tuple(block_dims))
     mdesc = ModuleDescriptor(desc, tuple(mults))
@@ -322,7 +323,7 @@ def random_instance(
     for b, (x, d, k) in enumerate(zip(xs, dims, ks)):
         rows, diag = span[k_off[b] : k_off[b + 1], g_off[b] : g_off[b + 1]], np.arange(k)
         rows.reshape(k, copies, k, d, n, h1)[diag, :, diag] = x.transpose(2, 1, 0, 3)
-    basis = svd_orthobasis(span.reshape(k_off[-1], -1), 1e-12)
+    basis = svd_orthobasis(span.reshape(k_off[-1], -1))
     needed = basis.shape[1]
     if needed > h2:
         raise DimensionTooSmallError(

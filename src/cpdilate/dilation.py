@@ -351,8 +351,7 @@ def build_psi(
     for b, f in enumerate(g.block_factors):
         t = tuple_block(tup, b)
         x = (t @ f.conj().T) / np.einsum("kx,kx->k", f, f.conj()).real
-        res = matrix_norms(x @ f - t) / np.maximum(matrix_norms(t), 1.0)
-        worst = max(worst, float(res.max(initial=0.0)))
+        worst = max(worst, max_rel_residual(x @ f, t))
         columns.append(x.transpose(1, 0, 2).reshape(tup.h2, len(t) * len(f)))
     return psi_action, np.concatenate(columns, axis=1), worst
 

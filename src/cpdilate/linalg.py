@@ -1,16 +1,17 @@
 """Dense complex linear-algebra kernel.
 
 Everything downstream (Gram factorization, quotient maps, span bases,
-span ranks, unitary recovery) is built from the operations here.  All
-matrices are ``numpy.ndarray`` with dtype complex128; all comparisons
-are relative Frobenius residuals with denominator ``max(norm, 1)`` so
-zero inputs never divide by zero.
-
-Every rank decision is ``kept_ranks``.  Validity is the callers'
-verdict: ``hermitian_eig`` only symmetrizes and ``kept_ranks`` only
-counts.  ``negative_at_scale`` states the one positivity rule, which the
-callers apply to each Choi block's spectrum; ``psd_certified`` proves
-that rule passes from a nearby PSD product, without the spectrum.
+span ranks, unitary recovery) is built from the operations here, and
+each numeric rule is stated here once.  All matrices are complex128.
+Every comparison is ``rel_residual`` (``max_rel_residual`` on stacks),
+a relative Frobenius residual with denominator ``max(norm, 1)`` so zero
+inputs never divide by zero.  Every rank decision is ``kept_ranks`` at
+the constant ``DEFAULT_CUTOFF``, which no function at any level takes,
+the instance generator included.  Validity is the callers' verdict:
+``hermitian_eig`` only symmetrizes and ``kept_ranks`` only counts.
+``negative_at_scale`` states the one positivity rule, which the callers
+apply to each Choi block's spectrum; ``psd_certified`` proves that rule
+passes from a nearby PSD product, without the spectrum.
 
 Determinism: LAPACK eigendecompositions are deterministic on a fixed
 platform, but eigenvector phase and ordering inside degenerate clusters
@@ -48,8 +49,6 @@ __all__ = [
 
 def frob(m: np.ndarray) -> float:
     """Frobenius norm; 0.0 for empty matrices."""
-    if m.size == 0:
-        return 0.0
     return float(np.linalg.norm(m))
 
 
@@ -110,30 +109,30 @@ def psd_certified(err: float, top: float, rel_tol: float) -> bool:
     return err <= rel_tol * max(top - err, 1.0)
 
 
-def kept_ranks(spectra, rel_cutoff: float = DEFAULT_CUTOFF) -> list[int]:
+def kept_ranks(spectra) -> list[int]:
     """The one rank rule: the number of values each block keeps, given the
     descending spectra of the diagonal blocks of one direct sum, as
     computed (eigenvalues of a PSD sum, or singular values).  Kept values
-    exceed ``rel_cutoff`` times the largest over all blocks, the decision
-    on the whole sum; negative values are dropped, not judged."""
-    cut = rel_cutoff * max([0.0] + [float(w[0]) for w in spectra if w.size])
+    exceed ``DEFAULT_CUTOFF`` times the largest over all blocks, the
+    decision on the whole sum; negative values are dropped, not judged."""
+    cut = DEFAULT_CUTOFF * max([0.0] + [float(w[0]) for w in spectra if w.size])
     return [int(np.count_nonzero(w > cut)) for w in spectra]
 
 
-def direct_sum_rank(spectra, copies, rel_cutoff: float = DEFAULT_CUTOFF) -> int:
+def direct_sum_rank(spectra, copies) -> int:
     """Rank of the direct sum holding ``copies[b]`` copies of a block
     whose descending singular values are ``spectra[b]``, by ``kept_ranks``
     over the blocks with copies: blocks without copies are not in the
     sum, so they enter neither count nor scale."""
     kept = [(c, w) for w, c in zip(spectra, copies) if c]
-    ranks = kept_ranks([w for _, w in kept], rel_cutoff)
+    ranks = kept_ranks([w for _, w in kept])
     return sum(c * r for (c, _), r in zip(kept, ranks))
 
 
 def solve_lsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Minimum-norm least-squares solution of ``a @ x = b``.
 
-    Returns ``(x, residual)`` with ``residual = |a x - b|_F / max(|b|_F, 1)``.
+    Returns ``(x, residual)`` with ``residual = rel_residual(a x, b)``.
     Rank-deficient ``a`` is handled through the SVD-based solver.
     """
     a = np.asarray(a, dtype=complex)
@@ -146,11 +145,11 @@ def solve_lsq(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
         x = np.zeros((a.shape[1], b.shape[1]), dtype=complex)
     else:
         x = np.linalg.lstsq(a, b, rcond=None)[0]
-    return x, frob(a @ x - b) / max(frob(b), 1.0)
+    return x, rel_residual(a @ x, b)
 
 
-def svd_orthobasis(columns: np.ndarray, rel_cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
-    """Orthonormal basis of the column space at the given relative cutoff.
+def svd_orthobasis(columns: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column space, at ``DEFAULT_CUTOFF``.
 
     Returns a matrix whose columns are orthonormal and span the input's
     column space, as many as ``kept_ranks`` keeps of the singular values.
@@ -160,4 +159,4 @@ def svd_orthobasis(columns: np.ndarray, rel_cutoff: float = DEFAULT_CUTOFF) -> n
     if columns.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {columns.shape}")
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    return u[:, : kept_ranks([s], rel_cutoff)[0]]
+    return u[:, : kept_ranks([s])[0]]

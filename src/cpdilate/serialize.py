@@ -354,7 +354,7 @@ def parse_instance(text: str | bytes) -> Instance:
         decode = partial(_decode_complex, what=what, literals=literals)
         cp_action = decode(_require(payload, "cp_action", what), (n, n, algebra.dim, h1, h1))
         tuple_action = decode(_require(payload, "tuple_action", what), (n, module.dim, h2, h1))
-        meta = payload.get("meta") or {}
+        meta = payload.get("meta", {})
         if not isinstance(meta, dict):
             raise ParseError(f"{what}: meta must be an object")
         return Instance(

@@ -17,9 +17,10 @@ the ``json.dumps`` encoder that the version-1 writers replaced with an
 array encoder, the ``json.loads`` reader that orjson replaced, a plain
 scanner for the reader's vectorised structural pass, the pi rows of
 ``verify_dilation`` on fresh products and expected stacks as they were
-before the differences moved into the product buffers, and the
+before the differences moved into the product buffers, the
 written-out residual names and hand-built verdicts that the reports
-replaced with their row fields.  All of them serve as independent
+replaced with their row fields, and the inline residual ratios that
+``linalg``'s helpers replaced.  All of them serve as independent
 references.
 """
 
@@ -37,7 +38,7 @@ from cpdilate.cpmaps import CPBlockMap, Instance, ModuleCPTuple, carrier_mult, h
 from cpdilate.dilation import DilationData, GramFactorization, amplified_units, check_shapes
 from cpdilate.errors import InconsistentSpansError, NotMinimalError, NotPSDError
 from cpdilate.linalg import (
-    DEFAULT_CUTOFF, DEFAULT_TOL, hermitian_eig, kept_ranks, matrix_norms, max_rel_residual,
+    DEFAULT_CUTOFF, DEFAULT_TOL, frob, hermitian_eig, kept_ranks, matrix_norms, max_rel_residual,
     negative_at_scale, rel_residual, solve_lsq, svd_orthobasis,
 )
 
@@ -77,7 +78,7 @@ def random_instance_oracle(seed, n, block_dims, mults, h1, h2, k1_extra=0, k2_ex
     s_ops = np.stack([haar_unitary(rng, dim1)[:, :h1] for _ in range(n)])
     cp_action = np.einsum("ixh,axy,jyk->ijahk", s_ops.conj(), pi_t, s_ops)
     span = np.einsum("gyx,ixh->ygih", psi_t, s_ops).reshape(dim2, -1)
-    basis = svd_orthobasis(span, 1e-12)
+    basis = svd_orthobasis(span)
     needed = basis.shape[1]
     pad = min(h2, needed + k2_extra)
     inner_iso = haar_unitary(rng, pad)[:, :needed]
@@ -164,7 +165,7 @@ def raw_factor(g: GramFactorization) -> np.ndarray:
     return factor
 
 
-def build_gram_oracle(cp, rel_cutoff=DEFAULT_CUTOFF, tol=DEFAULT_TOL, tup=None):
+def build_gram_oracle(cp, tol=DEFAULT_TOL, tup=None):
     """The former ``build_gram``: every Choi block eigendecomposed once,
     judged on its own spectrum and factored as ``sqrt(kept) V_kept*``;
     the tuple is not read."""
@@ -176,7 +177,7 @@ def build_gram_oracle(cp, rel_cutoff=DEFAULT_CUTOFF, tol=DEFAULT_TOL, tup=None):
                 f"map family is not completely n-positive: Choi block {b} has eigenvalue "
                 f"{w[-1]:.3e} below -{tol:.1e} * {max(float(w[0]), 1.0):.3e}"
             )
-    ranks = kept_ranks([w for w, _ in eigs], rel_cutoff)
+    ranks = kept_ranks([w for w, _ in eigs])
     factors = (np.sqrt(w[:r])[:, None] * v[:, :r].conj().T for (w, v), r in zip(eigs, ranks))
     return GramFactorization(cp, tuple(factors))
 
@@ -354,6 +355,33 @@ def hermiticity_oracle(cp) -> float:
     rhs = cp.action.conj().transpose(1, 0, 2, 4, 3)
     denom = np.maximum(matrix_norms(rhs), 1.0)
     return float((matrix_norms(lhs - rhs) / denom).max())
+
+
+def hermiticity_ratio_oracle(cp) -> float:
+    """``CPBlockMap.hermiticity_defect`` with the residual ratio written
+    out inline, as it was before it called ``linalg.max_rel_residual``."""
+    rhs = cp.action.transpose(1, 0, 2, 4, 3)[:, :, cp.algebra.adjoint_table].conj()
+    denom = np.maximum(matrix_norms(rhs), 1.0)
+    return float((matrix_norms(cp.action - rhs) / denom).max())
+
+
+def psi_welldef_oracle(inst) -> float:
+    """``dilate(inst).psi_welldef``: ``build_psi``'s solve residual with
+    the ratio written out inline, on the equilibrated instance."""
+    eq, _ = inst.equilibrated()
+    g = dilation.build_gram(eq.cp, tup=eq.tup)
+    worst = 0.0
+    for b, f in enumerate(g.block_factors):
+        t = dilation.tuple_block(eq.tup, b)
+        x = (t @ f.conj().T) / np.einsum("kx,kx->k", f, f.conj()).real
+        res = matrix_norms(x @ f - t) / np.maximum(matrix_norms(t), 1.0)
+        worst = max(worst, float(res.max(initial=0.0)))
+    return worst
+
+
+def lsq_residual_oracle(a, x, b) -> float:
+    """``solve_lsq``'s residual written out: ``|a x - b|_F / max(|b|_F, 1)``."""
+    return frob(a @ x - b) / max(frob(b), 1.0)
 
 
 def centrally_scaled(inst, c) -> Instance:

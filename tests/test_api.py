@@ -5,7 +5,7 @@ import pkgutil
 import pytest
 
 import cpdilate
-from cpdilate import dilation, equivalence
+from cpdilate import dilation, equivalence, linalg
 from cpdilate.cpmaps import random_instance
 
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(cpdilate.__path__))
@@ -27,9 +27,10 @@ def test_module_names_resolve(name):
 @pytest.mark.parametrize("fn", [
     dilation.dilate, dilation.verify_dilation, dilation.minimality_defects,
     dilation.build_gram, dilation.build_W, equivalence.build_unitaries,
+    linalg.kept_ranks, linalg.direct_sum_rank, linalg.svd_orthobasis,
 ])
 def test_no_rank_cutoff_parameter(fn):
-    # the one rank rule runs at linalg.DEFAULT_CUTOFF above linalg
+    # the one rank rule runs at linalg.DEFAULT_CUTOFF anywhere
     assert not [p for p in inspect.signature(fn).parameters if "cutoff" in p]
 
 

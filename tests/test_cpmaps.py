@@ -12,13 +12,14 @@ from conftest import (
     compatibility_dense_oracle,
     compatibility_oracle,
     hermiticity_oracle,
+    hermiticity_ratio_oracle,
     module_units,
     random_instance_oracle,
     scalar_family,
     transpose_map,
 )
 from test_acceptance import acceptance_instances
-from cpdilate import cli
+from cpdilate import cli, linalg
 from cpdilate.algebra import AlgebraDescriptor, ModuleDescriptor
 from cpdilate.cpmaps import (
     CPBlockMap,
@@ -307,6 +308,33 @@ GENERATOR_SHAPES = [
 ]
 
 
+TABLE_SHAPES = [  # the four shapes of the ROADMAP's cost table
+    dict(n=3, block_dims=[8], mults=[2], h1=4, h2=12, k1_extra=1),
+    dict(n=3, block_dims=[4, 4, 3], mults=[2, 1, 1], h1=4, h2=40, k1_extra=4),
+    dict(n=4, block_dims=[16], mults=[2], h1=6, h2=24, k1_extra=2),
+    dict(n=1, block_dims=[1] * 80, mults=[1] * 80, h1=1, h2=80),
+]
+
+
+class TestGeneratorCutoff:
+    """The generated range's kept and dropped singular values lie decades
+    apart on either side of the rank cutoff, so moving
+    ``linalg.DEFAULT_CUTOFF`` regenerates no instance."""
+
+    @pytest.mark.parametrize("cutoff", [1e-14, 1e-6])
+    def test_instances_do_not_depend_on_the_cutoff(self, monkeypatch, cutoff):
+        rng = np.random.default_rng(23)
+        cases = [(int(rng.integers(0, 2**31)), cli._fuzz_dims(rng, 3, 3, 4)) for _ in range(300)]
+        cases += [(1, shape) for shape in TABLE_SHAPES]
+        plain = [random_instance(seed, **shape) for seed, shape in cases]
+        monkeypatch.setattr(linalg, "DEFAULT_CUTOFF", cutoff)
+        assert linalg.kept_ranks([np.array([1.0, 2 * cutoff, cutoff / 2])]) == [2]
+        for (seed, shape), want in zip(cases, plain):
+            got = random_instance(seed, **shape)
+            assert np.array_equal(got.cp.action, want.cp.action)
+            assert np.array_equal(got.tup.action, want.tup.action)
+
+
 class TestGeneratorOracle:
     """The per-block products equal the dense reverse construction bit
     for bit, strides included: mixed blocks, a zero-multiplicity block,
@@ -426,3 +454,18 @@ class TestHermiticityPattern:
                 got, want = family.hermiticity_defect(), hermiticity_oracle(family)
                 assert np.isclose(got, want, rtol=1e-12, atol=1e-15)
                 assert (got <= 1e-9) == (want <= 1e-9)
+
+    def test_ratio_is_the_former_inline_formula(self):
+        # bit for bit, with tiles of every scale and all-zero expected tiles
+        rng = np.random.default_rng(41)
+        for _ in range(150):
+            alg = AlgebraDescriptor(tuple(int(d) for d in rng.integers(1, 4, rng.integers(1, 4))))
+            n, h1 = (int(v) for v in rng.integers(1, 4, size=2))
+            shape = (n, n, alg.dim, h1, h1)
+            scale = 10.0 ** rng.uniform(-6, 3, size=(n, n, alg.dim, 1, 1))
+            action = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+            action[rng.random(shape[:3]) < 0.3] = 0.0
+            family = CPBlockMap(alg, n, h1, action)
+            assert family.hermiticity_defect() == hermiticity_ratio_oracle(family)
+        for inst in acceptance_instances(10):
+            assert inst.cp.hermiticity_defect() == hermiticity_ratio_oracle(inst.cp)

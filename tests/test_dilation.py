@@ -10,6 +10,7 @@ from conftest import (
     REPORT_RESIDUALS_ORACLE,
     brute_force_gram,
     build_gram_oracle,
+    centrally_scaled,
     dilate_oracle,
     module_units,
     non_representation,
@@ -17,6 +18,7 @@ from conftest import (
     pi_rows_oracle,
     psi_module_action_oracle,
     psi_representation_oracle,
+    psi_welldef_oracle,
     raw_factor,
     raw_gram,
     report_dict_oracle,
@@ -217,6 +219,19 @@ class TestBuildPsi:
             mod_norm = np.sqrt(np.linalg.norm(f.conj().T @ f, 2))  # |<f, f>|^(1/2)
             assert mod_norm == 1.0
             assert op_norm <= mod_norm + 1e-9
+
+    def test_welldef_residual_is_the_former_inline_ratio(self):
+        # bit for bit; blocks scaled below norm 1 or to zero take denominator 1
+        rng = np.random.default_rng(43)
+        cases = [centrally_scaled(random_instance(5, n=2, block_dims=[2, 1], mults=[1, 1],
+                                                  h1=2, h2=4), [0.0, 1.0])]
+        for _ in range(80):
+            inst = random_instance(int(rng.integers(0, 2**31)), **cli._fuzz_dims(rng, 3, 3, 4))
+            c = 10.0 ** rng.uniform(-1.5, 1.0, size=inst.algebra.nblocks)
+            c[rng.random(len(c)) < 0.3] = 0.0
+            cases += [inst, centrally_scaled(inst, c)]
+        for inst in cases:
+            assert dilate(inst).psi_welldef == psi_welldef_oracle(inst)
 
     def test_k2_embedding_is_isometric(self):
         inst = random_instance(33, n=2, block_dims=[2], mults=[1], h1=2, h2=4)

@@ -7,6 +7,7 @@ from conftest import (
     full_span_defects,
     k1_span_oracle,
     k2_span_oracle,
+    lsq_residual_oracle,
     numerical_rank,
     transpose_map,
 )
@@ -165,7 +166,7 @@ class TestRankTruncate:
         assert rank == 3
 
     def test_cutoff_forces_truncation(self):
-        assert kept_ranks([np.array([1.0, 1e-14])], rel_cutoff=1e-10) == [1]
+        assert kept_ranks([np.array([1.0, 1e-14])]) == [1]
         rank, factor = truncate(np.diag([1.0, 1e-14]).astype(complex))
         assert rank == 1
         assert factor.shape == (1, 2)
@@ -223,6 +224,19 @@ class TestSolveLsq:
         assert x.shape == (0, 2)
         assert res == 0.0
 
+    def test_residual_is_the_former_inline_ratio(self):
+        # bit for bit, on right-hand sides above and below norm 1 and zero
+        rng = np.random.default_rng(29)
+        small = 0
+        for trial in range(300):
+            rows, cols, rhs = (int(v) for v in rng.integers(0, 6, size=3))
+            a = 10.0 ** rng.uniform(-4, 4) * random_complex(rng, rows, cols)
+            b = 10.0 ** rng.uniform(-4, 4) * random_complex(rng, rows, rhs) * (trial % 5 != 0)
+            x, res = solve_lsq(a, b)
+            assert res == lsq_residual_oracle(a, x, b)
+            small += res > 0 and frob(b) < 1.0
+        assert small >= 10  # the denominator-1 branch with a nonzero residual
+
 
 class TestMatrixNorms:
     """Bit for bit ``np.linalg.norm(stack, axis=(-2, -1))``, whose
@@ -241,6 +255,7 @@ class TestMatrixNorms:
     def test_empty_stacks(self, shape):
         got = matrix_norms(np.zeros(shape, dtype=complex))
         assert got.shape == shape[:-2] and not got.any()
+        assert frob(np.zeros(shape, dtype=complex)) == 0.0  # no branch of its own
 
 
 class TestSvdOrthobasis:
@@ -305,11 +320,11 @@ class TestNumericalRank:
         m = np.diag([1e3, 1e-6, 1e-8]).astype(complex)
         assert numerical_rank(m, 1e-10) == 2
         assert numerical_rank(m, 1e-12) == 3
-        assert numerical_rank(m, 1e-10) == svd_orthobasis(m, 1e-10).shape[1]
+        assert numerical_rank(m, 1e-10) == svd_orthobasis(m).shape[1]
 
 
 class TestDirectSumRank:
-    """One cutoff for every block: ``rel_cutoff`` times the largest
+    """One cutoff for every block: ``DEFAULT_CUTOFF`` times the largest
     singular value over the blocks that enter, as on the whole sum."""
 
     @staticmethod
@@ -325,9 +340,9 @@ class TestDirectSumRank:
         return out
 
     @staticmethod
-    def rank(blocks, copies, rel_cutoff=1e-10):
+    def rank(blocks, copies):
         spectra = [np.linalg.svd(m, compute_uv=False) for m in blocks]
-        return direct_sum_rank(spectra, copies, rel_cutoff)
+        return direct_sum_rank(spectra, copies)
 
     def test_equals_the_rank_of_the_whole_sum(self):
         rng = np.random.default_rng(53)

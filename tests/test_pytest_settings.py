@@ -1,5 +1,6 @@
 """The project's pytest settings report every failure: a failing
-``hypothesis`` test must not abort the run before the other tests."""
+``hypothesis`` test must not abort the run before the other tests, and
+an ``xfail`` test that passes fails the run even without ``strict=True``."""
 
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 PROBE = """
+import pytest
 from hypothesis import given, strategies as st
 
 
@@ -17,6 +19,11 @@ def test_fails(x):
 
 
 def test_runs_after_the_failure():
+    pass
+
+
+@pytest.mark.xfail(reason="mended since it was marked")
+def test_xfail_that_passes():
     pass
 """
 
@@ -30,5 +37,6 @@ def test_failing_hypothesis_test_does_not_abort_the_run(tmp_path):
     )
     output = run.stdout + run.stderr
     assert "INTERNALERROR" not in output
-    assert "1 failed, 1 passed" in output
+    assert "2 failed, 1 passed" in output
+    assert "[XPASS(strict)] mended since it was marked" in output
     assert run.returncode == 1

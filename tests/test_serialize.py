@@ -134,6 +134,18 @@ class TestParseErrors:
             parse_dilation(GOLDEN_DILATION.read_text(encoding="utf-8").replace(
                 '"version":1', f'"version":{version}'))
 
+    @pytest.mark.parametrize("meta", ["[]", "0", '""', "false", "null", "[1]", '"x"'])
+    def test_meta_must_be_an_object_when_present(self, meta):
+        # a falsy non-object must not read as {}
+        text = meta_replaced({}).replace('"meta": {}', f'"meta": {meta}')
+        with pytest.raises(ParseError, match="^instance: meta must be an object$"):
+            parse_instance(text)
+
+    def test_missing_meta_reads_as_empty(self):
+        payload = load_oracle(GOLDEN_INSTANCE.read_bytes())
+        del payload["meta"]
+        assert parse_instance(json.dumps(payload)).meta == {}
+
     @pytest.mark.parametrize("field", ["pi_welldef", "psi_welldef"])
     @pytest.mark.parametrize("value", ['"nan"', '"1e-3"', "true", "null", "[0.0]"])
     def test_welldef_residual_must_be_a_number(self, field, value):
