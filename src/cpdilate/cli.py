@@ -13,8 +13,8 @@ Exit codes are a stable contract:
 
 Verdicts are taken on ``Instance.equilibrated``, as in ``is_valid``.
 ``generate`` and ``dilate`` judge in one order: ``Instance.check_compatible``,
-then the Hermiticity and positivity verdicts of ``dilation.build_gram``, by
-the rules of ``CPBlockMap.is_completely_n_positive``.  Every subcommand
+then the Hermiticity and positivity verdicts of ``dilation.build_gram``, the
+only ones; ``Instance.is_valid`` is this gate as a bool.  Every subcommand
 bounds the largest Choi block side ``n * d_b * h1`` and the raw dimension
 ``n * dim A * h1`` (``dilation.check_dims``, on an instance file's header).
 ``dilate`` bounds the entries of pi, and ``generate`` its carrier side,

@@ -35,9 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraDescriptor, ModuleDescriptor
+from .dilation import build_gram
 from .errors import (CPDilateError, DimensionTooSmallError, HermiticityViolationError,
-                     ShapeMismatchError)
-from .linalg import DEFAULT_TOL, max_rel_residual, negative_at_scale, svd_orthobasis
+                     NotPSDError, ShapeMismatchError)
+from .linalg import DEFAULT_TOL, max_rel_residual, svd_orthobasis
 
 __all__ = [
     "CPBlockMap",
@@ -116,14 +117,12 @@ class CPBlockMap:
             )
 
     def is_completely_n_positive(self, tol: float = DEFAULT_TOL) -> bool:
-        """``check_hermiticity``, then a PSD test of every compressed Choi block:
-        ``is_valid``'s verdict-only path, without ``dilation.build_gram``'s factors."""
-        self.check_hermiticity(tol)
-        for b in range(self.algebra.nblocks):
-            c = self.choi_block(b)
-            w = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
-            if negative_at_scale(float(w[0]), float(w[-1]), tol):
-                return False
+        """``dilation.build_gram``'s verdict without a tuple, as a bool; a
+        Hermiticity break still raises HermiticityViolationError."""
+        try:
+            build_gram(self, tol=tol)
+        except NotPSDError:
+            return False
         return True
 
     def diag_unital_defects(self) -> np.ndarray:
@@ -239,13 +238,17 @@ class Instance:
         return (self if (c == 1.0).all() else self.slots_scaled(1.0 / c)), c
 
     def is_valid(self, tol: float = DEFAULT_TOL) -> bool:
-        """Positivity and compatibility at ``tol``, judged as ``dilate`` judges them.
+        """``cpdilate generate``'s gate on the equilibrated instance, as a bool:
+        ``compatibility_residual() <= tol``, then ``build_gram`` with the tuple.
         Never raises on a verdict: a Hermiticity break is False."""
         eq, _ = self.equilibrated()
-        try:
-            return eq.cp.is_completely_n_positive(tol) and eq.compatibility_residual() <= tol
-        except HermiticityViolationError:
+        if eq.compatibility_residual() > tol:
             return False
+        try:
+            build_gram(eq.cp, tol=tol, tup=eq.tup)
+        except (HermiticityViolationError, NotPSDError):
+            return False
+        return True
 
 
 def haar_unitary(rng: np.random.Generator, size: int) -> np.ndarray:

@@ -63,10 +63,10 @@ one rule (``linalg.direct_sum_rank``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cpmaps import CPBlockMap, Instance, ModuleCPTuple
 from .errors import DimensionTooLargeError, NotPSDError, ShapeMismatchError, WellDefinednessError
 from .linalg import (
     DEFAULT_TOL,
@@ -79,9 +79,13 @@ from .linalg import (
     max_rel_residual,
     negative_at_scale,
     psd_certified,
+    psd_scale,
     rel_residual,
     svd_orthobasis,
 )
+
+if TYPE_CHECKING:  # annotations only: cpmaps imports build_gram from here
+    from .cpmaps import CPBlockMap, Instance, ModuleCPTuple
 
 __all__ = [
     "GramFactorization",
@@ -247,8 +251,8 @@ def build_gram(cp: CPBlockMap, *, tol: float = DEFAULT_TOL,
     ``negative_at_scale`` passes on ``C_b``.  Any other block is
     eigendecomposed and judged by ``negative_at_scale``, raising
     NotPSDError that names the block; its rows are ``sqrt(kept) V_kept*``.
-    So the verdicts at ``tol`` are ``is_completely_n_positive``'s.  Ranks
-    are ``kept_ranks`` over all blocks, on the scale of the whole Gram.
+    The only positivity verdict: ``is_completely_n_positive`` and ``is_valid``
+    read it as a bool.  Ranks are ``kept_ranks`` on the whole Gram's scale.
     """
     cp.check_hermiticity(tol)
     blocks = [_block_factor(cp, b, tup, tol) for b in range(cp.algebra.nblocks)]
@@ -269,7 +273,7 @@ def _block_factor(cp: CPBlockMap, b: int, tup: ModuleCPTuple | None, tol: float)
     if negative_at_scale(float(w[-1]), float(w[0]), tol):
         raise NotPSDError(
             f"map family is not completely n-positive: Choi block {b} has eigenvalue "
-            f"{w[-1]:.3e} below -{tol:.1e} * {max(float(w[0]), 1.0):.3e}"
+            f"{w[-1]:.3e} below -{tol:.1e} * {psd_scale(float(w[0])):.3e}"
         )
     return w, lambda r: np.sqrt(w[:r])[:, None] * v[:, :r].conj().T
 
@@ -531,14 +535,15 @@ def verify_dilation(
 
     # Psi(f)* Psi(g) = pi(<f, g>), certified on the generators as
     # Psi(f^b_r0)* Psi(f^c_s0) = delta_bc delta_rs pi(e^b_00) (module
-    # docstring), one generator row at a time
+    # docstring), one generator row at a time, differenced in a C-contiguous
+    # copy: its norms then sum in the order of a fresh difference, bit for bit
     gen_cols = psi[gens].transpose(1, 0, 2).reshape(r2, len(gens) * r1)
+    gen_norms = np.diag(pi_norms[gen_units])
     psi_rep = 0.0
     for a, (gen, unit) in enumerate(zip(gens, gen_units)):
-        row = (psi[gen].conj().T @ gen_cols).reshape(r1, len(gens), r1).transpose(1, 0, 2)
-        expected = np.zeros((len(gens), r1, r1), dtype=complex)
-        expected[a] = pi[unit]
-        psi_rep = max(psi_rep, max_rel_residual(row, expected))
+        row = (psi[gen].conj().T @ gen_cols).reshape(r1, len(gens), r1).transpose(1, 0, 2).copy()
+        row[a] -= pi[unit]
+        psi_rep = max(psi_rep, max_rel_diff(row, gen_norms[a]))
 
     # Phi_i(f) = W_i* Psi(f) S_i, read both directly through the K2
     # embedding and through the range projector; the two must agree.

@@ -9,9 +9,9 @@ inputs never divide by zero.  Every rank decision is ``kept_ranks`` at
 the constant ``DEFAULT_CUTOFF``, which no function at any level takes,
 the instance generator included.  Validity is the callers' verdict:
 ``hermitian_eig`` only symmetrizes and ``kept_ranks`` only counts.
-``negative_at_scale`` states the one positivity rule, which the callers
-apply to each Choi block's spectrum; ``psd_certified`` proves that rule
-passes from a nearby PSD product, without the spectrum.
+``negative_at_scale`` states the one positivity rule (on ``psd_scale``),
+which ``dilation.build_gram`` applies to each Choi block's spectrum;
+``psd_certified`` proves it passes from a nearby PSD product.
 
 Determinism: LAPACK eigendecompositions are deterministic on a fixed
 platform, but eigenvector phase and ordering inside degenerate clusters
@@ -38,6 +38,7 @@ __all__ = [
     "max_rel_residual",
     "max_rel_diff",
     "hermitian_eig",
+    "psd_scale",
     "negative_at_scale",
     "psd_certified",
     "kept_ranks",
@@ -91,22 +92,27 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], v[:, order]
 
 
+def psd_scale(lam_max: float) -> float:
+    """The PSD rule's scale for a largest eigenvalue ``lam_max``: ``max(lam_max, 1)``."""
+    return max(lam_max, 1.0)
+
+
 def negative_at_scale(lam_min: float, lam_max: float, rel_tol: float) -> bool:
     """The one PSD rule: a spectrum whose largest eigenvalue is ``lam_max``
-    has a negative direction when ``lam_min < -rel_tol * max(lam_max, 1)``."""
-    return lam_min < -rel_tol * max(lam_max, 1.0)
+    has a negative direction when ``lam_min < -rel_tol * psd_scale(lam_max)``."""
+    return lam_min < -rel_tol * psd_scale(lam_max)
 
 
 def psd_certified(err: float, top: float, rel_tol: float) -> bool:
     """True only if ``negative_at_scale`` passes on the Hermitian part
     ``H`` of ``C``, read off a PSD ``P`` with largest eigenvalue ``top``
-    and ``err = |C - P|_F >= |H - P|_F``: ``err <= rel_tol * max(top - err, 1)``.
+    and ``err = |C - P|_F >= |H - P|_F``: ``err <= rel_tol * psd_scale(top - err)``.
 
     Proof: by Weyl each eigenvalue of ``H`` is within ``|H - P|_2 <= err``
     of ``P``'s, so ``lambda_min(H) >= -err`` and ``lambda_max(H) >= top -
     err``, whence ``lambda_min(H) >= -rel_tol * max(lambda_max(H), 1)``.
     False decides nothing."""
-    return err <= rel_tol * max(top - err, 1.0)
+    return err <= rel_tol * psd_scale(top - err)
 
 
 def kept_ranks(spectra) -> list[int]:

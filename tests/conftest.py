@@ -17,7 +17,10 @@ the ``json.dumps`` encoder that the version-1 writers replaced with an
 array encoder, the ``json.loads`` reader that orjson replaced, a plain
 scanner for the reader's vectorised structural pass, the pi rows of
 ``verify_dilation`` on fresh products and expected stacks as they were
-before the differences moved into the product buffers, the
+before the differences moved into the product buffers, its
+``psi_representation`` loop over zero-filled expected stacks, the
+``eigvalsh`` loop that judged ``is_completely_n_positive`` and
+``is_valid`` before both read ``build_gram``'s verdict, the
 written-out residual names and hand-built verdicts that the reports
 replaced with their row fields, and the inline residual ratios that
 ``linalg``'s helpers replaced.  All of them serve as independent
@@ -180,6 +183,19 @@ def build_gram_oracle(cp, tol=DEFAULT_TOL, tup=None):
     ranks = kept_ranks([w for w, _ in eigs])
     factors = (np.sqrt(w[:r])[:, None] * v[:, :r].conj().T for (w, v), r in zip(eigs, ranks))
     return GramFactorization(cp, tuple(factors))
+
+
+def choi_verdict_oracle(cp, tol=DEFAULT_TOL) -> bool:
+    """The former ``CPBlockMap.is_completely_n_positive``: ``check_hermiticity``,
+    then ``eigvalsh`` of the Hermitian part of every Choi block, judged by
+    ``negative_at_scale`` on its own spectrum."""
+    cp.check_hermiticity(tol)
+    for b in range(cp.algebra.nblocks):
+        c = cp.choi_block(b)
+        w = np.linalg.eigvalsh(0.5 * (c + c.conj().T))
+        if negative_at_scale(float(w[0]), float(w[-1]), tol):
+            return False
+    return True
 
 
 def dilate_oracle(inst, **kw) -> DilationData:
@@ -432,6 +448,26 @@ def psi_representation_oracle(mod, pi: np.ndarray, psi: np.ndarray) -> float:
     mask = mod.inner_table >= 0
     expected[mask] = pi[mod.inner_table[mask]]
     return max_rel_residual(lhs, expected)
+
+
+def psi_generator_rows_oracle(inst, data) -> float:
+    """``verify_dilation``'s ``psi_representation`` by the former loop:
+    each generator row ``Psi(f^b_r0)* Psi(f^c_s0)`` against a zero-filled
+    expected stack holding ``pi(e^b_00)`` at its own tile."""
+    pi, psi, r1, r2 = data.pi_action, data.psi_action, data.r1, data.r2
+    gens, gen_units, a_off, v_off = [], [], 0, 0
+    for d, k in zip(inst.algebra.block_dims, inst.module.mults):
+        gens += range(v_off, v_off + k * d, d)
+        gen_units += [a_off] * k
+        a_off, v_off = a_off + d * d, v_off + k * d
+    gen_cols = psi[gens].transpose(1, 0, 2).reshape(r2, len(gens) * r1)
+    worst = 0.0
+    for a, (gen, unit) in enumerate(zip(gens, gen_units)):
+        row = (psi[gen].conj().T @ gen_cols).reshape(r1, len(gens), r1).transpose(1, 0, 2)
+        expected = np.zeros((len(gens), r1, r1), dtype=complex)
+        expected[a] = pi[unit]
+        worst = max(worst, max_rel_residual(row, expected))
+    return worst
 
 
 def encode_complex_oracle(arr) -> list:

@@ -1,6 +1,8 @@
 import importlib
 import inspect
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +11,16 @@ from cpdilate import dilation, equivalence, linalg
 from cpdilate.cpmaps import random_instance
 
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(cpdilate.__path__))
+
+# Registers the package without running its __init__, so that the named
+# module is the first of the package's modules to execute.
+IMPORT_FIRST = """
+import importlib, sys, types
+package = types.ModuleType("cpdilate")
+package.__path__ = [sys.argv[1]]
+sys.modules["cpdilate"] = package
+importlib.import_module("cpdilate." + sys.argv[2])
+"""
 
 
 def test_package_names_resolve():
@@ -22,6 +34,15 @@ def test_module_names_resolve(name):
     module = importlib.import_module(f"cpdilate.{name}")
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_every_module_imports_first(name):
+    # cpmaps imports build_gram from dilation, which names cpmaps' classes
+    # in annotations only: an import cycle would fail from one side.
+    run = subprocess.run([sys.executable, "-c", IMPORT_FIRST, cpdilate.__path__[0], name],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize("fn", [

@@ -11,11 +11,13 @@ from conftest import (
     brute_force_gram,
     build_gram_oracle,
     centrally_scaled,
+    choi_verdict_oracle,
     dilate_oracle,
     module_units,
     non_representation,
     pi_multiplicativity_oracle,
     pi_rows_oracle,
+    psi_generator_rows_oracle,
     psi_module_action_oracle,
     psi_representation_oracle,
     psi_welldef_oracle,
@@ -449,6 +451,24 @@ class TestPiRowsInPlace:
         assert failing > 40  # the perturbed data is judged, not skipped
 
 
+class TestPsiRowsInPlace:
+    """The ``psi_representation`` row, with each difference written into a
+    C-contiguous copy of its generator row and the denominators read from
+    the norms of pi, equals the former loop over zero-filled expected
+    stacks (``conftest.psi_generator_rows_oracle``) with ``==``."""
+
+    def test_row_equals_the_former_loop(self):
+        cases = list(TestPiRowsInPlace.cases())
+        inst = random_instance(1, n=1, block_dims=[1] * 80, mults=[1] * 80, h1=1, h2=80)
+        cases.append((inst, dilate(inst)))
+        nonzero = 0
+        for inst, data in cases:
+            value = verify_dilation(inst, data).psi_representation
+            assert value == psi_generator_rows_oracle(inst, data)
+            nonzero += value > 0.0
+        assert nonzero > len(cases) // 2
+
+
 class TestGeneratorCertificate:
     """verify_dilation checks pi and Psi on the generators e^b_p0 only;
     the full basis-pair sweeps in conftest are the reference."""
@@ -593,6 +613,18 @@ def hermiticity_perturbed(eps, seed=5):
     return Instance(CPBlockMap(inst.algebra, 2, 2, cp), inst.tup)
 
 
+def slot_scale_instance(lam):
+    """Two slots on ``A = M_1``: phi_00 = 1 and phi_11 = diag(1e-8, lam),
+    so slot 1 has scale c_1 = 2^-13."""
+    alg = AlgebraDescriptor((1,))
+    cp = np.zeros((2, 2, 1, 2, 2), dtype=complex)
+    cp[0, 0, 0], cp[1, 1, 0] = np.eye(2), np.diag([1e-8, lam])
+    tup = np.zeros((2, 1, 4, 2), dtype=complex)
+    tup[0, 0, :2], tup[1, 0, 2:] = np.eye(2), np.diag([1e-4, 0.0])
+    return Instance(CPBlockMap(alg, 2, 2, cp), ModuleCPTuple(ModuleDescriptor(alg, (1,)),
+                                                             2, 2, 4, tup))
+
+
 def assert_dilates_iff_valid(inst):
     if inst.is_valid():
         assert verify_dilation(inst, dilate(inst)).passed
@@ -655,13 +687,7 @@ class TestPositivityVerdict:
         # Slot 1 has phi_11 = diag(1e-8, lam), scale c_1 = 2^-13.  An
         # eigenvalue of -1e-11 is within tol on the family's own scale but
         # -7e-4 at the slot's, so it is refused; -1e-19 is -7e-12 there.
-        alg = AlgebraDescriptor((1,))
-        cp = np.zeros((2, 2, 1, 2, 2), dtype=complex)
-        cp[0, 0, 0], cp[1, 1, 0] = np.eye(2), np.diag([1e-8, lam])
-        tup = np.zeros((2, 1, 4, 2), dtype=complex)
-        tup[0, 0, :2], tup[1, 0, 2:] = np.eye(2), np.diag([1e-4, 0.0])
-        inst = Instance(CPBlockMap(alg, 2, 2, cp), ModuleCPTuple(ModuleDescriptor(alg, (1,)),
-                                                                 2, 2, 4, tup))
+        inst = slot_scale_instance(lam)
         assert inst.cp.is_completely_n_positive(1e-9)
         assert inst.is_valid() == valid
         assert_dilates_iff_valid(inst)
@@ -677,6 +703,73 @@ class TestPositivityVerdict:
             assert np.all(np.diff(kept) <= 0)
             assert np.allclose(kept, lam[: len(kept)], atol=1e-12)
             assert g.ranks[b] == np.count_nonzero(lam > 1e-10 * top)
+
+
+def perturbed(inst, kind, rng):
+    """``inst`` with one Choi block negated, noise on the tuple or a
+    Hermiticity break in one entry of phi; the noise and the break are
+    drawn from 1e-12 to 1e-6, around the tolerance."""
+    cp, tup = inst.cp.action.copy(), inst.tup.action.copy()
+    eps = 10.0 ** rng.uniform(-12, -6)
+    if kind == "negated":
+        b = int(rng.integers(inst.algebra.nblocks))
+        dims = inst.algebra.block_dims
+        off = sum(d * d for d in dims[:b])
+        cp[:, :, off : off + dims[b] ** 2] *= -1.0
+    elif kind == "tuple":
+        tup += eps * (rng.standard_normal(tup.shape) + 1j * rng.standard_normal(tup.shape))
+    else:
+        cp[tuple(int(rng.integers(m)) for m in cp.shape)] += eps * (1.0 + 1.0j)
+    return Instance(CPBlockMap(inst.algebra, inst.n, inst.h1, cp),
+                    ModuleCPTuple(inst.module, inst.n, inst.h1, inst.h2, tup))
+
+
+class TestOneVerdict:
+    """``is_completely_n_positive`` and ``is_valid`` read ``build_gram``'s
+    verdict, and agree with the former ``eigvalsh`` loop
+    (``conftest.choi_verdict_oracle``): ``is_valid`` as it, a Hermiticity
+    break False, and ``compatibility_residual() <= tol``."""
+
+    @staticmethod
+    def assert_agrees(inst, tol=1e-9):
+        eq, _ = inst.equilibrated()
+        try:
+            positive = choi_verdict_oracle(eq.cp, tol)
+        except HermiticityViolationError:
+            with pytest.raises(HermiticityViolationError):
+                eq.cp.is_completely_n_positive(tol)
+            positive = False
+        else:
+            assert eq.cp.is_completely_n_positive(tol) == positive
+        valid = inst.is_valid(tol)
+        assert valid == (positive and eq.compatibility_residual() <= tol)
+        return valid
+
+    def test_fuzz_draws_and_their_perturbations(self):
+        rng = np.random.default_rng(17)
+        kinds = ["negated", "tuple", "hermiticity"]
+        instances = fuzz_draws(300, seed=5)
+        instances[::3] = [perturbed(inst, kinds[i % 3], rng)
+                          for i, inst in enumerate(instances[::3])]
+        verdicts = [self.assert_agrees(inst) for inst in instances]
+        assert 20 < verdicts.count(False) < 100
+
+    def test_acceptance_and_flipped_instances(self):
+        for inst in acceptance_instances(30):
+            assert self.assert_agrees(inst)
+            flipped = Instance(CPBlockMap(inst.algebra, inst.n, inst.h1, -inst.cp.action),
+                               inst.tup)
+            assert not self.assert_agrees(flipped)
+
+    @pytest.mark.parametrize("decades", [-3.0, 0.0, 2.0, 4.0])
+    def test_gap_family(self, decades):
+        lams = [-5e-9, -1.01e-9, -1e-9, -0.99e-9, -5e-10, 0.0, 1e-9]
+        verdicts = [self.assert_agrees(gap_instance(lam, 10.0**decades)) for lam in lams]
+        assert verdicts == [lam >= -1e-9 for lam in lams]
+
+    @pytest.mark.parametrize("lam, valid", [(-1e-11, False), (-1e-19, True)])
+    def test_slot_scales(self, lam, valid):
+        assert self.assert_agrees(slot_scale_instance(lam)) == valid
 
 
 class TestBlockwiseConstruction:

@@ -13,7 +13,7 @@ from conftest import (
 )
 from test_acceptance import acceptance_instances
 from test_equivalence import doubled
-from cpdilate import cpmaps, dilation, equivalence, linalg
+from cpdilate import dilation, equivalence
 from cpdilate.algebra import AlgebraDescriptor
 from cpdilate.cpmaps import CPBlockMap, haar_unitary
 from cpdilate.errors import NotMinimalError, NotPSDError, NotSquareError
@@ -76,7 +76,8 @@ class TestNegativeAtScale:
         assert not negative_at_scale(0.0, 0.0, 0.0)
 
     def test_build_gram_and_choi_test_share_it(self, monkeypatch):
-        # Both apply it to each block's own spectrum at the same tol, so the
+        # The Choi test is build_gram's verdict, so both go through the one
+        # call in dilation, on each block's own spectrum at the same tol: the
         # transpose map (eigenvalues 1, 1, 1, -1) is judged by one call each.
         seen = []
 
@@ -85,7 +86,6 @@ class TestNegativeAtScale:
             return False
 
         monkeypatch.setattr(dilation, "negative_at_scale", recording)
-        monkeypatch.setattr(cpmaps, "negative_at_scale", recording)
         g = dilation.build_gram(transpose_map(), tol=1e-9)  # the rule says no
         assert seen == [pytest.approx((-1.0, 1.0, 1e-9))]
         assert g.ranks == (3,)
