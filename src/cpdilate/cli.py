@@ -29,7 +29,11 @@ must be > 0 and < 1: a zero in place of every expected value has
 relative residuals of at most 1, so a tolerance of 1 or more cannot tell
 a zero map from the right one.
 Emitted files and reports contain no timestamps, so identical
-invocations produce identical bytes.
+invocations produce identical bytes.  ``main`` runs each command, argument
+parsing included, inside ``linalg.one_blas_thread``, so those bytes do not
+depend on the BLAS thread count either, except output fed by
+``linalg.hermitian_eig`` (Choi blocks without module rows), which keeps
+the caller's count.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from .errors import (
     ShapeMismatchError,
     WellDefinednessError,
 )
-from .linalg import DEFAULT_CUTOFF, DEFAULT_TOL
+from .linalg import DEFAULT_CUTOFF, DEFAULT_TOL, one_blas_thread
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -418,6 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@one_blas_thread()
 def main(argv=None) -> int:
     try:
         tol = _default_tol()

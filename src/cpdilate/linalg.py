@@ -17,10 +17,21 @@ Determinism: LAPACK eigendecompositions are deterministic on a fixed
 platform, but eigenvector phase and ordering inside degenerate clusters
 may differ across platforms.  Callers must therefore compare only
 basis-independent quantities (residuals, dimensions, spectra) across
-platforms; within one platform all outputs are reproducible.
+platforms.  Within one platform all outputs are reproducible at a fixed
+BLAS thread count; threaded OpenBLAS splits products differently, so
+last bits (and bases inside degenerate clusters) may depend on the count.
+Library calls run at the process's count.  Inside ``one_blas_thread``
+every product runs on one thread, so its outputs do not depend on the
+count, except what ``hermitian_eig`` feeds: its eigendecomposition keeps
+the count the scope replaced, the one call that gains from threads.
 """
 
 from __future__ import annotations
+
+import contextlib
+import contextvars
+import ctypes
+import functools
 
 import numpy as np
 
@@ -37,6 +48,7 @@ __all__ = [
     "rel_residual",
     "max_rel_residual",
     "max_rel_diff",
+    "one_blas_thread",
     "hermitian_eig",
     "psd_scale",
     "negative_at_scale",
@@ -79,6 +91,69 @@ def max_rel_diff(diff: np.ndarray, expected_norms: np.ndarray) -> float:
     return float((matrix_norms(diff) / np.maximum(expected_norms, 1.0)).max(initial=0.0))
 
 
+@functools.cache
+def _openblas_threads():
+    """The ``(get, set)`` thread-count functions of the OpenBLAS that numpy
+    loaded, found through ``/proc/self/maps``; None where there is none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    put.restype, put.argtypes = None, [ctypes.c_int]
+                    return get, put
+    return None
+
+
+# the BLAS thread count that the innermost ``one_blas_thread`` replaced
+_CALLER_THREADS: contextvars.ContextVar[int | None] = contextvars.ContextVar(
+    "caller_blas_threads", default=None)
+
+
+@contextlib.contextmanager
+def _blas_threads(count: int | None):
+    """Run the body at ``count`` BLAS threads and restore the count found,
+    on every exit path; yields that count.  Does nothing (and yields None)
+    when ``count`` is None or no OpenBLAS is loaded."""
+    api = None if count is None else _openblas_threads()
+    if api is None:
+        yield None
+        return
+    get, put = api
+    before = get()
+    put(count)
+    try:
+        yield before
+    finally:
+        put(before)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body on one BLAS thread, except ``hermitian_eig``, which
+    runs at the count this scope replaced.  The small products here gain
+    nothing from a thread pool, and waking its threads can stall a call
+    for milliseconds; one thread also makes their bits independent of the
+    process's count.  Does nothing where no OpenBLAS is loaded."""
+    with _blas_threads(1) as before:
+        token = _CALLER_THREADS.set(before)
+        try:
+            yield
+        finally:
+            _CALLER_THREADS.reset(token)
+
+
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition ``(w, v)`` of the Hermitian part ``(m + m*) / 2``
     of a square matrix: real eigenvalues sorted descending and the matching
@@ -87,7 +162,8 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {m.shape}")
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    with _blas_threads(_CALLER_THREADS.get()):
+        w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
     order = np.argsort(w)[::-1]
     return w[order], v[:, order]
 

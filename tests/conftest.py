@@ -34,9 +34,10 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from cpdilate.algebra import AlgebraDescriptor, ModuleDescriptor
-from cpdilate import dilation
+from cpdilate import dilation, linalg
 from cpdilate.cpmaps import CPBlockMap, Instance, ModuleCPTuple, carrier_mult, haar_unitary
 from cpdilate.dilation import DilationData, GramFactorization, amplified_units, check_shapes
 from cpdilate.errors import InconsistentSpansError, NotMinimalError, NotPSDError
@@ -44,6 +45,17 @@ from cpdilate.linalg import (
     DEFAULT_CUTOFF, DEFAULT_TOL, frob, hermitian_eig, kept_ranks, matrix_norms, max_rel_residual,
     negative_at_scale, rel_residual, solve_lsq, svd_orthobasis,
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def blas_thread_count_kept():
+    """Leak guard: the session ends at the BLAS thread count it started
+    with, so a test or CLI call that leaves a pinned count behind fails."""
+    api = linalg._openblas_threads()
+    before = api[0]() if api else None
+    yield
+    if api:
+        assert api[0]() == before, f"BLAS thread count left at {api[0]()}, was {before}"
 
 
 def _dense_units(labels, row_dims, col_dims) -> np.ndarray:

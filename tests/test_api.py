@@ -3,6 +3,7 @@ import inspect
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +44,17 @@ def test_every_module_imports_first(name):
     run = subprocess.run([sys.executable, "-c", IMPORT_FIRST, cpdilate.__path__[0], name],
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
+
+
+def test_import_finds_no_blas_library():
+    # the OpenBLAS lookup is lazy: importing the package, the CLI included,
+    # costs every command's start-up nothing for it
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import cpdilate.cli; "
+             "from cpdilate import linalg; print(linalg._openblas_threads.cache_info().misses)")
+    run = subprocess.run([sys.executable, "-c", probe, str(Path(cpdilate.__path__[0]).parent)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "0\n"
 
 
 @pytest.mark.parametrize("fn", [

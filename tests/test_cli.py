@@ -971,3 +971,85 @@ class TestFixedCutoff:
     def test_fuzz_report_names_it(self, capsys):
         assert cli.main(["fuzz", "--trials", "1", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["cutoff"] == 1e-10 == linalg.DEFAULT_CUTOFF
+
+
+OPENBLAS = linalg._openblas_threads()
+
+
+def blas_threads() -> int:
+    return OPENBLAS[0]()
+
+
+@pytest.mark.skipif(OPENBLAS is None, reason="no OpenBLAS loaded, so there is no thread count to set")
+class TestOneBlasThread:
+    """``cli.main`` runs each command on one BLAS thread, except the
+    eigendecomposition in ``hermitian_eig``, and restores the caller's
+    count on every exit path."""
+
+    def test_bytes_do_not_depend_on_the_thread_count(self, tmp_path):
+        # a Choi side of 384 with mults [2]: its tuple SVD and products
+        # wrote w_ops up to 1.0 apart at 1 and 2 threads
+        inst = tmp_path / "inst.json"
+        assert cli.main(["generate", "--seed", "7", "--n", "4", "--blocks", "16", "--mults", "2",
+                         "--h1", "6", "--h2", "24", "--k1-extra", "2", "-o", str(inst)]) == 0
+        src = str(Path(cli.__file__).parents[1])
+        outputs = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            dil = tmp_path / f"dil{threads}.json"
+            reports = [subprocess.run([sys.executable, "-m", "cpdilate.cli", *argv, "--json"],
+                                      capture_output=True, env=env, timeout=300).stdout
+                       for argv in (["dilate", str(inst), "-o", str(dil)],
+                                    ["verify", str(inst), str(dil)],
+                                    ["equiv", str(inst), str(dil), str(dil)])]
+            assert all(json.loads(r)["passed" if i < 2 else "diagram_commutes"]
+                       for i, r in enumerate(reports))
+            outputs[threads] = [dil.read_bytes(), *reports]
+        assert outputs["1"] == outputs["2"]
+
+    @pytest.mark.parametrize("case", ["ok", "parse", "report", "bad flag"])
+    def test_the_scope_restores_the_count(self, case, tmp_path, monkeypatch):
+        inst, inst_path = write_instance(tmp_path)
+        data = dilate(inst)
+        if case == "report":
+            data.pi_action = np.zeros_like(data.pi_action)
+        dil_path = tmp_path / "dil.json"
+        dil_path.write_text(emit_dilation(inst, data), encoding="utf-8")
+        if case == "parse":
+            dil_path.write_bytes(b"{")
+        argv = ["verify", str(inst_path), str(dil_path)] + (["--bogus"] if case == "bad flag" else [])
+        inside = []
+        default_tol = cli._default_tol
+        monkeypatch.setattr(cli, "_default_tol", lambda: inside.append(blas_threads()) or default_tol())
+        with linalg._blas_threads(2):
+            assert cli_exit(argv) == {"ok": 0, "parse": 2, "report": 3, "bad flag": 2}[case]
+            assert blas_threads() == 2
+        assert inside == [1]
+
+    def test_without_openblas_the_bytes_are_unchanged(self, tmp_path, monkeypatch, capsys):
+        pinned, unpinned = tmp_path / "pinned.json", tmp_path / "unpinned.json"
+        assert cli.main(["dilate", str(GOLDEN_INSTANCE), "-o", str(pinned), "--json"]) == 0
+        pinned_report = capsys.readouterr().out
+        monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
+        with linalg._blas_threads(2):
+            assert cli.main(["dilate", str(GOLDEN_INSTANCE), "-o", str(unpinned), "--json"]) == 0
+        assert capsys.readouterr().out == pinned_report
+        inst = parse_instance(GOLDEN_INSTANCE.read_bytes())
+        assert unpinned.read_bytes() == pinned.read_bytes() == emit_dilation(inst, dilate(inst)).encode()
+
+    def test_only_the_eigendecomposition_gets_threads(self, tmp_path, monkeypatch):
+        # mults [0, 1]: block 0 has no module rows, so hermitian_eig
+        # factors it; block 1 is factored through the tuple's SVD
+        inst, inst_path = write_instance(tmp_path, n=2, block_dims=[2, 1], mults=[0, 1], h1=2, h2=4)
+        seen = {"eigh": [], "svd": []}
+
+        def recording(name, fn):
+            return lambda *a, **kw: seen[name].append(blas_threads()) or fn(*a, **kw)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "svd", recording("svd", np.linalg.svd))
+        with linalg._blas_threads(2):
+            assert cli.main(["dilate", str(inst_path)]) == 0
+        assert seen["eigh"] and set(seen["eigh"]) == {2}
+        assert seen["svd"] and set(seen["svd"]) == {1}
